@@ -4,7 +4,8 @@ Words are quoted token strings in the grammar of words.py; an argument of the
 form @path reads the tokens from a file instead.  Quasitoric sign matrices are
 read from --form files ('+'/'-' rows).  Exit codes: 0 for success or a true
 predicate, 1 for a false or negative predicate (eq false, is-qt none, verify
-failures), 2 for usage or input errors.  Output is deterministic.
+failures), 2 for usage or input errors, including a generator word that would
+expand to more than words.MAX_LETTERS letters.  Output is deterministic.
 """
 
 from __future__ import annotations

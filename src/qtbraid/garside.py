@@ -12,9 +12,19 @@ finishing set of f_i.  Two words are equal in the group iff their normal
 forms coincide, which makes this module the equality oracle certifying
 all the relator and rewriting machinery elsewhere in the package.
 
-Negative letters are handled by sigma_i^{-1} = Delta^{-1} * (Delta sigma_i^{-1})
-with Delta sigma_i^{-1} a permutation braid; the Delta powers are then pushed
-to the front through the order-2 flip automorphism x -> Delta^{-1} x Delta.
+The form is built in one left-to-right pass over the letters, keeping the
+Delta exponent d so far and the factors to its right.  Negative letters use
+sigma_i^{-1} = Delta^{-1} * (Delta sigma_i^{-1}) with Delta sigma_i^{-1} a
+permutation braid.  Moving Delta^{-1} to the front conjugates every factor it
+passes by the order-2 flip automorphism tau(x) = Delta^{-1} x Delta, so the
+factor list stores tau^d of each true factor instead: a change of d then
+moves no stored factor, and tau is applied once to all of them at the end if
+d is odd.  tau maps sigma_i to sigma_{n-i} and preserves left-weightedness,
+so letters come from a table per parity of d and pairs are left-weighted on
+the stored factors directly.  When left-weighting turns a factor into Delta,
+the factor is deleted and d raised by one (the Delta pull): the stored
+factors to its left stay as they are, and those to its right are flipped by
+tau.  The list therefore never holds Delta or the identity.
 
 Permutation braids are stored internally as 0-based one-line arrays under the
 same convention as words.perm (the array entry at position q is the start of
@@ -28,11 +38,17 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import BraidWord, WordError
+from .words import BraidWord, WordError, exponent_sum
 
 Factor = tuple[int, ...]
 
 _MISS = object()
+
+# The pair memo of one strand count is emptied when it reaches this many
+# entries, so a long-lived process holds at most CTX_CACHE_SIZE full memos.
+# The largest one benchmark round fills holds about 49,000 (verify at n=10).
+RENORM_MEMO_CAP = 1 << 16
+CTX_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -75,17 +91,19 @@ class _Ctx:
         self.n = n
         self.identity: Factor = tuple(range(n))
         self.w0: Factor = tuple(range(n - 1, -1, -1))
-        # positive letter sigma_{i+1} as a factor
-        self.pos: list[Factor] = []
-        # factor c with sigma_{i+1}^{-1} = Delta^{-1} c
-        self.neg: list[Factor] = []
+        # letters[p][x]: tau^p of the factor of letter x, indexed by the signed
+        # letter; sigma_i is its own factor, sigma_i^{-1} = Delta^{-1} (Delta sigma_i^{-1})
+        even: list[Factor] = [self.identity] * (2 * n - 1)
         for i in range(n - 1):
-            t = list(range(n))
+            t = list(self.identity)
             t[i], t[i + 1] = t[i + 1], t[i]
-            self.pos.append(tuple(t))
+            even[i + 1] = tuple(t)
             c = list(self.w0)
             c[i], c[i + 1] = c[i + 1], c[i]
-            self.neg.append(tuple(c))
+            even[-i - 1] = tuple(c)
+        # tau maps sigma_i to sigma_{n-i} and Delta sigma_i^{-1} to Delta sigma_{n-i}^{-1}
+        odd = [self.identity] + even[n - 1 : 0 : -1] + even[: n - 1 : -1]
+        self.letters = (even, odd)
         self._renorm_memo: dict[
             tuple[Factor, Factor], tuple[Factor, Factor] | None
         ] = {}
@@ -93,13 +111,14 @@ class _Ctx:
     def tau(self, x: Factor) -> Factor:
         """The flip automorphism Delta^{-1} x Delta on factor arrays."""
         n1 = self.n - 1
-        return tuple(n1 - x[n1 - q] for q in range(self.n))
+        return tuple([n1 - v for v in reversed(x)])
 
     def renorm_memoized(self, a: Factor, b: Factor) -> tuple[Factor, Factor] | None:
         """Left-weight the pair (a, b); None means it already was left-weighted.
 
-        The memo stores None for unchanged pairs so the hot path in _fix_from
-        is a single dict probe.
+        The memo stores None for unchanged pairs so the hot path in
+        _normal_factors is a single dict probe.  It is emptied when it reaches
+        RENORM_MEMO_CAP entries.
         """
         n = self.n
         A = list(a)
@@ -120,91 +139,70 @@ class _Ctx:
                     pos[s], pos[s + 1] = p2, p1
                     changed = moving = True
         result = (tuple(A), tuple(B)) if changed else None
+        if len(self._renorm_memo) >= RENORM_MEMO_CAP:
+            self._renorm_memo.clear()
         self._renorm_memo[(a, b)] = result
         return result
 
-    def renorm(self, a: Factor, b: Factor) -> tuple[Factor, Factor]:
-        """Left-weight the pair (a, b), transferring prefix letters of b to a."""
-        key = (a, b)
-        hit = self._renorm_memo.get(key, _MISS)
-        if hit is _MISS:
-            hit = self.renorm_memoized(a, b)
-        return key if hit is None else hit
 
-    def is_left_weighted_pair(self, a: Factor, b: Factor) -> bool:
-        return self.renorm(a, b) == (a, b)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CTX_CACHE_SIZE)
 def _ctx(n: int) -> _Ctx:
     return _Ctx(n)
 
 
-def _fix_from(ctx: _Ctx, fs: list[Factor], j0: int) -> None:
-    """Restore pairwise left-weightedness after fs[j0] was appended or changed.
-
-    Worklist of pair positions; each effective renorm moves letters strictly
-    leftward, so this terminates.  Unlike the classical single backward sweep
-    it re-checks the pair to the right of every change, so correctness does
-    not lean on the sweep-order lemma.
-    """
-    memo = ctx._renorm_memo
-    identity = ctx.identity
-    stack = [j0]
-    while stack:
-        j = stack.pop()
-        if j <= 0 or j >= len(fs):
-            continue
-        key = (fs[j - 1], fs[j])
-        res = memo.get(key, _MISS)
-        if res is _MISS:
-            res = ctx.renorm_memoized(*key)
-        if res is None:
-            continue
-        a2, b2 = res
-        fs[j - 1] = a2
-        if b2 == identity:
-            fs.pop(j)
-            stack.append(j)
-        else:
-            fs[j] = b2
-            stack.append(j + 1)
-        stack.append(j - 1)
-
-
-def _append(ctx: _Ctx, fs: list[Factor], c: Factor) -> None:
-    if c == ctx.identity:
-        return
-    fs.append(c)
-    _fix_from(ctx, fs, len(fs) - 1)
-
-
 def _normal_factors(w: BraidWord) -> tuple[int, list[Factor]]:
-    ctx = _ctx(w.strands)
-    m = len(w.letters)
-    dpows = [0] * m
-    raw: list[Factor] = [ctx.identity] * m
-    for t, x in enumerate(w.letters):
-        i = abs(x) - 1
-        if x > 0:
-            raw[t] = ctx.pos[i]
-        else:
-            raw[t] = ctx.neg[i]
-            dpows[t] = -1
-    # push the Delta powers to the front, conjugating factors they pass over
-    shift = 0
-    for t in range(m - 1, -1, -1):
-        if shift % 2:
-            raw[t] = ctx.tau(raw[t])
-        shift += dpows[t]
+    """(inf, factors) of the normal form, in one left-to-right pass over w.
+
+    fs holds tau^d of each true factor (see the module docstring).  Appending
+    a letter's factor starts a worklist of pairs to left-weight; every change
+    re-checks the pair to its right as well as to its left, so correctness
+    does not lean on the sweep-order lemma.
+    """
+    n = w.strands
+    if n == 2:  # B_2 is infinite cyclic, generated by sigma_1 = Delta
+        return exponent_sum(w), []
+    ctx = _ctx(n)
+    memo = ctx._renorm_memo
+    identity, w0, tau, letters = ctx.identity, ctx.w0, ctx.tau, ctx.letters
     fs: list[Factor] = []
-    for f in raw:
-        _append(ctx, fs, f)
-    # absorbed half twists sit as a prefix once the list is left-weighted
-    lead = 0
-    while lead < len(fs) and fs[lead] == ctx.w0:
-        lead += 1
-    return shift + lead, fs[lead:]
+    d = 0
+    for x in w.letters:
+        if x < 0:
+            d -= 1
+        fs.append(letters[d & 1][x])
+        stack = [len(fs) - 1]
+        while stack:
+            j = stack.pop()
+            if j <= 0 or j >= len(fs):
+                continue
+            key = (fs[j - 1], fs[j])
+            res = memo.get(key, _MISS)
+            if res is _MISS:
+                res = ctx.renorm_memoized(*key)
+            if res is None:
+                continue
+            a2, b2 = res
+            if a2 != w0 and b2 != identity:
+                fs[j - 1] = a2
+                fs[j] = b2
+                stack += (j + 1, j - 1)
+                continue
+            # a factor vanishes: either b2 was absorbed, or a2 is Delta and is
+            # pulled to the front, raising d and flipping the factors right of it
+            if a2 == w0:
+                d += 1
+                kept = [] if b2 == identity else [b2]
+                fs[j - 1 :] = [tau(f) for f in kept + fs[j + 1 :]]
+            else:
+                kept = [a2]
+                fs[j - 1 : j + 1] = kept
+            # pairs right of the deleted factors moved down
+            gone = 2 - len(kept)
+            stack = [s - gone if s > j else s for s in stack]
+            stack += (j + len(kept) - 1, j - 1)
+    if d & 1:
+        fs = [tau(f) for f in fs]
+    return d, fs
 
 
 def normal_form(w: BraidWord) -> GarsideNormalForm:

@@ -193,5 +193,6 @@ def decompose(w: BraidWord, target: GensetTarget) -> GenWord:
     out = rewrite_to_thm41(over_twists, w.strands)
     if target.variant == "thm42":
         out = rewrite_to_thm42(out, w.strands)
-    assert target.admits(out)
+    if not target.admits(out):
+        raise AssertionError(f"decompose left atoms outside the {target.variant} alphabet")
     return out

@@ -103,8 +103,8 @@ def linking(w: BraidWord) -> LinkingMatrix:
         row = []
         for j in range(i + 1, n):
             c = counts[i][j]
-            # .5 linking is impossible once the braid is pure
-            assert c % 2 == 0
+            if c % 2:
+                raise AssertionError(f"odd crossing count {c} for strands {i + 1}, {j + 1}")
             row.append(c // 2)
         rows.append(tuple(row))
     return LinkingMatrix(n, tuple(rows))

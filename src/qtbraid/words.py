@@ -38,7 +38,12 @@ from typing import Iterable
 
 
 class WordError(ValueError):
-    """Malformed word, invalid index, or strand-count mismatch."""
+    """Malformed word, invalid index, strand-count mismatch, or oversized word."""
+
+
+# expand and toric refuse to build a word longer than this, before allocating
+# it; the command line reports the refusal with exit code 2
+MAX_LETTERS = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +237,7 @@ def toric(n: int, m: int) -> BraidWord:
         raise WordError(f"need at least 2 strands, got {n}")
     if m < 0:
         raise WordError(f"toric braid needs m >= 0, got {m}")
+    _check_length((n - 1) * m)
     return BraidWord(n, tuple(range(1, n)) * m)
 
 
@@ -317,33 +323,52 @@ def gen_reduce(gw: Iterable[tuple[Atom, int]]) -> GenWord:
     return tuple(out)
 
 
-def _atom_letters(atom: Atom, n: int) -> tuple[int, ...]:
+def _atom_length(atom: Atom, n: int) -> int:
+    """Letter count of the atom's expansion on n strands, found without building it."""
     kind, i, j = atom.kind, atom.i, atom.j
     if kind == "s":
-        if not 1 <= i <= n - 1:
-            raise WordError(f"{atom} out of range for {n} strands")
+        ok, length = 1 <= i <= n - 1, 1
+    elif kind == "d":
+        ok, length = 0 <= i <= n - 1, n - 1
+    elif kind in ("t", "a"):
+        ok = 1 <= i < j <= n
+        length = (j - i) * (j - i + 1) if kind == "t" else 2 * (j - i)
+    else:
+        raise WordError(f"unknown atom kind {kind!r}")
+    if not ok:
+        raise WordError(f"{atom} out of range for {n} strands")
+    return length
+
+
+def _atom_letters(atom: Atom, n: int) -> tuple[int, ...]:
+    """The atom's expansion on n strands; the atom must be in range."""
+    kind, i, j = atom.kind, atom.i, atom.j
+    if kind == "s":
         return (i,)
     if kind == "d":
-        if not 0 <= i <= n - 1:
-            raise WordError(f"{atom} out of range for {n} strands")
         return tuple(range(1, n - i)) + tuple(-p for p in range(n - i, n))
     if kind == "t":
-        if not 1 <= i < j <= n:
-            raise WordError(f"{atom} out of range for {n} strands")
         return tuple(range(i, j)) * (j - i + 1)
-    if kind == "a":
-        if not 1 <= i < j <= n:
-            raise WordError(f"{atom} out of range for {n} strands")
-        return (
-            tuple(range(j - 1, i, -1))
-            + (i, i)
-            + tuple(-p for p in range(i + 1, j))
+    return (
+        tuple(range(j - 1, i, -1))
+        + (i, i)
+        + tuple(-p for p in range(i + 1, j))
+    )
+
+
+def _check_length(length: int) -> None:
+    if length > MAX_LETTERS:
+        raise WordError(
+            f"word would have {length} letters, more than the limit of {MAX_LETTERS}"
         )
-    raise WordError(f"unknown atom kind {kind!r}")
 
 
 def expand(gw: GenWord, n: int) -> BraidWord:
-    """Expand a generator word into a braid word on n strands."""
+    """Expand a generator word into a braid word on n strands.
+
+    Raises WordError before allocating if the result would exceed MAX_LETTERS.
+    """
+    _check_length(sum(_atom_length(atom, n) * abs(e) for atom, e in gw))
     letters: list[int] = []
     for atom, e in gw:
         base = _atom_letters(atom, n)

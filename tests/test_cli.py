@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 from qtbraid.cli import run
 
@@ -157,6 +158,16 @@ class TestErrors:
     def test_usage_error(self):
         code, _ = go("verify", "-n", "3")
         assert code == 2
+
+    def test_oversized_expansion(self):
+        tracemalloc.start()
+        try:
+            code, out = go("expand", "-n", "5", "t1,4^1000000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert peak < 1 << 20, f"peak allocation {peak} bytes"
 
 
 class TestFiles:

@@ -20,57 +20,92 @@ from qtbraid import (
     perm,
     toric,
 )
+from qtbraid import garside
 from qtbraid.garside import _ctx, _normal_factors
 
 from helpers import random_word, rewrite_equivalent
 
 
+def renorm(ctx, a, b):
+    """Left-weight the pair (a, b), moving prefix letters of b into a."""
+    res = ctx.renorm_memoized(a, b)
+    return (a, b) if res is None else res
+
+
+def tau(x):
+    """The flip automorphism Delta^{-1} x Delta on 0-based factor arrays."""
+    n1 = len(x) - 1
+    return tuple(n1 - x[n1 - q] for q in range(len(x)))
+
+
 def fixpoint_normal_factors(w):
     """Reference normalizer: sweep every adjacent pair until nothing moves.
 
-    Independent of the worklist scheduling used by the production path; the
-    unique-normal-form theorem says both must land on the same factor list.
+    Independent of the single-pass scheduling used by the production path:
+    all Delta powers are pushed to the front first, and half twists that form
+    are left in place until the end.  The unique-normal-form theorem says
+    both must land on the same factor list.
     """
-    ctx = _ctx(w.strands)
+    n = w.strands
+    identity = tuple(range(n))
+    w0 = identity[::-1]
     raw = []
     dpows = []
     for x in w.letters:
         i = abs(x) - 1
-        if x > 0:
-            raw.append(ctx.pos[i])
-            dpows.append(0)
-        else:
-            raw.append(ctx.neg[i])
-            dpows.append(-1)
+        f = list(identity if x > 0 else w0)
+        f[i], f[i + 1] = f[i + 1], f[i]
+        raw.append(tuple(f))
+        dpows.append(0 if x > 0 else -1)
     shift = 0
     for t in range(len(raw) - 1, -1, -1):
         if shift % 2:
-            raw[t] = ctx.tau(raw[t])
+            raw[t] = tau(raw[t])
         shift += dpows[t]
+    ctx = _ctx(n)
     fs = list(raw)
     changed = True
     while changed:
         changed = False
-        fs = [f for f in fs if f != ctx.identity]
+        fs = [f for f in fs if f != identity]
         for j in range(len(fs) - 1):
-            a2, b2 = ctx.renorm(fs[j], fs[j + 1])
+            a2, b2 = renorm(ctx, fs[j], fs[j + 1])
             if a2 != fs[j]:
                 fs[j], fs[j + 1] = a2, b2
                 changed = True
-    fs = [f for f in fs if f != ctx.identity]
+    fs = [f for f in fs if f != identity]
     lead = 0
-    while lead < len(fs) and fs[lead] == ctx.w0:
+    while lead < len(fs) and fs[lead] == w0:
         lead += 1
     return shift + lead, fs[lead:]
 
 
+def _reference_inputs():
+    """Random words, all-negative words, and words that build Delta mid-sweep."""
+    rng = random.Random(9)
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        yield random_word(rng, n, rng.randint(0, 35))
+    for _ in range(12):
+        n = rng.randint(7, 16)
+        yield random_word(rng, n, rng.randint(100, 200))
+    for _ in range(40):
+        n = rng.randint(2, 10)
+        yield BraidWord(n, tuple(-abs(x) for x in random_word(rng, n, 60).letters))
+    for _ in range(60):
+        n = rng.randint(3, 10)
+        blocks = [(1, 2, 1), tuple(range(1, n)), tuple(range(-1, -n, -1))]
+        letters = []
+        for _ in range(rng.randint(1, 6)):
+            letters += rng.choice(blocks) * rng.randint(1, n)
+            letters += random_word(rng, n, rng.randint(0, 6)).letters
+        yield BraidWord(n, tuple(letters[:150]))
+
+
 class TestNormalForm:
     def test_agrees_with_fixpoint_reference(self):
-        rng = random.Random(9)
-        for _ in range(300):
-            n = rng.randint(2, 6)
-            w = random_word(rng, n, rng.randint(0, 35))
-            assert _normal_factors(w) == fixpoint_normal_factors(w)
+        for w in _reference_inputs():
+            assert _normal_factors(w) == fixpoint_normal_factors(w), w
 
     def test_empty(self):
         nf = normal_form(BraidWord(4))
@@ -105,7 +140,7 @@ class TestNormalForm:
             for f in fs:
                 assert f != ctx.identity and f != ctx.w0
             for j in range(len(fs) - 1):
-                assert ctx.is_left_weighted_pair(fs[j], fs[j + 1])
+                assert renorm(ctx, fs[j], fs[j + 1]) == (fs[j], fs[j + 1])
 
     def test_exponent_sum_reconstruction(self):
         rng = random.Random(12)
@@ -204,6 +239,38 @@ class TestTrivial:
             for i in range(1, n):
                 s = BraidWord(n, (i,))
                 assert equal(concat(full, s), concat(s, full))
+
+
+class _WatchedMemo(dict):
+    """A pair memo that counts its clears and records its largest size."""
+
+    clears = 0
+    peak = 0
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+
+class TestMemoBound:
+    def test_pair_memo_is_capped(self, monkeypatch):
+        cap = 400
+        monkeypatch.setattr(garside, "RENORM_MEMO_CAP", cap)
+        ctx = _ctx(64)
+        memo = _WatchedMemo()
+        monkeypatch.setattr(ctx, "_renorm_memo", memo)
+        rng = random.Random(21)
+        for _ in range(100):
+            w = random_word(rng, 64, 40)
+            assert _normal_factors(w) == fixpoint_normal_factors(w)
+            if memo.clears >= 2:
+                break
+        assert memo.clears >= 2 and memo.peak <= cap
+        assert _ctx.cache_parameters()["maxsize"] == garside.CTX_CACHE_SIZE
 
 
 class TestPerformance:

@@ -142,6 +142,11 @@ class TestDecompose:
         with pytest.raises(WordError):
             decompose(toric(4, 1), GensetTarget("thm41", 5))
 
+    def test_alphabet_postcondition_raises(self, monkeypatch):
+        monkeypatch.setattr(GensetTarget, "admits", lambda self, gw: False)
+        with pytest.raises(AssertionError, match="alphabet"):
+            decompose(toric(5, 1), GensetTarget("thm41", 5))
+
 
 class TestProofIdentities:
     def test_index_shift_conjugation(self):

@@ -12,6 +12,7 @@ from qtbraid import (
     inverse,
     toric,
 )
+from qtbraid import purebraid
 from qtbraid.purebraid import _conj_atom, a_to_t, comb, linking, t_decompose
 
 from helpers import random_pure_word, rewrite_equivalent
@@ -65,6 +66,11 @@ class TestLinking:
 
     def test_rejects_non_pure(self):
         with pytest.raises(WordError):
+            linking(BraidWord(3, (1,)))
+
+    def test_parity_postcondition_raises(self, monkeypatch):
+        monkeypatch.setattr(purebraid, "is_pure", lambda w: True)
+        with pytest.raises(AssertionError, match="odd crossing count"):
             linking(BraidWord(3, (1,)))
 
     def test_format(self):

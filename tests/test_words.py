@@ -24,6 +24,7 @@ from qtbraid import (
     perm,
     toric,
 )
+from qtbraid import words
 from qtbraid.purebraid import linking
 
 from helpers import random_word
@@ -182,6 +183,18 @@ class TestExpand:
         assert delta_word(4, 0).letters == (1, 2, 3)
         assert delta_word(4, 1).letters == (1, 2, -3)
         assert delta_word(4, 3).letters == (-1, -2, -3)
+
+    def test_size_limit(self, monkeypatch):
+        monkeypatch.setattr(words, "MAX_LETTERS", 12)
+        for atom, e in ((Atom.t(1, 3), 2), (Atom.a(1, 4), -2), (Atom.d(1), 3), (Atom.s(2), 12)):
+            assert len(expand(((atom, e),), 5)) == 12
+        with pytest.raises(WordError, match="limit"):
+            expand(((Atom.t(1, 3), 2), (Atom.s(1), -1)), 5)
+        with pytest.raises(WordError, match="limit"):
+            expand(((Atom.d(0), 5),), 4)
+        assert len(toric(5, 3)) == 12
+        with pytest.raises(WordError, match="limit"):
+            toric(5, 4)
 
     def test_out_of_range(self):
         with pytest.raises(WordError):
