@@ -46,6 +46,9 @@ from .words import (
 
 VARIANTS = ("thm41", "thm42")
 
+# strand counts whose twist tables _short_twist_words and _long_twist_inverses keep
+TWIST_CACHE_SIZE = 16
+
 
 def short_twist_bound(n: int) -> int:
     """The minimal generator count N: (n+1)/2 for odd n, (n+2)/2 for even n."""
@@ -94,7 +97,7 @@ def _conj_d0(k: int, inner: GenWord) -> GenWord:
     return gen_concat(_d0(k), inner, _d0(-k))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TWIST_CACHE_SIZE)
 def _short_twist_words(n: int) -> dict[int, GenWord]:
     """t(1,j) over the thm41 alphabet, for every 2 <= j <= n."""
     N = short_twist_bound(n)
@@ -146,7 +149,7 @@ def rewrite_to_thm41(gw: GenWord, n: int) -> GenWord:
     return gen_concat(*parts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TWIST_CACHE_SIZE)
 def _long_twist_inverses(n: int) -> dict[int, GenWord]:
     """t(i,n)^{-1} over the thm42 alphabet for n-N+1 <= i <= n-1."""
     N = short_twist_bound(n)

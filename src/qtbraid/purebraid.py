@@ -44,6 +44,9 @@ from .words import (
     is_pure,
 )
 
+# strand counts whose combing context _comb_ctx keeps
+COMB_CACHE_SIZE = 16
+
 
 @dataclass(frozen=True)
 class LinkingMatrix:
@@ -172,7 +175,7 @@ class _Comb:
         return result
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=COMB_CACHE_SIZE)
 def _comb_ctx(n: int) -> _Comb:
     return _Comb(n)
 

@@ -34,7 +34,7 @@ followed by ^<k> for a nonzero exponent, e.g. "d0^3 t1,4^-2 a2,5".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class WordError(ValueError):
@@ -163,10 +163,6 @@ class BraidWord:
     def __str__(self) -> str:
         return format_word(self)
 
-    @staticmethod
-    def parse(n: int, text: str) -> "BraidWord":
-        return parse_word(n, text)
-
 
 def parse_word(n: int, text: str) -> BraidWord:
     """Parse whitespace-separated signed integers into a braid word."""
@@ -250,9 +246,13 @@ def delta_word(n: int, k: int) -> BraidWord:
 # generator atoms and generator words
 
 
-@dataclass(frozen=True)
-class Atom:
-    """A symbolic generator: kind 's'|'d'|'t'|'a' with one or two indices."""
+class Atom(NamedTuple):
+    """A symbolic generator: kind 's'|'d'|'t'|'a' with one or two indices.
+
+    A plain tuple (kind, i, j), so hashing and comparing atoms, which relator
+    tables and free reduction do constantly, run in C.  Build atoms through
+    the s/d/t/a constructors, which validate the indices.
+    """
 
     kind: str
     i: int

@@ -169,6 +169,18 @@ class TestErrors:
         assert code == 2 and out == ""
         assert peak < 1 << 20, f"peak allocation {peak} bytes"
 
+    def test_oversized_presentation(self):
+        # C(1000, 5) pentagonal relators: refused from the count, before building
+        for group in ("pb", "qb", "pmod"):
+            tracemalloc.start()
+            try:
+                code, out = go("h1", "--group", group, "-n", "1000")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 2 and out == ""
+            assert peak < 1 << 20, f"peak allocation {peak} bytes"
+
 
 class TestFiles:
     def test_at_indirection(self, tmp_path):

@@ -15,8 +15,10 @@ from qtbraid import (
     gen_concat,
     toric,
 )
+from qtbraid import presentations
 from qtbraid.presentations import (
     AbelianStructure,
+    _relator_count,
     h1,
     min_generators,
     pb_relators,
@@ -26,6 +28,7 @@ from qtbraid.presentations import (
     qt_class,
     verify,
 )
+from qtbraid.snf import smith_normal_form
 
 from helpers import random_qt_word, rewrite_equivalent
 
@@ -60,6 +63,17 @@ class TestRelatorEnumeration:
                 gold = GOLDEN[f"{group},{n}"]
                 assert len(p.generators) == gold["generators"]
                 assert len(p.relators) == gold["total"]
+                assert _relator_count(group, n) == gold["total"]
+
+    def test_oversized_table_refused(self, monkeypatch):
+        assert _relator_count("qb", 14) == 4824
+        monkeypatch.setattr(presentations, "MAX_RELATORS", 4823)
+        for group in ("pb", "qb", "pmod"):
+            presentation(group, 13)
+        with pytest.raises(WordError, match="limit"):
+            presentation("qb", 14)
+        with pytest.raises(WordError, match="limit"):
+            presentation("pb", 1000)
 
     def test_generator_counts(self):
         for n in range(3, 9):
@@ -155,9 +169,28 @@ class TestH1:
             a = h1(pmod_relators(n))
             assert a.free_rank == math.comb(n, 2) - 1 and a.torsion == ()
 
-    def test_min_generators(self):
-        from qtbraid.snf import smith_normal_form
+    @pytest.mark.parametrize("group", ["pb", "qb", "pmod"])
+    def test_zero_rows_dropped_exactly(self, group):
+        # h1 hands only the nonzero exponent rows to the Smith normal form;
+        # the full matrix must give the same H_1 and the same transform
+        for n in range(3, 11):
+            p = presentation(group, n)
+            index = {atom: c for c, atom in enumerate(p.generators)}
+            full = []
+            for rel in p.relators:
+                row = [0] * len(p.generators)
+                for atom, e in rel:
+                    row[index[atom]] += e
+                full.append(row)
+            s = smith_normal_form(full, cols=len(p.generators))
+            a = h1(p)
+            assert a.snf.invariant_factors == s.invariant_factors
+            assert a.snf.right == s.right
+            assert a.free_rank == len(p.generators) - s.rank
+            assert a.torsion == tuple(d for d in s.invariant_factors if d > 1)
+            assert a.snf.rows == sum(1 for row in full if any(row))
 
+    def test_min_generators(self):
         assert min_generators(h1(qb_relators(3))) == 2
         assert min_generators(h1(qb_relators(4))) == 3
         # one generator killed by one relator: the trivial group needs none

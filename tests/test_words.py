@@ -271,6 +271,34 @@ class TestGrammar:
             with pytest.raises(WordError):
                 parse_generator_word(bad)
 
+    def test_atom_constructors_match_grammar(self):
+        for text, atom in (
+            ("t1,4", Atom.t(1, 4)),
+            ("a2,5", Atom.a(2, 5)),
+            ("d0", Atom.d(0)),
+            ("s3", Atom.s(3)),
+        ):
+            ((parsed, e),) = parse_generator_word(text)
+            assert parsed == atom and e == 1
+            assert hash(parsed) == hash(atom) == hash((atom.kind, atom.i, atom.j))
+            assert str(parsed) == text
+
+    def test_atom_repr(self):
+        assert repr(Atom.t(1, 4)) == "Atom(kind='t', i=1, j=4)"
+        assert repr(Atom.d(2)) == "Atom(kind='d', i=2, j=0)"
+
+    def test_atom_index_validation(self):
+        for make in (
+            lambda: Atom.t(0, 2),
+            lambda: Atom.t(3, 3),
+            lambda: Atom.t(4, 2),
+            lambda: Atom.a(0, 1),
+            lambda: Atom.a(2, 2),
+            lambda: Atom.d(-1),
+        ):
+            with pytest.raises(WordError):
+                make()
+
     def test_gen_reduce_merges(self):
         gw = ((Atom.d(0), 2), (Atom.d(0), -2), (Atom.t(1, 2), 1))
         assert gen_reduce(gw) == ((Atom.t(1, 2), 1),)
