@@ -21,10 +21,20 @@ factor list stores tau^d of each true factor instead: a change of d then
 moves no stored factor, and tau is applied once to all of them at the end if
 d is odd.  tau maps sigma_i to sigma_{n-i} and preserves left-weightedness,
 so letters come from a table per parity of d and pairs are left-weighted on
-the stored factors directly.  When left-weighting turns a factor into Delta,
-the factor is deleted and d raised by one (the Delta pull): the stored
-factors to its left stay as they are, and those to its right are flipped by
-tau.  The list therefore never holds Delta or the identity.
+the stored factors directly.  Each letter's factor is appended, and the pairs
+are left-weighted once from right to left.  By the sweep lemma (Elrifai and
+Morton, Q. J. Math. 1994; Epstein et al., "Word Processing in Groups",
+ch. 9), that one backward sweep gives the normal form of a left-weighted
+sequence times a permutation braid: each step leaves the pair to its right
+left-weighted, and the sweep stops at the first unchanged pair, as the pairs
+left of it are untouched.  A factor that becomes Delta is deleted and d
+raised by one (the Delta pull): the stored factors left of it stay, those
+right of it are flipped by tau.  The sweep would only carry that Delta on to
+the front, flipping each factor it passes, as raising d already does, so the
+pull ends the sweep.  Only the appended factor can be absorbed into its left
+neighbour (any other right factor has grown from b in a left-weighted pair
+(a, b), and a*b is not simple), so it alone is dropped: the list never holds
+Delta or the identity.
 
 Permutation braids are stored internally as 0-based one-line arrays under the
 same convention as words.perm (the array entry at position q is the start of
@@ -153,10 +163,9 @@ def _ctx(n: int) -> _Ctx:
 def _normal_factors(w: BraidWord) -> tuple[int, list[Factor]]:
     """(inf, factors) of the normal form, in one left-to-right pass over w.
 
-    fs holds tau^d of each true factor (see the module docstring).  Appending
-    a letter's factor starts a worklist of pairs to left-weight; every change
-    re-checks the pair to its right as well as to its left, so correctness
-    does not lean on the sweep-order lemma.
+    fs holds tau^d of each true factor.  Each letter's factor is appended and
+    followed by one backward sweep of left-weighting that stops at the first
+    unchanged pair or at a Delta pull (see the module docstring).
     """
     n = w.strands
     if n == 2:  # B_2 is infinite cyclic, generated by sigma_1 = Delta
@@ -170,36 +179,25 @@ def _normal_factors(w: BraidWord) -> tuple[int, list[Factor]]:
         if x < 0:
             d -= 1
         fs.append(letters[d & 1][x])
-        stack = [len(fs) - 1]
-        while stack:
-            j = stack.pop()
-            if j <= 0 or j >= len(fs):
-                continue
+        j = len(fs) - 1
+        while j:
             key = (fs[j - 1], fs[j])
             res = memo.get(key, _MISS)
             if res is _MISS:
                 res = ctx.renorm_memoized(*key)
             if res is None:
-                continue
-            a2, b2 = res
-            if a2 != w0 and b2 != identity:
-                fs[j - 1] = a2
-                fs[j] = b2
-                stack += (j + 1, j - 1)
-                continue
-            # a factor vanishes: either b2 was absorbed, or a2 is Delta and is
-            # pulled to the front, raising d and flipping the factors right of it
-            if a2 == w0:
+                break
+            a, b = res
+            if a == w0:
                 d += 1
-                kept = [] if b2 == identity else [b2]
-                fs[j - 1 :] = [tau(f) for f in kept + fs[j + 1 :]]
+                fs[j - 1 :] = [tau(f) for f in [b] + fs[j + 1 :] if f != identity]
+                break
+            fs[j - 1] = a
+            if b == identity:  # only the appended factor is ever absorbed
+                fs.pop()
             else:
-                kept = [a2]
-                fs[j - 1 : j + 1] = kept
-            # pairs right of the deleted factors moved down
-            gone = 2 - len(kept)
-            stack = [s - gone if s > j else s for s in stack]
-            stack += (j + len(kept) - 1, j - 1)
+                fs[j] = b
+            j -= 1
     if d & 1:
         fs = [tau(f) for f in fs]
     return d, fs
@@ -224,25 +222,26 @@ def is_trivial(w: BraidWord) -> bool:
     return normal_form(w).is_trivial()
 
 
-def _perm_word(x: Factor) -> list[int]:
-    """A reduced positive word (1-based letters) for the permutation braid x."""
+def perm_braid_word(x: Factor) -> list[int]:
+    """A reduced positive word (1-based letters) for the permutation braid x.
+
+    Each letter is the smallest sigma_{s+1} that is a prefix of what remains
+    (value s+1 before value s in x); removing it can only create a smaller
+    prefix letter at s-1, so the scan resumes there.
+    """
     n = len(x)
     pos = [0] * n
     for q, v in enumerate(x):
         pos[v] = q
-    cur = list(x)
     out: list[int] = []
-    done = False
-    while not done:
-        done = True
-        for s in range(n - 1):
-            if pos[s + 1] < pos[s]:
-                out.append(s + 1)
-                p1, p2 = pos[s], pos[s + 1]
-                cur[p1], cur[p2] = cur[p2], cur[p1]
-                pos[s], pos[s + 1] = p2, p1
-                done = False
-                break
+    s = 0
+    while s < n - 1:
+        if pos[s + 1] < pos[s]:
+            out.append(s + 1)
+            pos[s], pos[s + 1] = pos[s + 1], pos[s]
+            s = max(s - 1, 0)
+        else:
+            s += 1
     return out
 
 
@@ -250,12 +249,12 @@ def nf_word(nf: GarsideNormalForm) -> BraidWord:
     """A braid word spelling the normal form back out."""
     n = nf.strands
     ctx = _ctx(n)
-    delta = _perm_word(ctx.w0)
+    delta = perm_braid_word(ctx.w0)
     letters: list[int] = []
     if nf.inf >= 0:
         letters.extend(delta * nf.inf)
     else:
         letters.extend([-x for x in reversed(delta)] * (-nf.inf))
     for f in nf.factors:
-        letters.extend(_perm_word(tuple(v - 1 for v in f)))
+        letters.extend(perm_braid_word(tuple(v - 1 for v in f)))
     return BraidWord(n, tuple(letters))

@@ -34,6 +34,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .garside import perm_braid_word
 from .words import (
     Atom,
     BraidWord,
@@ -44,8 +45,10 @@ from .words import (
     is_pure,
 )
 
-# strand counts whose combing context _comb_ctx keeps
+# strand counts _comb_ctx keeps, and the size at which the loop-word memo of
+# one strand count is emptied (benchmark rounds fill at most 234, at n=13)
 COMB_CACHE_SIZE = 16
+COMB_MEMO_CAP = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -150,34 +153,31 @@ def _conj_word(q: int, gw: GenWord) -> GenWord:
 class _Comb:
     """Per-strand-count cache of Schreier-conjugate expressions."""
 
-    def __init__(self, n: int):
-        self.n = n
-        self.identity = tuple(range(n))
+    def __init__(self):
         self.memo: dict[tuple[tuple[int, ...], int, int], GenWord] = {}
 
     def loop_word(self, pi: tuple[int, ...], p: int, sign: int) -> GenWord:
-        """lift(pi) * sigma_p^{2*sign} * lift(pi)^{-1} as an a-atom word."""
-        if pi == self.identity:
-            return ((Atom.a(p, p + 1), sign),)
+        """lift(pi) * sigma_p^{2*sign} * lift(pi)^{-1} as an a-atom word.
+
+        lift(pi) is spelled by perm_braid_word, and the double crossing is
+        conjugated by its letters from the last to the first.
+        """
         key = (pi, p, sign)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        # smallest s with sigma_s a prefix of lift(pi): value s is after value s+1
-        pos = [0] * self.n
-        for idx, val in enumerate(pi):
-            pos[val] = idx
-        s = next(s for s in range(self.n - 1) if pos[s + 1] < pos[s])
-        inner = list(pi)
-        inner[pos[s]], inner[pos[s + 1]] = inner[pos[s + 1]], inner[pos[s]]
-        result = _conj_word(s + 1, self.loop_word(tuple(inner), p, sign))
+        result: GenWord = ((Atom.a(p, p + 1), sign),)
+        for q in reversed(perm_braid_word(pi)):
+            result = _conj_word(q, result)
+        if len(self.memo) >= COMB_MEMO_CAP:
+            self.memo.clear()
         self.memo[key] = result
         return result
 
 
 @lru_cache(maxsize=COMB_CACHE_SIZE)
 def _comb_ctx(n: int) -> _Comb:
-    return _Comb(n)
+    return _Comb()
 
 
 def comb(w: BraidWord) -> GenWord:

@@ -2,10 +2,32 @@
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 from qtbraid import BraidWord, is_pure
 from qtbraid.quasitoric import QuasitoricForm, qt_to_word
+
+# Outputs of comb, decompose and nf_word on fixed inputs at n=3-9, recorded
+# before the backward-sweep normal form and the shared permutation-braid word
+# routine, to pin the rewritten paths byte for byte.
+GOLDENS = json.loads((Path(__file__).parent / "data" / "rewrite_goldens.json").read_text())
+
+
+class WatchedMemo(dict):
+    """A memo that counts its clears and records its largest size."""
+
+    clears = 0
+    peak = 0
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
 
 
 def random_word(rng: random.Random, n: int, length: int) -> BraidWord:

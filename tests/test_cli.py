@@ -2,7 +2,11 @@ import io
 import json
 import tracemalloc
 
+import pytest
+
 from qtbraid.cli import run
+
+from helpers import GOLDENS
 
 
 def go(*argv):
@@ -79,6 +83,22 @@ class TestOutputs:
     def test_comb(self):
         code, out = go("comb", "-n", "3", "1 1")
         assert code == 0 and out == "a1,2\n"
+
+    @pytest.mark.parametrize("case", GOLDENS["comb"], ids=lambda c: f"n{c['n']}")
+    def test_comb_golden(self, case):
+        argv = ("comb", "-n", str(case["n"]), case["word"])
+        assert go(*argv) == (0, case["out"])
+        genword = json.dumps({"genword": case["out"].rstrip("\n")})
+        assert go(*argv, "--json") == (0, genword + "\n")
+
+    @pytest.mark.parametrize(
+        "case", GOLDENS["decompose"], ids=lambda c: f"{c['target']}-n{c['n']}"
+    )
+    def test_decompose_golden(self, case):
+        argv = ("decompose", "-n", str(case["n"]), "--target", case["target"], case["word"])
+        assert go(*argv) == (0, case["out"])
+        genword = json.dumps({"genword": case["out"].rstrip("\n")})
+        assert go(*argv, "--json") == (0, genword + "\n")
 
     def test_linking(self):
         code, out = go("linking", "-n", "3", "1 1")

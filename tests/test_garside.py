@@ -1,7 +1,10 @@
+import itertools
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtbraid import (
     Atom,
@@ -11,6 +14,7 @@ from qtbraid import (
     equal,
     expand,
     exponent_sum,
+    format_word,
     free_reduce,
     inverse,
     nf_word,
@@ -21,9 +25,9 @@ from qtbraid import (
     toric,
 )
 from qtbraid import garside
-from qtbraid.garside import _ctx, _normal_factors
+from qtbraid.garside import _ctx, _normal_factors, perm_braid_word
 
-from helpers import random_word, rewrite_equivalent
+from helpers import GOLDENS, WatchedMemo, random_word, rewrite_equivalent
 
 
 def renorm(ctx, a, b):
@@ -131,11 +135,8 @@ class TestNormalForm:
             assert normal_form(free_reduce(w)) == normal_form(w)
 
     def test_factors_are_valid(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            n = rng.randint(2, 6)
-            ctx = _ctx(n)
-            w = random_word(rng, n, rng.randint(0, 30))
+        for w in _reference_inputs():
+            ctx = _ctx(w.strands)
             inf, fs = _normal_factors(w)
             for f in fs:
                 assert f != ctx.identity and f != ctx.w0
@@ -149,16 +150,18 @@ class TestNormalForm:
             w = random_word(rng, n, rng.randint(0, 25))
             inf, fs = _normal_factors(w)
             half_twist_len = n * (n - 1) // 2
-            inversions = lambda f: sum(
-                1 for a in range(n) for b in range(a + 1, n) if f[a] > f[b]
-            )
-            assert exponent_sum(w) == inf * half_twist_len + sum(map(inversions, fs))
+            assert exponent_sum(w) == inf * half_twist_len + sum(map(_inversions, fs))
 
     def test_word_reconstruction(self):
         rng = random.Random(13)
         for _ in range(80):
             w = random_word(rng, rng.randint(2, 6), rng.randint(0, 20))
             assert equal(nf_word(normal_form(w)), w)
+
+    @pytest.mark.parametrize("case", GOLDENS["nf_word"], ids=lambda c: f"n{c['n']}")
+    def test_nf_word_golden(self, case):
+        w = parse_word(case["n"], case["word"])
+        assert format_word(nf_word(normal_form(w))) == case["letters"]
 
     def test_format(self):
         assert str(normal_form(BraidWord(3))) == "D^0"
@@ -241,19 +244,32 @@ class TestTrivial:
                 assert equal(concat(full, s), concat(s, full))
 
 
-class _WatchedMemo(dict):
-    """A pair memo that counts its clears and records its largest size."""
+@st.composite
+def _words(draw, max_len=40):
+    n = draw(st.integers(3, 12))
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    return BraidWord(n, tuple(draw(st.lists(letter, max_size=max_len))))
 
-    clears = 0
-    peak = 0
 
-    def clear(self):
-        self.clears += 1
-        super().clear()
+# derandomized, so the examples and the run time are the same on every run
+_PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.peak = max(self.peak, len(self))
+
+class TestProperties:
+    @_PROPERTY
+    @given(_words(max_len=60))
+    def test_agrees_with_fixpoint_reference(self, w):
+        assert _normal_factors(w) == fixpoint_normal_factors(w)
+
+    @_PROPERTY
+    @given(_words())
+    def test_times_inverse_is_trivial(self, w):
+        assert is_trivial(concat(w, inverse(w)))
+
+    @_PROPERTY
+    @given(_words(), st.randoms(use_true_random=False))
+    def test_invariant_under_rewrites(self, w, rng):
+        assert normal_form(rewrite_equivalent(rng, w)) == normal_form(w)
 
 
 class TestMemoBound:
@@ -261,7 +277,7 @@ class TestMemoBound:
         cap = 400
         monkeypatch.setattr(garside, "RENORM_MEMO_CAP", cap)
         ctx = _ctx(64)
-        memo = _WatchedMemo()
+        memo = WatchedMemo()
         monkeypatch.setattr(ctx, "_renorm_memo", memo)
         rng = random.Random(21)
         for _ in range(100):
@@ -271,6 +287,39 @@ class TestMemoBound:
                 break
         assert memo.clears >= 2 and memo.peak <= cap
         assert _ctx.cache_parameters()["maxsize"] == garside.CTX_CACHE_SIZE
+
+
+def _inversions(x):
+    return sum(1 for a in range(len(x)) for b in range(a + 1, len(x)) if x[a] > x[b])
+
+
+def _permutations():
+    """Every permutation at n=2-5, then random ones at n=6-12 (0-based)."""
+    for n in range(2, 6):
+        yield from itertools.permutations(range(n))
+    rng = random.Random(22)
+    for _ in range(200):
+        x = list(range(rng.randint(6, 12)))
+        rng.shuffle(x)
+        yield tuple(x)
+
+
+class TestPermBraidWord:
+    def test_spells_x_by_smallest_prefix_letters(self):
+        for x in _permutations():
+            n = len(x)
+            letters = perm_braid_word(x)
+            assert all(0 < s < n for s in letters)
+            assert len(letters) == _inversions(x)
+            assert perm(BraidWord(n, tuple(letters))).image == tuple(v + 1 for v in x)
+            # sigma_s is a prefix of what remains iff value s comes before s-1
+            rest = list(x)
+            for s in letters:
+                prefixes = [t for t in range(1, n) if rest.index(t) < rest.index(t - 1)]
+                assert s == min(prefixes), (x, letters)
+                i, k = rest.index(s - 1), rest.index(s)
+                rest[i], rest[k] = rest[k], rest[i]
+            assert rest == sorted(rest)
 
 
 class TestPerformance:

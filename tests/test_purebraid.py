@@ -9,13 +9,15 @@ from qtbraid import (
     concat,
     equal,
     expand,
+    format_generator_word,
     inverse,
+    parse_word,
     toric,
 )
 from qtbraid import purebraid
 from qtbraid.purebraid import _conj_atom, a_to_t, comb, linking, t_decompose
 
-from helpers import random_pure_word, rewrite_equivalent
+from helpers import GOLDENS, WatchedMemo, random_pure_word, random_word, rewrite_equivalent
 
 
 def atom_word(atom, n):
@@ -121,6 +123,29 @@ class TestComb:
     def test_rejects_non_pure(self):
         with pytest.raises(WordError):
             comb(BraidWord(4, (2,)))
+
+    @pytest.mark.parametrize("case", GOLDENS["comb"], ids=lambda c: f"n{c['n']}")
+    def test_golden(self, case):
+        gw = comb(parse_word(case["n"], case["word"]))
+        assert format_generator_word(gw) + "\n" == case["out"]
+
+
+class TestCombMemoBound:
+    def test_loop_memo_is_capped(self, monkeypatch):
+        rng = random.Random(45)
+        words = []
+        for _ in range(40):
+            u = random_word(rng, 7, 12)
+            back = BraidWord(7, tuple(abs(x) for x in reversed(u.letters)))
+            words.append(concat(u, back))  # pure: sigma and its inverse agree on perm
+        expected = [comb(w) for w in words]
+        cap = 30
+        monkeypatch.setattr(purebraid, "COMB_MEMO_CAP", cap)
+        memo = WatchedMemo()
+        monkeypatch.setattr(purebraid._comb_ctx(7), "memo", memo)
+        assert [comb(w) for w in words] == expected
+        assert memo.clears >= 2 and memo.peak <= cap
+        assert purebraid._comb_ctx.cache_parameters()["maxsize"] == purebraid.COMB_CACHE_SIZE
 
 
 class TestAToT:
