@@ -189,6 +189,23 @@ class TestErrors:
         assert code == 2 and out == ""
         assert peak < 1 << 20, f"peak allocation {peak} bytes"
 
+    def test_huge_strand_count(self):
+        # letter factors are built on first use, not 2(n-1) of n entries up front
+        n = 100_000
+        tracemalloc.start()
+        try:
+            code, out = go("nf", "-n", str(n), "1", "--json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(out) == {
+            "strands": n,
+            "inf": 0,
+            "factors": [[2, 1, *range(3, n + 1)]],
+        }
+        assert peak < 32 << 20, f"peak allocation {peak} bytes"
+
     def test_oversized_presentation(self):
         # C(1000, 5) pentagonal relators: refused from the count, before building
         for group in ("pb", "qb", "pmod"):

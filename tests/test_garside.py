@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 import time
 
@@ -30,9 +31,36 @@ from qtbraid.garside import _ctx, _normal_factors, perm_braid_word
 from helpers import GOLDENS, WatchedMemo, random_word, rewrite_equivalent
 
 
-def renorm(ctx, a, b):
+def _bubble(a, b):
+    """The bubble pair kernel: move prefix letters of b that are not suffix
+    letters of a, one adjacent swap at a time.  None if nothing moves.
+
+    A private copy, so the reference normalizer below shares no pair kernel
+    with the library.
+    """
+    n = len(a)
+    A = list(a)
+    B = list(b)
+    pos = [0] * n
+    for q, v in enumerate(B):
+        pos[v] = q
+    changed = False
+    moving = True
+    while moving:
+        moving = False
+        for s in range(n - 1):
+            if pos[s + 1] < pos[s] and A[s] < A[s + 1]:
+                A[s], A[s + 1] = A[s + 1], A[s]
+                p1, p2 = pos[s], pos[s + 1]
+                B[p1], B[p2] = B[p2], B[p1]
+                pos[s], pos[s + 1] = p2, p1
+                changed = moving = True
+    return (tuple(A), tuple(B)) if changed else None
+
+
+def renorm(a, b):
     """Left-weight the pair (a, b), moving prefix letters of b into a."""
-    res = ctx.renorm_memoized(a, b)
+    res = _bubble(a, b)
     return (a, b) if res is None else res
 
 
@@ -66,14 +94,13 @@ def fixpoint_normal_factors(w):
         if shift % 2:
             raw[t] = tau(raw[t])
         shift += dpows[t]
-    ctx = _ctx(n)
     fs = list(raw)
     changed = True
     while changed:
         changed = False
         fs = [f for f in fs if f != identity]
         for j in range(len(fs) - 1):
-            a2, b2 = renorm(ctx, fs[j], fs[j + 1])
+            a2, b2 = renorm(fs[j], fs[j + 1])
             if a2 != fs[j]:
                 fs[j], fs[j + 1] = a2, b2
                 changed = True
@@ -93,6 +120,9 @@ def _reference_inputs():
     for _ in range(12):
         n = rng.randint(7, 16)
         yield random_word(rng, n, rng.randint(100, 200))
+    for _ in range(6):  # wide enough for the meet route
+        n = rng.randint(garside.MEET_MIN_STRANDS, 64)
+        yield random_word(rng, n, rng.randint(30, 90))
     for _ in range(40):
         n = rng.randint(2, 10)
         yield BraidWord(n, tuple(-abs(x) for x in random_word(rng, n, 60).letters))
@@ -141,7 +171,7 @@ class TestNormalForm:
             for f in fs:
                 assert f != ctx.identity and f != ctx.w0
             for j in range(len(fs) - 1):
-                assert renorm(ctx, fs[j], fs[j + 1]) == (fs[j], fs[j + 1])
+                assert renorm(fs[j], fs[j + 1]) == (fs[j], fs[j + 1])
 
     def test_exponent_sum_reconstruction(self):
         rng = random.Random(12)
@@ -162,6 +192,21 @@ class TestNormalForm:
     def test_nf_word_golden(self, case):
         w = parse_word(case["n"], case["word"])
         assert format_word(nf_word(normal_form(w))) == case["letters"]
+
+    def test_nf_word_spells_delta_only_when_present(self):
+        import tracemalloc
+
+        n = 5000  # Delta alone would be 12.5M letters
+        tracemalloc.start()
+        try:
+            word = nf_word(normal_form(BraidWord(n, (2, 1))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert word.letters == (2, 1)
+        assert peak < 4 << 20, f"peak allocation {peak} bytes"
+        delta_inverse = (-1, -2, -3, -1, -2, -1)
+        assert nf_word(normal_form(parse_word(4, "-1"))).letters == delta_inverse + (1, 2, 1, 3, 2)
 
     def test_format(self):
         assert str(normal_form(BraidWord(3))) == "D^0"
@@ -275,18 +320,113 @@ class TestProperties:
 class TestMemoBound:
     def test_pair_memo_is_capped(self, monkeypatch):
         cap = 400
-        monkeypatch.setattr(garside, "RENORM_MEMO_CAP", cap)
-        ctx = _ctx(64)
-        memo = WatchedMemo()
-        monkeypatch.setattr(ctx, "_renorm_memo", memo)
-        rng = random.Random(21)
-        for _ in range(100):
-            w = random_word(rng, 64, 40)
-            assert _normal_factors(w) == fixpoint_normal_factors(w)
-            if memo.clears >= 2:
-                break
-        assert memo.clears >= 2 and memo.peak <= cap
+        monkeypatch.setattr(garside, "RENORM_MEMO_CELLS", cap * 64)
+        _ctx.cache_clear()  # the entry cap is fixed when a context is built
+        try:
+            ctx = _ctx(64)
+            memo = WatchedMemo()
+            monkeypatch.setattr(ctx, "_renorm_memo", memo)
+            rng = random.Random(21)
+            for _ in range(100):
+                w = random_word(rng, 64, 40)
+                assert _normal_factors(w) == fixpoint_normal_factors(w)
+                if memo.clears >= 2:
+                    break
+            assert memo.clears >= 2 and memo.peak <= cap
+        finally:
+            _ctx.cache_clear()
         assert _ctx.cache_parameters()["maxsize"] == garside.CTX_CACHE_SIZE
+
+    def test_cells_not_entries_are_bounded(self):
+        # an entry holds four n-tuples at most, so entries * n bounds its size
+        for n in (3, 10, 64, 1000):
+            ctx = garside._Ctx(n)
+            assert ctx._renorm_memo_cap * n <= garside.RENORM_MEMO_CELLS
+        # no benchmark-sized memo is cleared: ~30k entries at n=10, ~6k at n=64
+        assert garside._Ctx(10)._renorm_memo_cap >= 50_000
+        assert garside._Ctx(64)._renorm_memo_cap >= 8_000
+
+
+def _short(rng, n, swaps, base):
+    """base times a few random adjacent swaps, as a 0-based factor array."""
+    x = list(base)
+    for _ in range(swaps):
+        i = rng.randrange(n - 1)
+        x[i], x[i + 1] = x[i + 1], x[i]
+    return tuple(x)
+
+
+def _descents(x):
+    return sum(map(operator.gt, x, x[1:]))
+
+
+def _random_perm(rng, n):
+    x = list(range(n))
+    rng.shuffle(x)
+    return tuple(x)
+
+
+def _sweep_pairs(ctx, words):
+    """Every pair the backward sweeps over the words hand to the pair kernel."""
+    seen = []
+    kernel = ctx.renorm_memoized
+
+    def record(a, b):
+        seen.append((a, b))
+        return kernel(a, b)
+
+    ctx.renorm_memoized = record
+    try:
+        for w in words:
+            _normal_factors(w)
+    finally:
+        del ctx.renorm_memoized
+    return seen
+
+
+class TestPairKernel:
+    """The meet left-weights every pair exactly as the bubble does."""
+
+    def test_every_pair_up_to_five_strands(self):
+        count = 0
+        for n in range(2, 6):
+            ctx = _ctx(n)
+            perms = list(itertools.permutations(range(n)))
+            for a in perms:
+                for b in perms:
+                    assert ctx._meet(a, b) == _bubble(a, b), (a, b)
+                    count += 1
+        assert count == 15_016
+
+    def test_random_wide_pairs(self):
+        rng = random.Random(23)
+        for k in range(2400):
+            n = rng.randint(16, 64)
+            identity, w0 = tuple(range(n)), tuple(range(n - 1, -1, -1))
+            shape = k % 4
+            swaps = rng.randint(1, 8)
+            if shape == 0:  # a few adjacent swaps against Delta sigma_i^{-1}
+                a, b = _short(rng, n, swaps, identity), _short(rng, n, 1, w0)
+            elif shape == 1:  # short against near-Delta
+                a, b = _short(rng, n, swaps, identity), _short(rng, n, swaps, w0)
+            elif shape == 2:  # near-Delta against short
+                a, b = _short(rng, n, swaps, w0), _short(rng, n, swaps, identity)
+            else:
+                a, b = _random_perm(rng, n), _random_perm(rng, n)
+            assert _ctx(n)._meet(a, b) == _bubble(a, b), (a, b)
+
+    def test_pairs_from_wide_sweeps(self):
+        rng = random.Random(24)
+        routed = 0
+        for n in (garside.MEET_MIN_STRANDS, 32, 64):
+            ctx = _ctx(n)
+            ctx._renorm_memo.clear()
+            words = [random_word(rng, n, 100) for _ in range(2)]
+            for a, b in _sweep_pairs(ctx, words):
+                assert ctx._meet(a, b) == _bubble(a, b), (a, b)
+                assert ctx._renorm_memo[(a, b)] == _bubble(a, b)
+                routed += 2 * _descents(a) < _descents(b)
+        assert routed > 100  # the gate sends wide sweeps to the meet
 
 
 def _inversions(x):
