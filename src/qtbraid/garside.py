@@ -20,21 +20,34 @@ passes by the order-2 flip automorphism tau(x) = Delta^{-1} x Delta, so the
 factor list stores tau^d of each true factor instead: a change of d then
 moves no stored factor, and tau is applied once to all of them at the end if
 d is odd.  tau maps sigma_i to sigma_{n-i} and preserves left-weightedness,
-so letters come from a table per parity of d and pairs are left-weighted on
-the stored factors directly.  Each letter's factor is appended, and the pairs
-are left-weighted once from right to left.  By the sweep lemma (Elrifai and
-Morton, Q. J. Math. 1994; Epstein et al., "Word Processing in Groups",
-ch. 9), that one backward sweep gives the normal form of a left-weighted
-sequence times a permutation braid: each step leaves the pair to its right
-left-weighted, and the sweep stops at the first unchanged pair, as the pairs
-left of it are untouched.  A factor that becomes Delta is deleted and d
-raised by one (the Delta pull): the stored factors left of it stay, those
-right of it are flipped by tau.  The sweep would only carry that Delta on to
-the front, flipping each factor it passes, as raising d already does, so the
-pull ends the sweep.  Only the appended factor can be absorbed into its left
-neighbour (any other right factor has grown from b in a left-weighted pair
-(a, b), and a*b is not simple), so it alone is dropped: the list never holds
-Delta or the identity.
+so letters are read through tau^d and pairs are left-weighted on the stored
+factors directly.
+
+The unit of input is a run: a maximal stretch of same-sign letters whose
+product is still a permutation braid.  A positive run keeps its array x;
+appending sigma_{s+1} keeps it simple iff x[s] < x[s+1], and swaps those two
+entries.  A negative run sigma_{i1}^{-1} ... sigma_{ik}^{-1} is y^{-1} with
+y = sigma_ik ... sigma_i1, so it keeps the array of y^{-1}, where prepending
+sigma_{s+1} to y passes the same test and makes the same swap.  It lowers d
+by one and contributes the factor Delta y^{-1}, whose array is
+q -> n - 1 - y^{-1}[q].  A one-letter run takes its factor from a table per
+parity of d.  Two runs add no factor: a positive run equal to Delta only
+raises d (tau^{d+1} tau = tau^d, so the stored factors stay), and a negative
+run with y = Delta, whose Delta y^{-1} is the identity, only lowers it.
+
+Each run's factor is appended, and the pairs are left-weighted once from
+right to left.  By the sweep lemma (Elrifai and Morton, Q. J. Math. 1994;
+Epstein et al., "Word Processing in Groups", ch. 9), that one backward sweep
+gives the normal form of a left-weighted sequence times any permutation
+braid: each step leaves the pair to its right left-weighted, and the sweep
+stops at the first unchanged pair, as the pairs left of it are untouched.  A
+factor that becomes Delta is deleted and d raised by one (the Delta pull):
+the stored factors left of it stay, those right of it are flipped by tau.
+The sweep would only carry that Delta on to the front, flipping each factor
+it passes, as raising d already does, so the pull ends the sweep.  Only the
+appended factor can be absorbed into its left neighbour (any other right
+factor has grown from b in a left-weighted pair (a, b), and a*b is not
+simple), so it alone is dropped: the list never holds Delta or the identity.
 
 Permutation braids are stored internally as 0-based one-line arrays under the
 same convention as words.perm (the array entry at position q is the start of
@@ -112,14 +125,14 @@ class GarsideNormalForm:
 class _LetterFactors(dict):
     """tau^parity of each signed letter's factor, built on first use."""
 
-    def __init__(self, n: int, parity: int):
-        self.n, self.parity = n, parity
+    def __init__(self, n: int, slot: list[int]):
+        self.n, self.slot = n, slot  # slot: _Ctx.slots[parity]
 
     def __missing__(self, x: int) -> Factor:
         # sigma_i is its own factor, sigma_i^{-1} = Delta^{-1} (Delta sigma_i^{-1}),
         # and tau maps sigma_i to sigma_{n-i}, Delta sigma_i^{-1} to Delta sigma_{n-i}^{-1}
         n = self.n
-        i = n - 1 - abs(x) if self.parity else abs(x) - 1
+        i = self.slot[x]
         f = list(range(n)) if x > 0 else list(range(n - 1, -1, -1))
         f[i], f[i + 1] = f[i + 1], f[i]
         self[x] = f = tuple(f)
@@ -133,7 +146,14 @@ class _Ctx:
         self.n = n
         self.identity: Factor = tuple(range(n))
         self.w0: Factor = tuple(range(n - 1, -1, -1))
-        self.letters = (_LetterFactors(n, 0), _LetterFactors(n, 1))  # [parity][letter]
+        # [parity][letter]: the s with tau^parity(sigma_|letter|) = sigma_{s+1};
+        # lists of 2n, so that letters -1..1-n index their top half
+        self.slots = ([0] * 2 * n, [0] * 2 * n)
+        for k in range(1, n):
+            self.slots[0][k] = self.slots[0][-k] = k - 1
+            self.slots[1][k] = self.slots[1][-k] = n - 1 - k
+        # [parity][letter]: tau^parity of the letter's factor
+        self.letters = tuple(_LetterFactors(n, slot) for slot in self.slots)
         self._renorm_memo: dict[
             tuple[Factor, Factor], tuple[Factor, Factor] | None
         ] = {}
@@ -224,7 +244,7 @@ def _ctx(n: int) -> _Ctx:
 def _normal_factors(w: BraidWord) -> tuple[int, list[Factor]]:
     """(inf, factors) of the normal form, in one left-to-right pass over w.
 
-    fs holds tau^d of each true factor.  Each letter's factor is appended and
+    fs holds tau^d of each true factor.  Each run's factor is appended and
     followed by one backward sweep of left-weighting that stops at the first
     unchanged pair or at a Delta pull (see the module docstring).
     """
@@ -234,12 +254,37 @@ def _normal_factors(w: BraidWord) -> tuple[int, list[Factor]]:
     ctx = _ctx(n)
     memo = ctx._renorm_memo
     identity, w0, tau, letters = ctx.identity, ctx.w0, ctx.tau, ctx.letters
+    slots = ctx.slots
+    n1 = n - 1
+    word = w.letters
+    end = len(word)
     fs: list[Factor] = []
-    d = 0
-    for x in w.letters:
+    d = i = 0
+    while i < end:
+        x = word[i]
+        i += 1
         if x < 0:
             d -= 1
-        fs.append(letters[d & 1][x])
+        # sigma_i sigma_i is not simple, so a run outlasts x only if the next
+        # letter has its sign and another index
+        if i == end or (word[i] ^ x) < 0 or word[i] == x:
+            fs.append(letters[d & 1][x])
+        else:
+            run = list(identity)  # the array of x, or of y^{-1} for a negative run
+            slot = slots[d & 1]
+            i -= 1
+            while i < end and ((y := word[i]) ^ x) >= 0:
+                s = slot[y]
+                if run[s] > run[s + 1]:
+                    break
+                run[s], run[s + 1] = run[s + 1], run[s]
+                i += 1
+            f = tuple(run)
+            if f == w0:  # the run is Delta^{+-1}: it only moves d
+                if x > 0:
+                    d += 1
+                continue
+            fs.append(f if x > 0 else tuple([n1 - v for v in f]))
         j = len(fs) - 1
         while j:
             key = (fs[j - 1], fs[j])

@@ -157,6 +157,7 @@ class BraidWord:
         return concat(self, other)
 
     def __pow__(self, k: int) -> "BraidWord":
+        _check_length(len(self.letters) * abs(k))
         base = self if k >= 0 else inverse(self)
         return BraidWord(self.strands, base.letters * abs(k))
 

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from qtbraid import (
     Atom,
     BraidWord,
+    Permutation,
     WordError,
+    compose,
     concat,
     equal,
     expand,
@@ -25,7 +27,7 @@ from qtbraid import (
     perm,
     toric,
 )
-from qtbraid import garside
+from qtbraid import garside, presentations
 from qtbraid.garside import _ctx, _normal_factors, perm_braid_word
 
 from helpers import GOLDENS, WatchedMemo, random_word, rewrite_equivalent
@@ -134,6 +136,49 @@ def _reference_inputs():
             letters += rng.choice(blocks) * rng.randint(1, n)
             letters += random_word(rng, n, rng.randint(0, 6)).letters
         yield BraidWord(n, tuple(letters[:150]))
+    yield from _run_inputs(rng)
+
+
+def _delta(n):
+    """Delta spelled positively."""
+    return tuple(perm_braid_word(tuple(range(n - 1, -1, -1))))
+
+
+def _negated(letters):
+    """The letters of the inverse word."""
+    return tuple(-x for x in reversed(letters))
+
+
+def _shifted(w, n, offset):
+    """w's letters moved up by offset, on n strands."""
+    return BraidWord(n, tuple(x + offset if x > 0 else x - offset for x in w.letters))
+
+
+def _run_inputs(rng):
+    """Words whose same-sign runs end at Delta, at the simplicity limit, or
+    inside relators; up to 64 strands, so the meet route is included."""
+    for n in (3, 4, 5, 7, 10, 12, garside.MEET_MIN_STRANDS):
+        delta = _delta(n)
+        for block in (delta, _negated(delta)):
+            yield BraidWord(n, block)
+            yield BraidWord(n, block * 2)
+            u, v = random_word(rng, n, 4), random_word(rng, n, 4)
+            yield BraidWord(n, u.letters + block + v.letters)
+        i = rng.randint(1, n - 1)
+        for sign in (1, -1):
+            yield BraidWord(n, (sign * i,) * 2)
+            # runs of (sigma_1...sigma_{n-1})^k stop inside the second power
+            yield BraidWord(n, tuple(sign * x for x in range(1, n)) * (n // 2 + 2))
+    for n in (6, 7, 8):
+        pentagons = presentations._pentagonal_relators(n, presentations._twists(n))
+        for rel in rng.sample(pentagons, 3):
+            yield expand(rel, n)
+    for n in (7, 12, 24, 40, 64):
+        for e in (1, -1):
+            i = rng.randint(1, n - 1)
+            j = rng.randint(i + 1, min(n, i + 8))
+            yield expand(((Atom.t(i, j), e),), n)
+        yield _shifted(expand(rng.choice(pentagons), 7), n, rng.randint(0, n - 7))
 
 
 class TestNormalForm:
@@ -290,10 +335,25 @@ class TestTrivial:
 
 
 @st.composite
-def _words(draw, max_len=40):
-    n = draw(st.integers(3, 12))
+def _words(draw, max_len=40, strands=st.integers(3, 12)):
+    n = draw(strands)
     letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
     return BraidWord(n, tuple(draw(st.lists(letter, max_size=max_len))))
+
+
+@st.composite
+def _blocks(draw, max_blocks=4):
+    """Words of same-sign blocks: random letters, sigma_1...sigma_{n-1}, or Delta."""
+    n = draw(st.integers(3, 9))
+    block = st.one_of(
+        st.lists(st.integers(1, n - 1), max_size=n),
+        st.just(tuple(range(1, n))),
+        st.just(_delta(n)),
+    )
+    letters = ()
+    for b, sign in draw(st.lists(st.tuples(block, st.sampled_from((1, -1))), max_size=max_blocks)):
+        letters += tuple(b) if sign > 0 else _negated(b)
+    return BraidWord(n, letters)
 
 
 # derandomized, so the examples and the run time are the same on every run
@@ -302,9 +362,28 @@ _PROPERTY = settings(derandomize=True, deadline=None, database=None, max_example
 
 class TestProperties:
     @_PROPERTY
-    @given(_words(max_len=60))
+    @given(st.one_of(_words(max_len=60), _blocks()))
     def test_agrees_with_fixpoint_reference(self, w):
         assert _normal_factors(w) == fixpoint_normal_factors(w)
+
+    @_PROPERTY
+    @given(st.one_of(_words(), _blocks()))
+    def test_spelled_normal_form_is_fixed(self, w):
+        # nf_word spells Delta^inf and each factor as whole runs
+        nf = normal_form(w)
+        assert normal_form(nf_word(nf)) == nf
+
+    @_PROPERTY
+    @given(_words(strands=st.integers(2, 12)), st.integers(0, 40))
+    def test_perm_is_a_homomorphism(self, w, k):
+        u, v = BraidWord(w.strands, w.letters[:k]), BraidWord(w.strands, w.letters[k:])
+        assert perm(u * v) == compose(perm(u), perm(v))
+        # Delta^inf f_1 ... f_k maps to perm(Delta)^inf composed with the factors'
+        nf = normal_form(w)
+        p = Permutation(tuple(range(w.strands, 0, -1))) ** nf.inf
+        for f in nf.factors:
+            p = compose(p, Permutation(f))
+        assert p == perm(w)
 
     @_PROPERTY
     @given(_words())

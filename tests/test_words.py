@@ -195,6 +195,22 @@ class TestExpand:
         assert len(toric(5, 3)) == 12
         with pytest.raises(WordError, match="limit"):
             toric(5, 4)
+        assert len(sig(5, 1, -2, 3) ** -4) == 12
+        with pytest.raises(WordError, match="limit"):
+            sig(5, 1, -2, 3) ** 5
+
+    def test_huge_power_refused_before_allocating(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            for k in (10**9, -(10**9)):
+                with pytest.raises(WordError, match="limit"):
+                    BraidWord(3, (1,)) ** k
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"peak allocation {peak} bytes"
 
     def test_out_of_range(self):
         with pytest.raises(WordError):
