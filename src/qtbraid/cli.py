@@ -6,6 +6,7 @@ read from --form files ('+'/'-' rows).  Exit codes: 0 for success or a true
 predicate, 1 for a false or negative predicate (eq false, is-qt none, verify
 failures), 2 for usage or input errors, including a generator word that would
 expand to more than words.MAX_LETTERS letters.  Output is deterministic.
+run reuses one argument parser per process; parse_args leaves it unchanged.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .garside import equal, normal_form
 from .genset import GensetTarget, decompose
@@ -64,6 +66,7 @@ def _check_n(args: argparse.Namespace) -> None:
         raise WordError(f"need at least 2 strands, got {args.n}")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qtbraid",

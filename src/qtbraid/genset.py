@@ -25,12 +25,22 @@ oracle-checked identity suite.  The thm42 alphabet is reached through
 
 with every index d<k> staying below N.  Beyond merging adjacent equal atoms,
 no simplification is attempted; soundness, not brevity, is the contract.
+
+Each strand count keeps one twist table per alphabet (_twist_tables, at most
+TWIST_CACHE_SIZE strand counts): a dict from t(i,j) to its image under the
+lines above and that image's inverse, filled on first lookup, so a word with
+no twists builds nothing.  A rewriter is then one pass: it writes out
+image^e for each syllable t(i,j)^e, keeps d0^e, and free-reduces once at the
+end.  That equals reducing after every syllable: the rewriter is a
+homomorphism of free groups on the atoms, and gen_reduce's stack reduction
+gives the unique reduced form of a free-group element, however reached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .purebraid import t_decompose
 from .quasitoric import factor, is_quasitoric
@@ -41,12 +51,12 @@ from .words import (
     WordError,
     gen_concat,
     gen_inverse,
-    gen_pow,
+    gen_reduce,
 )
 
 VARIANTS = ("thm41", "thm42")
 
-# strand counts whose twist tables _short_twist_words and _long_twist_inverses keep
+# strand counts whose twist tables _twist_tables keeps
 TWIST_CACHE_SIZE = 16
 
 
@@ -87,8 +97,11 @@ class GensetTarget:
         return all(atom in allowed for atom, _ in gw)
 
 
+_D0 = Atom.d(0)
+
+
 def _d0(e: int) -> GenWord:
-    return ((Atom.d(0), e),)
+    return ((_D0, e),)
 
 
 def _conj_d0(k: int, inner: GenWord) -> GenWord:
@@ -97,87 +110,94 @@ def _conj_d0(k: int, inner: GenWord) -> GenWord:
     return gen_concat(_d0(k), inner, _d0(-k))
 
 
-@lru_cache(maxsize=TWIST_CACHE_SIZE)
-def _short_twist_words(n: int) -> dict[int, GenWord]:
-    """t(1,j) over the thm41 alphabet, for every 2 <= j <= n."""
+class _TwistImages(dict):
+    """t(i,j) -> (image, inverse image) over one alphabet on n strands, built on first use.
+
+    The image function raises WordError for an atom outside the rewriter's
+    input alphabet, so a foreign atom is never stored.
+    """
+
+    def __init__(self, n: int, image: Callable[["_TwistImages", Atom], GenWord]):
+        self.n, self.image = n, image
+
+    def __missing__(self, atom: Atom) -> tuple[GenWord, GenWord]:
+        word = self.image(self, atom)
+        self[atom] = pair = (word, gen_inverse(word))
+        return pair
+
+
+def _thm41_image(table: _TwistImages, atom: Atom) -> GenWord:
+    """t(i,j) over the thm41 alphabet, from the lines of the module docstring."""
+    n, i, j = table.n, atom.i, atom.j
+    if atom.kind != "t" or j > n:
+        raise WordError(f"foreign atom {atom} in thm41 rewriting")
     N = short_twist_bound(n)
-    words: dict[int, GenWord] = {j: ((Atom.t(1, j), 1),) for j in range(2, N + 1)}
-    words[n] = _d0(n)
-
-    def shifted(i: int, j: int) -> GenWord:
-        # t(i,j) with short span j-i+1 <= N, as a d0-conjugate of a resolved twist
-        if i >= j:
-            return ()
-        return _conj_d0(i - 1, words[j - i + 1])
-
-    if n - 1 > N:
-        words[n - 1] = gen_concat(
-            words[N - 1],
-            shifted(N, n - 1),
-            _d0(n),
-            _d0(-1),
-            gen_inverse(words[N]),
+    if i > 1:
+        return _conj_d0(i - 1, table[Atom.t(1, j - i + 1)][0])
+    if j <= N:
+        return ((atom, 1),)
+    if j == n:
+        return _d0(n)
+    if j == n - 1:
+        return gen_concat(
+            table[Atom.t(1, N - 1)][0],
+            table[Atom.t(N, n - 1)][0],
+            _d0(n - 1),
+            table[Atom.t(1, N)][1],
             _d0(1),
-            gen_inverse(shifted(N, n)),
+            table[Atom.t(N, n)][1],
         )
-    for j in range(n - 2, N, -1):
-        words[j] = gen_concat(
-            words[n - 1],
-            shifted(j + 1, n),
-            _d0(-1),
-            words[j + 1],
-            _d0(1),
-            _d0(-n),
-            gen_inverse(shifted(j + 1, n - 1)),
-        )
-    return words
+    # t(1,j) leans on t(1,j+1): fill that chain from the top, not by deep recursion
+    for k in range(n - 2, j, -1):
+        table[Atom.t(1, k)]
+    return gen_concat(
+        table[Atom.t(1, n - 1)][0],
+        table[Atom.t(j + 1, n)][0],
+        _d0(-1),
+        table[Atom.t(1, j + 1)][0],
+        _d0(1 - n),
+        table[Atom.t(j + 1, n - 1)][1] if j + 1 < n - 1 else (),
+    )
+
+
+def _thm42_image(table: _TwistImages, atom: Atom) -> GenWord:
+    """t(1,j) over the thm42 alphabet: d0^{-(n-j)} t(n-j+1,n) d0^{n-j}."""
+    n, j = table.n, atom.j
+    if atom.kind != "t" or atom.i != 1 or not 2 <= j <= short_twist_bound(n):
+        raise WordError(f"foreign atom {atom} in thm42 rewriting")
+    # t(i,n)^{-1} for i = n-1 down to n-j+1, by the recursion of the module docstring
+    inverse = ((_D0, -1), (Atom.d(1), 1))
+    for i in range(n - 2, n - j, -1):
+        inverse = gen_concat(((_D0, -1), (Atom.d(n - i), 1), (_D0, -1)), inverse, _d0(1))
+    return _conj_d0(-(n - j), gen_inverse(inverse))
+
+
+@lru_cache(maxsize=TWIST_CACHE_SIZE)
+def _twist_tables(n: int) -> dict[str, _TwistImages]:
+    """The thm41 and thm42 twist tables on n strands, empty until first looked up."""
+    return {"thm41": _TwistImages(n, _thm41_image), "thm42": _TwistImages(n, _thm42_image)}
+
+
+def _rewrite(gw: GenWord, table: _TwistImages) -> GenWord:
+    """One pass: d0^e stays, t(i,j)^e becomes image^e; one free reduction at the end."""
+    out: list[tuple[Atom, int]] = []
+    for atom, e in gw:
+        if atom == _D0:
+            out.append((atom, e))
+        else:
+            image, inverse = table[atom]
+            out.extend((image if e > 0 else inverse) * abs(e))
+    return gen_reduce(out)
 
 
 def rewrite_to_thm41(gw: GenWord, n: int) -> GenWord:
     """Rewrite a word over d0 and full twists into the thm41 alphabet."""
-    words = _short_twist_words(n)
-    parts: list[GenWord] = []
-    for atom, e in gw:
-        if atom == Atom.d(0):
-            parts.append(_d0(e))
-        elif atom.kind == "t" and atom.j <= n:
-            i, j = atom.i, atom.j
-            base = words[j] if i == 1 else _conj_d0(i - 1, words[j - i + 1])
-            parts.append(gen_pow(base, e))
-        else:
-            raise WordError(f"foreign atom {atom} in thm41 rewriting")
-    return gen_concat(*parts)
-
-
-@lru_cache(maxsize=TWIST_CACHE_SIZE)
-def _long_twist_inverses(n: int) -> dict[int, GenWord]:
-    """t(i,n)^{-1} over the thm42 alphabet for n-N+1 <= i <= n-1."""
-    N = short_twist_bound(n)
-    words: dict[int, GenWord] = {n - 1: ((Atom.d(0), -1), (Atom.d(1), 1))}
-    for i in range(n - 2, n - N, -1):
-        words[i] = gen_concat(
-            ((Atom.d(0), -1), (Atom.d(n - i), 1), (Atom.d(0), -1)),
-            words[i + 1],
-            _d0(1),
-        )
-    return words
+    return _rewrite(gw, _twist_tables(n)["thm41"])
 
 
 def rewrite_to_thm42(gw: GenWord, n: int) -> GenWord:
     """Rewrite a word over the thm41 alphabet into the cyclic thm42 alphabet."""
-    N = short_twist_bound(n)
-    inverses = _long_twist_inverses(n)
-    parts: list[GenWord] = []
-    for atom, e in gw:
-        if atom == Atom.d(0):
-            parts.append(_d0(e))
-        elif atom.kind == "t" and atom.i == 1 and 2 <= atom.j <= N:
-            j = atom.j
-            base = _conj_d0(-(n - j), gen_inverse(inverses[n - j + 1]))
-            parts.append(gen_pow(base, e))
-        else:
-            raise WordError(f"foreign atom {atom} in thm42 rewriting")
-    return gen_concat(*parts)
+    return _rewrite(gw, _twist_tables(n)["thm42"])
 
 
 def decompose(w: BraidWord, target: GensetTarget) -> GenWord:

@@ -144,11 +144,12 @@ class BraidWord:
     def __post_init__(self):
         if self.strands < 2:
             raise WordError(f"need at least 2 strands, got {self.strands}")
-        for x in self.letters:
-            if x == 0 or not 1 <= abs(x) <= self.strands - 1:
-                raise WordError(
-                    f"letter {x} out of range for {self.strands} strands"
-                )
+        letters, top = self.letters, self.strands - 1
+        # range check at C speed; scan letter by letter only to name the bad one
+        if letters and (0 in letters or min(letters) < -top or max(letters) > top):
+            for x in letters:
+                if x == 0 or not 1 <= abs(x) <= top:
+                    raise WordError(f"letter {x} out of range for {self.strands} strands")
 
     def __len__(self) -> int:
         return len(self.letters)

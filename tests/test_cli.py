@@ -1,9 +1,11 @@
 import io
 import json
 import tracemalloc
+from functools import lru_cache
 
 import pytest
 
+from qtbraid import cli
 from qtbraid.cli import run
 
 from helpers import GOLDENS
@@ -250,3 +252,36 @@ class TestFiles:
         a = go("relators", "--group", "qb", "-n", "5")
         b = go("relators", "--group", "qb", "-n", "5")
         assert a == b
+
+
+class TestParserReuse:
+    SEQUENCE = (
+        ("nf", "-n", "4", "1 2 -3 1", "--json"),
+        ("decompose", "-n", "5", "--target", "thm42", "1 -2 3 4 -1 2 3 -4"),
+        ("verify", "-n", "3"),  # usage error: --group is required
+        ("eq", "-n", "3", "1 2 1", "2 1 2", "--json"),
+        ("eq", "-n", "3", "1", "2"),
+        ("decompose", "-n", "5", "--target", "thm41", "1 -2 3 4 -1 2 3 -4", "--json"),
+        ("abelianize", "-n", "4", "1 2 3"),
+        ("h1", "--group", "qb", "-n", "5", "--json"),
+        ("nf", "-n", "3", "0"),
+        ("relators", "--group", "pb", "-n", "3"),
+        ("nf", "-n", "4", "1 2 -3 1", "--json"),
+    )
+
+    def test_one_parser_matches_fresh_parsers(self, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        fresh = cli.build_parser.__wrapped__
+        monkeypatch.setattr(cli, "build_parser", fresh)
+        want = [go(*argv) for argv in self.SEQUENCE]
+        assert [code for code, _ in want] == [0, 0, 2, 0, 1, 0, 0, 0, 2, 0, 0]
+
+        built = []
+
+        def counted():
+            built.append(1)
+            return fresh()
+
+        monkeypatch.setattr(cli, "build_parser", lru_cache(maxsize=1)(counted))
+        assert [go(*argv) for argv in self.SEQUENCE] == want
+        assert len(built) == 1

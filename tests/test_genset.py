@@ -1,6 +1,11 @@
+import inspect
 import random
+import sys
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtbraid import (
     Atom,
@@ -12,16 +17,92 @@ from qtbraid import (
     inverse,
     toric,
 )
+from qtbraid import genset
 from qtbraid.genset import (
+    TWIST_CACHE_SIZE,
+    VARIANTS,
     GensetTarget,
     decompose,
     rewrite_to_thm41,
     rewrite_to_thm42,
     short_twist_bound,
 )
-from qtbraid.words import gen_concat
+from qtbraid.purebraid import t_decompose
+from qtbraid.quasitoric import QuasitoricForm, factor, qt_to_word
+from qtbraid.words import gen_concat, gen_inverse, gen_pow
 
 from helpers import random_qt_word
+
+# ---------------------------------------------------------------------------
+# Reference rewriters: a private copy of the step-by-step expansion, which
+# free-reduces after every atom and builds each twist's image anew.  The
+# library rewrites from cached twist tables and reduces once; both must give
+# the same tuple, since free reduction of a homomorphic image is canonical.
+
+
+def _ref_d0(e):
+    return ((Atom.d(0), e),)
+
+
+def _ref_conj_d0(k, inner):
+    return inner if k == 0 else gen_concat(_ref_d0(k), inner, _ref_d0(-k))
+
+
+def _ref_short_twist_words(n):
+    N = short_twist_bound(n)
+    words = {j: ((Atom.t(1, j), 1),) for j in range(2, N + 1)}
+    words[n] = _ref_d0(n)
+
+    def shifted(i, j):
+        return () if i >= j else _ref_conj_d0(i - 1, words[j - i + 1])
+
+    if n - 1 > N:
+        words[n - 1] = gen_concat(
+            words[N - 1], shifted(N, n - 1), _ref_d0(n), _ref_d0(-1),
+            gen_inverse(words[N]), _ref_d0(1), gen_inverse(shifted(N, n)),
+        )
+    for j in range(n - 2, N, -1):
+        words[j] = gen_concat(
+            words[n - 1], shifted(j + 1, n), _ref_d0(-1), words[j + 1],
+            _ref_d0(1), _ref_d0(-n), gen_inverse(shifted(j + 1, n - 1)),
+        )
+    return words
+
+
+def _ref_thm41(gw, n):
+    words = _ref_short_twist_words(n)
+    parts = []
+    for atom, e in gw:
+        if atom == Atom.d(0):
+            parts.append(_ref_d0(e))
+        else:
+            i, j = atom.i, atom.j
+            base = words[j] if i == 1 else _ref_conj_d0(i - 1, words[j - i + 1])
+            parts.append(gen_pow(base, e))
+    return gen_concat(*parts)
+
+
+def _ref_thm42(gw, n):
+    N = short_twist_bound(n)
+    inverses = {n - 1: ((Atom.d(0), -1), (Atom.d(1), 1))}
+    for i in range(n - 2, n - N, -1):
+        inverses[i] = gen_concat(
+            ((Atom.d(0), -1), (Atom.d(n - i), 1), (Atom.d(0), -1)), inverses[i + 1], _ref_d0(1)
+        )
+    parts = []
+    for atom, e in gw:
+        if atom == Atom.d(0):
+            parts.append(_ref_d0(e))
+        else:
+            base = _ref_conj_d0(-(n - atom.j), gen_inverse(inverses[n - atom.j + 1]))
+            parts.append(gen_pow(base, e))
+    return gen_concat(*parts)
+
+
+def _ref_decompose(w, variant):
+    k, p = factor(w)
+    out = _ref_thm41(gen_concat(_ref_d0(k) if k else (), t_decompose(p)), w.strands)
+    return _ref_thm42(out, w.strands) if variant == "thm42" else out
 
 
 def atom_word(atom, n):
@@ -213,3 +294,73 @@ class TestProofIdentities:
                 assert equal(
                     expand(((Atom.t(i, n), -1),), n), expand(rhs, n)
                 ), (n, i)
+
+
+# derandomized, so the examples and the run time are the same on every run
+_PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+
+@st.composite
+def _forms(draw):
+    n = draw(st.integers(3, 13))
+    sign = st.sampled_from((1, -1))
+    rows = draw(st.lists(st.tuples(*[sign] * (n - 1)), max_size=8))
+    return QuasitoricForm(n, tuple(rows))
+
+
+class TestAgainstReference:
+    @_PROPERTY
+    @given(_forms())
+    def test_random_forms(self, form):
+        w = qt_to_word(form)
+        for variant in VARIANTS:
+            assert decompose(w, GensetTarget(variant, w.strands)) == _ref_decompose(w, variant)
+
+    def test_every_twist_power(self):
+        for n in range(3, 17):
+            for i in range(1, n):
+                for j in range(i + 1, n + 1):
+                    for e in (1, -1, 2, -2):
+                        gw = ((Atom.t(i, j), e),)
+                        thm41 = rewrite_to_thm41(gw, n)
+                        assert thm41 == _ref_thm41(gw, n), (n, i, j, e)
+                        assert rewrite_to_thm42(thm41, n) == _ref_thm42(thm41, n), (n, i, j, e)
+
+
+class TestTwistTables:
+    def test_bounded_by_strand_counts(self):
+        genset._twist_tables.cache_clear()
+        for n in range(3, 3 + TWIST_CACHE_SIZE + 4):
+            decompose(atom_word(Atom.t(1, n - 1), n), GensetTarget("thm42", n))
+        assert genset._twist_tables.cache_info().currsize == TWIST_CACHE_SIZE
+
+    def test_warmup_fills_nothing(self):
+        genset._twist_tables.cache_clear()
+        for n in range(5, 14):
+            for variant in VARIANTS:
+                assert decompose(toric(n, 1), GensetTarget(variant, n)) == ((Atom.d(0), 1),)
+            assert all(not table for table in genset._twist_tables(n).values())
+
+    def test_long_chain_without_deep_recursion(self):
+        # t(1,j) leans on t(1,j+1) down a chain of ~n/2 entries; building
+        # t(1,N+1) first must not nest one call per link
+        n = 301
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 60)
+        try:
+            genset._twist_tables.cache_clear()
+            out = rewrite_to_thm41(((Atom.t(1, short_twist_bound(n) + 1), 1),), n)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert out == _ref_thm41(((Atom.t(1, short_twist_bound(n) + 1), 1),), n)
+
+    def test_cache_of_one_keeps_output(self, monkeypatch):
+        rng = random.Random(81)
+        cases = [(n, random_qt_word(rng, n, max_rows=4)) for n in (7, 9) * 4]
+        want = [decompose(w, GensetTarget("thm42", n)) for n, w in cases]
+        monkeypatch.setattr(
+            genset, "_twist_tables", lru_cache(maxsize=1)(genset._twist_tables.__wrapped__)
+        )
+        # n alternates, so every call rebuilds its strand count's tables
+        assert [decompose(w, GensetTarget("thm42", n)) for n, w in cases] == want
+        assert genset._twist_tables.cache_info().misses == len(cases)

@@ -333,6 +333,16 @@ class TestValidation:
         with pytest.raises(WordError):
             BraidWord(3, (3,))
 
+    @pytest.mark.parametrize("bad", [0, 5, -5])
+    def test_letter_range_message(self, bad):
+        # the first bad letter is named, wherever it sits among valid ones
+        with pytest.raises(WordError) as info:
+            BraidWord(5, (1, -4, bad, 4, 0, -5))
+        assert str(info.value) == f"letter {bad} out of range for 5 strands"
+
+    def test_letter_range_edges_accepted(self):
+        assert BraidWord(5, (4, -4, 1, -1)).letters == (4, -4, 1, -1)
+
     def test_permutation_bijection(self):
         with pytest.raises(WordError):
             Permutation((1, 1, 3))
