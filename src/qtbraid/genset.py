@@ -27,20 +27,17 @@ with every index d<k> staying below N.  Beyond merging adjacent equal atoms,
 no simplification is attempted; soundness, not brevity, is the contract.
 
 Each strand count keeps one twist table per alphabet (_twist_tables, at most
-TWIST_CACHE_SIZE strand counts): a dict from t(i,j) to its image under the
-lines above and that image's inverse, filled on first lookup, so a word with
-no twists builds nothing.  A rewriter is then one pass: it writes out
-image^e for each syllable t(i,j)^e, keeps d0^e, and free-reduces once at the
-end.  That equals reducing after every syllable: the rewriter is a
-homomorphism of free groups on the atoms, and gen_reduce's stack reduction
-gives the unique reduced form of a free-group element, however reached.
+TWIST_CACHE_SIZE strand counts): an ImageTable from t(i,j) to its image under
+the lines above and that image's inverse, filled on first lookup, so a word
+with no twists builds nothing.  A rewriter is then one substitution pass
+(ImageTable.substitute): image^e for each syllable t(i,j)^e, d0^e kept, and
+one free reduction at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from functools import lru_cache, partial
 
 from .purebraid import t_decompose
 from .quasitoric import factor, is_quasitoric
@@ -48,10 +45,10 @@ from .words import (
     Atom,
     BraidWord,
     GenWord,
+    ImageTable,
     WordError,
     gen_concat,
     gen_inverse,
-    gen_reduce,
 )
 
 VARIANTS = ("thm41", "thm42")
@@ -110,25 +107,9 @@ def _conj_d0(k: int, inner: GenWord) -> GenWord:
     return gen_concat(_d0(k), inner, _d0(-k))
 
 
-class _TwistImages(dict):
-    """t(i,j) -> (image, inverse image) over one alphabet on n strands, built on first use.
-
-    The image function raises WordError for an atom outside the rewriter's
-    input alphabet, so a foreign atom is never stored.
-    """
-
-    def __init__(self, n: int, image: Callable[["_TwistImages", Atom], GenWord]):
-        self.n, self.image = n, image
-
-    def __missing__(self, atom: Atom) -> tuple[GenWord, GenWord]:
-        word = self.image(self, atom)
-        self[atom] = pair = (word, gen_inverse(word))
-        return pair
-
-
-def _thm41_image(table: _TwistImages, atom: Atom) -> GenWord:
+def _thm41_image(n: int, table: ImageTable, atom: Atom) -> GenWord:
     """t(i,j) over the thm41 alphabet, from the lines of the module docstring."""
-    n, i, j = table.n, atom.i, atom.j
+    i, j = atom.i, atom.j
     if atom.kind != "t" or j > n:
         raise WordError(f"foreign atom {atom} in thm41 rewriting")
     N = short_twist_bound(n)
@@ -160,9 +141,9 @@ def _thm41_image(table: _TwistImages, atom: Atom) -> GenWord:
     )
 
 
-def _thm42_image(table: _TwistImages, atom: Atom) -> GenWord:
+def _thm42_image(n: int, table: ImageTable, atom: Atom) -> GenWord:
     """t(1,j) over the thm42 alphabet: d0^{-(n-j)} t(n-j+1,n) d0^{n-j}."""
-    n, j = table.n, atom.j
+    j = atom.j
     if atom.kind != "t" or atom.i != 1 or not 2 <= j <= short_twist_bound(n):
         raise WordError(f"foreign atom {atom} in thm42 rewriting")
     # t(i,n)^{-1} for i = n-1 down to n-j+1, by the recursion of the module docstring
@@ -173,31 +154,22 @@ def _thm42_image(table: _TwistImages, atom: Atom) -> GenWord:
 
 
 @lru_cache(maxsize=TWIST_CACHE_SIZE)
-def _twist_tables(n: int) -> dict[str, _TwistImages]:
+def _twist_tables(n: int) -> dict[str, ImageTable]:
     """The thm41 and thm42 twist tables on n strands, empty until first looked up."""
-    return {"thm41": _TwistImages(n, _thm41_image), "thm42": _TwistImages(n, _thm42_image)}
-
-
-def _rewrite(gw: GenWord, table: _TwistImages) -> GenWord:
-    """One pass: d0^e stays, t(i,j)^e becomes image^e; one free reduction at the end."""
-    out: list[tuple[Atom, int]] = []
-    for atom, e in gw:
-        if atom == _D0:
-            out.append((atom, e))
-        else:
-            image, inverse = table[atom]
-            out.extend((image if e > 0 else inverse) * abs(e))
-    return gen_reduce(out)
+    return {
+        "thm41": ImageTable(partial(_thm41_image, n), fixed=_D0),
+        "thm42": ImageTable(partial(_thm42_image, n), fixed=_D0),
+    }
 
 
 def rewrite_to_thm41(gw: GenWord, n: int) -> GenWord:
     """Rewrite a word over d0 and full twists into the thm41 alphabet."""
-    return _rewrite(gw, _twist_tables(n)["thm41"])
+    return _twist_tables(n)["thm41"].substitute(gw)
 
 
 def rewrite_to_thm42(gw: GenWord, n: int) -> GenWord:
     """Rewrite a word over the thm41 alphabet into the cyclic thm42 alphabet."""
-    return _rewrite(gw, _twist_tables(n)["thm42"])
+    return _twist_tables(n)["thm42"].substitute(gw)
 
 
 def decompose(w: BraidWord, target: GensetTarget) -> GenWord:

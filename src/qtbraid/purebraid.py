@@ -26,22 +26,27 @@ Full twists t<i>,<j> also generate the pure braid group; the change of basis
     a(i,j) = t(i,j-1)^{-1} t(i,j) t(i+1,j)^{-1} t(i+1,j-1)
 
 (degenerate one-strand twists dropped) converts combed words into twist words.
+
+Both conjugation by sigma_q and the change of basis are free-group
+homomorphisms on the atoms, so each runs as one substitution pass through an
+ImageTable (image^e per syllable, one free reduction at the end).  The tables
+live on the per-strand-count _Comb context and fill on first lookup.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .garside import perm_braid_word
 from .words import (
     Atom,
     BraidWord,
     GenWord,
+    ImageTable,
     WordError,
     gen_concat,
-    gen_pow,
     is_pure,
 )
 
@@ -144,17 +149,25 @@ def _conj_atom(q: int, r: int, s: int) -> GenWord:
     raise AssertionError(f"unhandled conjugation case q={q} r={r} s={s}")
 
 
-def _conj_word(q: int, gw: GenWord) -> GenWord:
-    """Conjugate an a-atom word by sigma_q on the left."""
-    parts = [gen_pow(_conj_atom(q, atom.i, atom.j), e) for atom, e in gw]
-    return gen_concat(*parts)
+def _conj_image(q: int, table: ImageTable, atom: Atom) -> GenWord:
+    return _conj_atom(q, atom.i, atom.j)
+
+
+def _a_to_t_image(n: int, table: ImageTable, atom: Atom) -> GenWord:
+    return a_to_t(n, atom.i, atom.j)
 
 
 class _Comb:
-    """Per-strand-count cache of Schreier-conjugate expressions."""
+    """Per-strand-count cache of Schreier-conjugate expressions and atom images.
 
-    def __init__(self):
+    conj[q] maps a(r,s) to sigma_q a(r,s) sigma_q^{-1}; twists maps a(i,j) to
+    its full-twist word.
+    """
+
+    def __init__(self, n: int):
         self.memo: dict[tuple[tuple[int, ...], int, int], GenWord] = {}
+        self.conj: dict[int, ImageTable] = {}
+        self.twists = ImageTable(partial(_a_to_t_image, n))
 
     def loop_word(self, pi: tuple[int, ...], p: int, sign: int) -> GenWord:
         """lift(pi) * sigma_p^{2*sign} * lift(pi)^{-1} as an a-atom word.
@@ -167,8 +180,12 @@ class _Comb:
         if hit is not None:
             return hit
         result: GenWord = ((Atom.a(p, p + 1), sign),)
+        conj = self.conj
         for q in reversed(perm_braid_word(pi)):
-            result = _conj_word(q, result)
+            table = conj.get(q)
+            if table is None:
+                table = conj[q] = ImageTable(partial(_conj_image, q))
+            result = table.substitute(result)
         if len(self.memo) >= COMB_MEMO_CAP:
             self.memo.clear()
         self.memo[key] = result
@@ -177,7 +194,7 @@ class _Comb:
 
 @lru_cache(maxsize=COMB_CACHE_SIZE)
 def _comb_ctx(n: int) -> _Comb:
-    return _Comb()
+    return _Comb(n)
 
 
 def comb(w: BraidWord) -> GenWord:
@@ -209,6 +226,4 @@ def comb(w: BraidWord) -> GenWord:
 
 def t_decompose(w: BraidWord) -> GenWord:
     """Write a pure braid as a word in full-twist atoms t<i>,<j>."""
-    combed = comb(w)
-    n = w.strands
-    return gen_concat(*(gen_pow(a_to_t(n, atom.i, atom.j), e) for atom, e in combed))
+    return _comb_ctx(w.strands).twists.substitute(comb(w))

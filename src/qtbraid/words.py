@@ -5,8 +5,8 @@ Conventions
 A braid on n strands is a word in the Artin generators sigma_1 ... sigma_{n-1};
 we store a word as a tuple of nonzero integers, where +i means sigma_i and -i
 means sigma_i^{-1}.  The product u*v stacks u on top of v, i.e. the letters of
-u are read first.  Text form: whitespace-separated signed integers, so
-"1 2 -3" is sigma_1 sigma_2 sigma_3^{-1}.
+u are read first.  Text form: whitespace-separated signed decimal integers,
+so "1 2 -3" is sigma_1 sigma_2 sigma_3^{-1}.
 
 The permutation of a braid maps each endpoint position to the starting
 position of the strand that terminates there.  With this convention the
@@ -29,12 +29,15 @@ alphabet
 
 Text form of a generator word: whitespace-separated tokens, each optionally
 followed by ^<k> for a nonzero exponent, e.g. "d0^3 t1,4^-2 a2,5".
+
+In both grammars an integer is written in ASCII decimal digits with an
+optional sign; '_' separators and other Unicode digits are refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 
 class WordError(ValueError):
@@ -166,8 +169,22 @@ class BraidWord:
         return format_word(self)
 
 
+def _check_decimal_tokens(text: str, message: str) -> None:
+    """Refuse tokens int() reads but the grammar does not: '_' separators, non-ASCII digits.
+
+    The test runs over the whole text at C speed; tokens are searched only
+    to name the bad one.
+    """
+    if text.isascii() and "_" not in text:
+        return
+    for tok in text.split():
+        if not tok.isascii() or "_" in tok:
+            raise WordError(f"{message} {tok!r}")
+
+
 def parse_word(n: int, text: str) -> BraidWord:
-    """Parse whitespace-separated signed integers into a braid word."""
+    """Parse whitespace-separated signed decimal integers into a braid word."""
+    _check_decimal_tokens(text, "bad word token")
     letters = []
     for tok in text.split():
         try:
@@ -325,6 +342,41 @@ def gen_reduce(gw: Iterable[tuple[Atom, int]]) -> GenWord:
     return tuple(out)
 
 
+class ImageTable(dict):
+    """atom -> (image, inverse image) under a free-group homomorphism, built on first lookup.
+
+    image(table, atom) returns the image word of one atom; it may look other
+    atoms up in the same table, and it raises WordError for an atom outside
+    the map's domain, so a foreign atom is never stored.  The fixed atom, if
+    any, maps to itself and is never looked up.
+    """
+
+    def __init__(self, image: Callable[["ImageTable", Atom], GenWord], fixed: Atom | None = None):
+        self.image, self.fixed = image, fixed
+
+    def __missing__(self, atom: Atom) -> tuple[GenWord, GenWord]:
+        word = self.image(self, atom)
+        self[atom] = pair = (word, gen_inverse(word))
+        return pair
+
+    def substitute(self, gw: GenWord) -> GenWord:
+        """The image of gw: image^e for each syllable atom^e, one free reduction at the end.
+
+        That equals reducing after every syllable: the map is a homomorphism
+        of free groups on the atoms, and gen_reduce's stack reduction gives the
+        unique reduced form of a free-group element, however reached.
+        """
+        out: list[tuple[Atom, int]] = []
+        fixed = self.fixed
+        for atom, e in gw:
+            if atom == fixed:
+                out.append((atom, e))
+            else:
+                image, inverse = self[atom]
+                out.extend((image if e > 0 else inverse) * abs(e))
+        return gen_reduce(out)
+
+
 def _atom_length(atom: Atom, n: int) -> int:
     """Letter count of the atom's expansion on n strands, found without building it."""
     kind, i, j = atom.kind, atom.i, atom.j
@@ -382,6 +434,7 @@ def expand(gw: GenWord, n: int) -> BraidWord:
 
 def parse_generator_word(text: str) -> GenWord:
     """Parse the generator-word grammar: tokens s/d/t/a with optional ^<k>."""
+    _check_decimal_tokens(text, "bad generator token")
     entries: list[tuple[Atom, int]] = []
     for tok in text.split():
         body, caret, exp_text = tok.partition("^")

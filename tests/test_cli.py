@@ -1,7 +1,10 @@
+import contextlib
 import io
 import json
+import sys
 import tracemalloc
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -285,3 +288,119 @@ class TestParserReuse:
         monkeypatch.setattr(cli, "build_parser", lru_cache(maxsize=1)(counted))
         assert [go(*argv) for argv in self.SEQUENCE] == want
         assert len(built) == 1
+
+
+# Exit code, stdout and stderr, pinned byte for byte, of every subcommand in
+# text and --json form at n=3-8, of every --help, and of usage and input
+# errors.  Arguments and messages name the input files' directory as {dir}.
+# Help text is laid out for 80 columns.
+CLI_GOLDENS = json.loads(
+    (Path(__file__).parent / "data" / "cli_goldens.json").read_text(encoding="utf-8")
+)
+
+
+def go_all(argv):
+    """run with argv, printing to the real streams; returns (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "case", CLI_GOLDENS, ids=[f"{k}-{' '.join(c['argv'][:1])}" for k, c in enumerate(CLI_GOLDENS)]
+)
+def test_cli_golden(case, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for name, text in case["files"].items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in case["argv"]]
+    code, out, err = go_all(argv)
+    assert (code, out, err.replace(str(tmp_path), "{dir}")) == (
+        case["code"],
+        case["stdout"],
+        case["stderr"],
+    )
+
+
+def test_goldens_cover_every_subcommand():
+    ran = {case["argv"][0] for case in CLI_GOLDENS if case["code"] != 2}
+    assert ran - {"--help", "-h"} == set(cli.COMMANDS)
+    helped = {tuple(case["argv"]) for case in CLI_GOLDENS}
+    assert all((name, "--help") in helped for name in cli.COMMANDS)
+
+
+class TestVerifyFailure:
+    def fail_second(self, monkeypatch):
+        from qtbraid import presentations
+
+        real, calls = presentations.is_trivial, []
+
+        def oracle(w):
+            calls.append(w)
+            return len(calls) != 2 and real(w)
+
+        monkeypatch.setattr(presentations, "is_trivial", oracle)
+        return calls
+
+    def test_text(self, monkeypatch):
+        from qtbraid.presentations import presentation
+        from qtbraid.words import format_generator_word
+
+        self.fail_second(monkeypatch)
+        code, out = go("verify", "--group", "qb", "-n", "3")
+        failed = format_generator_word(presentation("qb", 3).relators[1])
+        assert code == 1 and out == f"checked=6 failures=1\nFAIL {failed}\n"
+
+    def test_json(self, monkeypatch):
+        self.fail_second(monkeypatch)
+        code, out = go("verify", "--group", "qb", "-n", "3", "--json")
+        assert code == 1
+        assert json.loads(out) == {"group": "qb", "n": 3, "checked": 6, "failures": [1]}
+
+
+class TestMain:
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["nf", "-n", "3", "1 2 1"], 0),
+            (["eq", "-n", "3", "1", "2"], 1),
+            (["nf", "-n", "3", "0"], 2),
+            (["verify", "-n", "3"], 2),
+        ],
+    )
+    def test_exit_code_is_run_result(self, argv, want, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["qtbraid", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == want == run(argv)
+
+
+class TestNonUtf8:
+    def test_at_path(self, tmp_path):
+        path = tmp_path / "word.txt"
+        path.write_bytes(b"1 \xff 2")
+        code, out, err = go_all(["nf", "-n", "3", f"@{path}"])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte 2)\n"
+
+    def test_form(self, tmp_path):
+        path = tmp_path / "form.txt"
+        path.write_bytes(b"+-\n\xff\n")
+        code, out, err = go_all(["is-qt", "-n", "3", "--form", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: not UTF-8 text")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nf", "-n", "12", "1_0"),
+        ("nf", "-n", "4", "\u0663"),  # ARABIC-INDIC DIGIT THREE
+        ("expand", "-n", "12", "s1_0"),
+        ("expand", "-n", "5", "t\u0663,4"),
+    ],
+)
+def test_malformed_integer_is_input_error(argv):
+    code, out, err = go_all(argv)
+    assert (code, out) == (2, "") and err.startswith("error: bad ")

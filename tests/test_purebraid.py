@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,10 +15,21 @@ from qtbraid import (
     parse_word,
     toric,
 )
-from qtbraid import purebraid
+from qtbraid import genset, purebraid
+from qtbraid.genset import GensetTarget, decompose
+from qtbraid.garside import perm_braid_word
 from qtbraid.purebraid import _conj_atom, a_to_t, comb, linking, t_decompose
+from qtbraid.quasitoric import factor
+from qtbraid.words import gen_concat, gen_pow
 
-from helpers import GOLDENS, WatchedMemo, random_pure_word, random_word, rewrite_equivalent
+from helpers import (
+    GOLDENS,
+    WatchedMemo,
+    random_pure_word,
+    random_qt_word,
+    random_word,
+    rewrite_equivalent,
+)
 
 
 def atom_word(atom, n):
@@ -208,3 +220,70 @@ class TestTDecompose:
     def test_rejects_non_pure(self):
         with pytest.raises(WordError):
             t_decompose(BraidWord(3, (2,)))
+
+
+# Reference copies of the step-by-step substitutions the library used before
+# its one-pass ImageTable: every atom's image is raised to its exponent and
+# free-reduced on its own, then reduced again as the pieces are joined.
+
+
+def _ref_t_decompose(w):
+    n = w.strands
+    return gen_concat(*(gen_pow(a_to_t(n, atom.i, atom.j), e) for atom, e in comb(w)))
+
+
+def _ref_loop_word(pi, p, sign):
+    result = ((Atom.a(p, p + 1), sign),)
+    for q in reversed(perm_braid_word(pi)):
+        result = gen_concat(*(gen_pow(_conj_atom(q, atom.i, atom.j), e) for atom, e in result))
+    return result
+
+
+class TestOnePassMatchesReference:
+    def test_t_decompose_on_quasitoric_pure_parts(self):
+        rng = random.Random(4610)
+        for _ in range(60):
+            n = rng.randint(3, 13)
+            _, p = factor(random_qt_word(rng, n, max_rows=4))
+            assert t_decompose(p) == _ref_t_decompose(p), p
+
+    def test_t_decompose_on_random_pure_words(self):
+        rng = random.Random(4611)
+        for _ in range(100):
+            p = random_pure_word(rng, rng.randint(2, 7), max_len=14)
+            assert t_decompose(p) == _ref_t_decompose(p), p
+
+    def test_loop_words_at_small_n(self):
+        for n in range(2, 6):
+            ctx = purebraid._Comb(n)
+            for pi in itertools.permutations(range(n)):
+                for p in range(1, n):
+                    for sign in (1, -1):
+                        assert ctx.loop_word(pi, p, sign) == _ref_loop_word(pi, p, sign)
+
+    def test_twist_table_lives_on_the_comb_context(self):
+        purebraid._comb_ctx.cache_clear()
+        w = atom_word(Atom.t(2, 6), 6)
+        gw = t_decompose(w)
+        table = purebraid._comb_ctx(6).twists
+        assert table and all(atom.kind == "a" for atom in table)
+        assert t_decompose(w) == gw
+        assert purebraid._comb_ctx.cache_info().currsize == 1
+
+    def test_foreign_atom_is_not_stored(self):
+        table = purebraid._Comb(4).twists
+        with pytest.raises(WordError):
+            table[Atom.a(2, 5)]
+        assert not table
+
+    def test_decompose_calls_t_decompose_through_its_module_global(self, monkeypatch):
+        calls = []
+
+        def counted(w):
+            calls.append(w)
+            return t_decompose(w)
+
+        monkeypatch.setattr(genset, "t_decompose", counted)
+        w = expand(((Atom.t(1, 5), 1), (Atom.d(0), 2)), 5)
+        decompose(w, GensetTarget("thm42", 5))
+        assert len(calls) == 1

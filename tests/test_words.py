@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -269,6 +270,21 @@ class TestGrammar:
             parse_word(4, "1 x")
         with pytest.raises(WordError):
             parse_word(3, "3")
+
+    @pytest.mark.parametrize("tok", ["1_0", "-1_0", "\u0663", "\uff11", "1\u0660"])
+    def test_word_rejects_underscores_and_non_ascii_digits(self, tok):
+        # int() reads all of these (1_0 as 10, ARABIC-INDIC THREE as 3)
+        with pytest.raises(WordError, match=re.escape(repr(tok))):
+            parse_word(12, f"1 {tok} 2")
+
+    @pytest.mark.parametrize("tok", ["s1_0", "d0^1_0", "t1,1_0", "a\u0661,3", "s\u0663", "t1,4^\u0662"])
+    def test_generator_rejects_underscores_and_non_ascii_digits(self, tok):
+        with pytest.raises(WordError, match=re.escape(repr(tok))):
+            parse_generator_word(f"s1 {tok} d0")
+
+    def test_non_ascii_whitespace_still_separates_tokens(self):
+        assert parse_word(4, "1\u00a02").letters == (1, 2)
+        assert parse_generator_word("s1\u2003d0") == ((Atom.s(1), 1), (Atom.d(0), 1))
 
     def test_generator_roundtrip(self):
         gw = parse_generator_word("d0^3 t1,4^-2 a2,5 s1")
