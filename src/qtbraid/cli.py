@@ -2,7 +2,8 @@
 
 Words are quoted token strings in the grammar of words.py; an argument of the
 form @path reads the tokens from a file instead.  Quasitoric sign matrices are
-read from --form files ('+'/'-' rows).  Both kinds of file are read as UTF-8.
+read from --form files ('+'/'-' rows); a word and --form together are an input
+error.  Both kinds of file are read as UTF-8.
 Exit codes: 0 for success or a true predicate, 1 for a false or negative
 predicate (eq false, is-qt none, verify failures), 2 for usage or input
 errors, including a generator word that would expand to more than
@@ -58,8 +59,10 @@ def _read_text_arg(text: str) -> str:
 
 
 def _word(args: argparse.Namespace) -> BraidWord:
-    """The braid of the --form file if given, else of the word argument."""
+    """The braid of the --form file if given, else of the word argument; not both."""
     if getattr(args, "form", None) is not None:
+        if args.word is not None:
+            raise WordError("give a word or --form, not both")
         return qt_to_word(parse_form_text(_read_file(args.form), strands=args.n))
     if args.word is None:
         raise WordError("need a word argument or --form")

@@ -30,30 +30,46 @@ braid words and are checked against the Garside oracle; the pmod relators live
 in a quotient that braid words do not represent faithfully, so only their
 exponent matrix is consumed (by h1).
 
+Each of the two shared families is one signed-slot template (COMMUTATOR,
+PENTAGON): a relator is the syllables t(span)^+-1 of its instance's spans,
+joined by plain tuple concatenation in template order.  No free reduction is
+needed.  The index inequalities rule out a one-strand twist t(k,k) (i < j for a
+commutator span; i < j < k < l < m makes every pentagon span at least two
+strands wide) and give adjacent slots different spans, so no two adjacent
+syllables merge and gen_reduce would return each word unchanged.  The cyclic
+qb relators can hold t(k,k) and are joined with gen_concat.
+
 h1 computes the Smith normal form of the relator exponent matrix, giving the
 invariant-factor decomposition of the abelianization together with the
 coordinate transform, so homology classes of concrete braids are computable
 (qt_class), not just the group shape.  Only the nonzero exponent rows go to the
 Smith normal form.  That is exact: H_1 is Z^g modulo the row span, and a zero
 row adds nothing to the span, so rank and invariant factors cannot change.  It
-is also most of the matrix: commutators, the pentagonal relators (whose two
-sides hold the same atoms) and the central qb relator abelianize to zero.  Only
-the other cyclic qb relators remain, 91 of 4,824 rows at n=14, and no rows at
-all for pb and pmod.
+is also most of the matrix.  In both templates each slot's exponents sum to
+zero, checked once per template when the module loads, so every commutator and
+every pentagon abelianizes to zero.  The builders emit those families first
+and record their count in Presentation.zero_rows; h1 skips those rows without
+reading them.  Of the remaining cyclic qb relators the central one, d0 t(1,n)
+d0^-1 t(1,n)^-1, also abelianizes to zero, and h1 drops it by its row.  What
+reaches the Smith normal form is 91 of 4,824 rows at qb n=14, and no rows at all
+for pb and pmod.
 
 Building a table costs time and memory in proportion to its relator count, which
 grows like n^5 / 120.  Each builder counts its relators from the closed forms
 first (2 C(n,4) + 2 C(n,3) commutators, C(n,2) - 1 fewer for pmod, C(n,5)
 pentagons, and 1 + C(n,2) cyclic relators for qb) and refuses a table with more
-than MAX_RELATORS of them.
+than MAX_RELATORS of them.  h1 takes a built presentation, so that limit bounds
+h1 too, although it reads none of the zero rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
+from operator import itemgetter
+from typing import Callable
 
 from .garside import is_trivial
 from .purebraid import linking
@@ -82,35 +98,64 @@ H1_CACHE_SIZE = 16
 
 @dataclass(frozen=True)
 class Presentation:
+    """Generators and relators of a presented group.
+
+    The first zero_rows relators abelianize to zero, so h1 skips them.  The
+    builders set it from their templates; a hand-built presentation keeps the
+    default 0, and h1 then scans every relator.
+    """
+
     group: str
     strands: int
     generators: tuple[Atom, ...]
     relators: tuple[GenWord, ...]
+    zero_rows: int = 0
 
     def __post_init__(self):
-        gens = set(self.generators)
-        for rel in self.relators:
-            for atom, _ in rel:
-                if atom not in gens:
-                    raise WordError(f"relator uses non-generator {atom}")
+        if not 0 <= self.zero_rows <= len(self.relators):
+            raise WordError(
+                f"zero_rows must lie in 0..{len(self.relators)}, got {self.zero_rows}"
+            )
+        # the set operations run in C; walk the relators only to name the
+        # first foreign atom
+        atoms = set(map(itemgetter(0), chain.from_iterable(self.relators)))
+        if foreign := atoms.difference(self.generators):
+            atom = next(a for a, _ in chain.from_iterable(self.relators) if a in foreign)
+            raise WordError(f"relator uses non-generator {atom}")
 
 
-# t(i,j)^e as a one-entry generator word, keyed (i, j, e)
-Twists = dict[tuple[int, int, int], GenWord]
+def _template(slots: tuple[tuple[int, int], ...]) -> Callable[[GenWord], GenWord]:
+    """Instantiate a relator family template.
 
-
-def _twists(n: int) -> Twists:
-    """Every t(i,j)^e with 1 <= i <= j <= n and e = +-1, built once per table.
-
-    One-strand twists t(k,k) are the trivial element, so they map to ().
+    A signed slot (s, e) stands for t(span_s)^e, where span_s is the s-th span
+    of an instance.  The returned function maps the syllable pairs of an
+    instance's spans, concatenated in slot order, to its relator.  Refuses a
+    template whose exponents do not sum to zero slot by slot: that is what
+    makes every instance abelianize to zero, decided once per template.
     """
-    table: Twists = {}
-    for k in range(1, n + 1):
-        table[k, k, 1] = table[k, k, -1] = ()
+    for slot in {s for s, _ in slots}:
+        if sum(e for s, e in slots if s == slot):
+            raise ValueError(f"slot {slot} of template {slots} has a nonzero exponent sum")
+    return itemgetter(*(2 * s + (e < 0) for s, e in slots))
+
+
+# t(a) t(b) t(a)^-1 t(b)^-1 over the spans (a, b)
+COMMUTATOR = ((0, 1), (1, 1), (0, -1), (1, -1))
+# LHS * RHS^-1 of the pentagonal relation, over the spans
+# ((j,m-1), (k,m-1), (j,l-1), (i,k-1), (i,l-1))
+PENTAGON = ((0, -1), (1, 1), (2, 1), (3, 1), (4, -1), (0, 1), (1, -1), (2, -1), (3, -1), (4, 1))
+_commutator = _template(COMMUTATOR)
+_pentagon = _template(PENTAGON)
+
+# span (i, j) -> the syllables (t(i,j), 1) and (t(i,j), -1), for i < j
+Syllables = dict[tuple[int, int], GenWord]
+
+
+def _syllables(n: int) -> Syllables:
+    table: Syllables = {}
     for i, j in _span_pairs(n):
         atom = Atom.t(i, j)
-        table[i, j, 1] = ((atom, 1),)
-        table[i, j, -1] = ((atom, -1),)
+        table[i, j] = ((atom, 1), (atom, -1))
     return table
 
 
@@ -118,37 +163,26 @@ def _span_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
 
 
-def _commutation_relators(pairs: list[tuple[int, int]], t: Twists) -> list[GenWord]:
+def _commutation_relators(pairs: list[tuple[int, int]], t: Syllables) -> list[GenWord]:
     out = []
     for (i, j), (k, l) in combinations(sorted(pairs), 2):
         disjoint = j < k or l < i
         nested = (k <= i and j <= l) or (i <= k and l <= j)
         if disjoint or nested:
-            out.append(
-                gen_concat(t[i, j, 1], t[k, l, 1], t[i, j, -1], t[k, l, -1])
-            )
+            out.append(_commutator(t[i, j] + t[k, l]))
     return out
 
 
-def _pentagonal_relators(n: int, t: Twists) -> list[GenWord]:
-    out = []
-    for i, j, k, l, m in combinations(range(1, n + 1), 5):
-        lhs = gen_concat(
-            t[j, m - 1, -1],
-            t[k, m - 1, 1],
-            t[j, l - 1, 1],
-            t[i, k - 1, 1],
-            t[i, l - 1, -1],
-        )
-        rhs = gen_concat(
-            t[i, l - 1, -1],
-            t[i, k - 1, 1],
-            t[j, l - 1, 1],
-            t[k, m - 1, 1],
-            t[j, m - 1, -1],
-        )
-        out.append(gen_concat(lhs, gen_inverse(rhs)))
-    return out
+def _pentagonal_relators(n: int, t: Syllables) -> list[GenWord]:
+    return [
+        _pentagon(t[j, m - 1] + t[k, m - 1] + t[j, l - 1] + t[i, k - 1] + t[i, l - 1])
+        for i, j, k, l, m in combinations(range(1, n + 1), 5)
+    ]
+
+
+def _zero_relators(pairs: list[tuple[int, int]], n: int, t: Syllables) -> list[GenWord]:
+    """The commutation then the pentagonal relators: the zero rows of every group."""
+    return _commutation_relators(pairs, t) + _pentagonal_relators(n, t)
 
 
 def _relator_count(group: str, n: int) -> int:
@@ -178,50 +212,52 @@ def pb_relators(n: int) -> Presentation:
     """Presentation of the pure braid group on the full-twist generators."""
     _require_size("pb", n)
     pairs = _span_pairs(n)
-    t = _twists(n)
-    relators = _commutation_relators(pairs, t) + _pentagonal_relators(n, t)
-    return Presentation(
-        "pb", n, tuple(Atom.t(i, j) for i, j in pairs), tuple(relators)
-    )
+    relators = _zero_relators(pairs, n, _syllables(n))
+    gens = tuple(Atom.t(i, j) for i, j in pairs)
+    return Presentation("pb", n, gens, tuple(relators), len(relators))
 
 
 def pmod_relators(n: int) -> Presentation:
     """Pure mapping class group of the (n+1)-punctured sphere: drop t1,<n>."""
     _require_size("pmod", n)
     pairs = [p for p in _span_pairs(n) if p != (1, n)]
-    t = _twists(n)
-    relators = _commutation_relators(pairs, t) + _pentagonal_relators(n, t)
-    return Presentation(
-        "pmod", n, tuple(Atom.t(i, j) for i, j in pairs), tuple(relators)
-    )
+    relators = _zero_relators(pairs, n, _syllables(n))
+    gens = tuple(Atom.t(i, j) for i, j in pairs)
+    return Presentation("pmod", n, gens, tuple(relators), len(relators))
 
 
 def qb_relators(n: int) -> Presentation:
     """Presentation of the quasitoric braid group over d0 and the full twists."""
     _require_size("qb", n)
     pairs = _span_pairs(n)
-    t = _twists(n)
+    syllables = _syllables(n)
+
+    def t(i: int, j: int, e: int) -> GenWord:
+        """t(i,j)^e for e = +-1; the one-strand twist t(k,k) is trivial."""
+        return (syllables[i, j][e < 0],) if i < j else ()
+
     d0 = ((Atom.d(0), 1),)
     d0_inv = ((Atom.d(0), -1),)
-    relators = _commutation_relators(pairs, t) + _pentagonal_relators(n, t)
-    relators.append(gen_concat(((Atom.d(0), n),), t[1, n, -1]))
+    relators = _zero_relators(pairs, n, syllables)
+    zero_rows = len(relators)
+    relators.append(gen_concat(((Atom.d(0), n),), t(1, n, -1)))
     for i, j in pairs:
-        conj = gen_concat(d0, t[i, j, 1], d0_inv)
+        conj = gen_concat(d0, t(i, j, 1), d0_inv)
         if j < n:
-            rhs: GenWord = t[i + 1, j + 1, 1]
+            rhs: GenWord = t(i + 1, j + 1, 1)
         elif (i, j) == (1, n):
-            rhs = t[1, n, 1]
+            rhs = t(1, n, 1)
         else:
             rhs = gen_concat(
-                t[2, n, -1],
-                t[1, i, -1],
-                t[2, i, 1],
-                t[i + 1, n, 1],
-                t[1, n, 1],
+                t(2, n, -1),
+                t(1, i, -1),
+                t(2, i, 1),
+                t(i + 1, n, 1),
+                t(1, n, 1),
             )
         relators.append(gen_concat(conj, gen_inverse(rhs)))
     gens = (Atom.d(0),) + tuple(Atom.t(i, j) for i, j in pairs)
-    return Presentation("qb", n, gens, tuple(relators))
+    return Presentation("qb", n, gens, tuple(relators), zero_rows)
 
 
 def presentation(group: str, n: int) -> Presentation:
@@ -333,12 +369,13 @@ class AbelianStructure:
 def h1(p: Presentation) -> AbelianStructure:
     """Abelianization of the presented group by exact Smith normal form.
 
-    The Smith normal form sees only the nonzero exponent rows, in relator
-    order; see the module docstring for why that is exact.
+    The first p.zero_rows relators are skipped unread, and the Smith normal
+    form sees only the nonzero rows of the rest, in relator order; see the
+    module docstring for why that is exact.
     """
     index = {atom: c for c, atom in enumerate(p.generators)}
     matrix = []
-    for rel in p.relators:
+    for rel in p.relators[p.zero_rows:]:
         row = [0] * len(p.generators)
         for atom, e in rel:
             row[index[atom]] += e

@@ -29,6 +29,10 @@ alphabet
 
 Text form of a generator word: whitespace-separated tokens, each optionally
 followed by ^<k> for a nonzero exponent, e.g. "d0^3 t1,4^-2 a2,5".
+format_generator_word renders each (atom, exponent) syllable once and reuses
+its text from a table; relator tables and rewriter output repeat a few hundred
+syllables many thousand times.  The table is emptied when it reaches
+SYLLABLE_CACHE_SIZE entries, so it stays bounded in a long-lived process.
 
 In both grammars an integer is written in ASCII decimal digits with an
 optional sign; '_' separators and other Unicode digits are refused.
@@ -47,6 +51,11 @@ class WordError(ValueError):
 # expand and toric refuse to build a word longer than this, before allocating
 # it; the command line reports the refusal with exit code 2
 MAX_LETTERS = 10_000_000
+
+# format_generator_word keeps the text of at most this many distinct
+# syllables; one benchmark round renders fewer than 100 of them on qt_rewrite
+# and 196 on presentation_check
+SYLLABLE_CACHE_SIZE = 4_096
 
 
 # ---------------------------------------------------------------------------
@@ -472,5 +481,23 @@ def parse_generator_word(text: str) -> GenWord:
     return tuple(entries)
 
 
+class SyllableText(dict):
+    """(atom, exponent) -> the syllable's text, such as "t1,4^-2", rendered on first lookup.
+
+    The table empties itself when it holds SYLLABLE_CACHE_SIZE entries, so a
+    long-lived process keeps at most that many.
+    """
+
+    def __missing__(self, syllable: tuple[Atom, int]) -> str:
+        if len(self) >= SYLLABLE_CACHE_SIZE:
+            self.clear()
+        atom, e = syllable
+        self[syllable] = text = str(atom) if e == 1 else f"{atom}^{e}"
+        return text
+
+
+_SYLLABLE_TEXT = SyllableText()
+
+
 def format_generator_word(gw: GenWord) -> str:
-    return " ".join(str(a) if e == 1 else f"{a}^{e}" for a, e in gw)
+    return " ".join(map(_SYLLABLE_TEXT.__getitem__, gw))

@@ -251,6 +251,19 @@ class TestFiles:
         code, _ = go("is-qt", "-n", "5", "--form", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["is-qt", "factor", "decompose", "abelianize"])
+    def test_word_and_form_refused(self, command, tmp_path):
+        # the word alone is not quasitoric, the form alone is; given both,
+        # neither may win silently
+        path = tmp_path / "form.txt"
+        path.write_text("++\n")
+        assert go(command, "-n", "3", "--form", str(path))[0] == 0
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = go(command, "-n", "3", "1", "--form", str(path))
+        assert (code, out) == (2, "")
+        assert err.getvalue() == "error: give a word or --form, not both\n"
+
     def test_determinism(self):
         a = go("relators", "--group", "qb", "-n", "5")
         b = go("relators", "--group", "qb", "-n", "5")

@@ -13,12 +13,15 @@ from qtbraid import (
     equal,
     expand,
     gen_concat,
+    gen_reduce,
     toric,
 )
 from qtbraid import presentations
 from qtbraid.presentations import (
     AbelianStructure,
+    Presentation,
     _relator_count,
+    _template,
     h1,
     min_generators,
     pb_relators,
@@ -102,6 +105,46 @@ class TestRelatorEnumeration:
             with pytest.raises(WordError):
                 builder(2)
 
+    @pytest.mark.parametrize("group", ["pb", "qb", "pmod"])
+    def test_zero_rows_are_reduced_and_abelianize_to_zero(self, group):
+        for n in range(3, 17):
+            p = presentation(group, n)
+            for rel in p.relators[: p.zero_rows]:
+                assert rel == gen_reduce(rel)
+                exponents = {}
+                for atom, e in rel:
+                    exponents[atom] = exponents.get(atom, 0) + e
+                assert not any(exponents.values())
+
+    @pytest.mark.parametrize("group", ["pb", "qb", "pmod"])
+    def test_zero_rows_closed_form(self, group):
+        # every commutator and every pentagon, counted from the closed forms
+        for n in range(3, 17):
+            commutators = 2 * math.comb(n, 4) + 2 * math.comb(n, 3)
+            if group == "pmod":
+                commutators -= math.comb(n, 2) - 1
+            assert presentation(group, n).zero_rows == commutators + math.comb(n, 5)
+        assert presentation("pb", 6).zero_rows == brute_commutation_count(6) + 6
+
+    def test_template_with_nonzero_slot_refused(self):
+        with pytest.raises(ValueError, match="slot 1"):
+            _template(((0, 1), (1, 1), (0, -1)))
+
+    def test_foreign_atom_named(self):
+        p = pb_relators(4)
+        stray = ((Atom.t(1, 2), 1), (Atom.d(0), 1), (Atom.s(1), 1))
+        relators = p.relators[:3] + (stray, ((Atom.s(2), 1),))
+        with pytest.raises(WordError, match=r"^relator uses non-generator d0$"):
+            Presentation(p.group, p.strands, p.generators, relators)
+
+    def test_bad_zero_rows_refused(self):
+        p = pb_relators(4)
+        for bad in (-1, len(p.relators) + 1):
+            with pytest.raises(WordError, match="zero_rows"):
+                Presentation(p.group, p.strands, p.generators, p.relators, bad)
+        full = Presentation(p.group, p.strands, p.generators, p.relators, len(p.relators))
+        assert h1(full).snf.rows == 0
+
     def test_qb_case_relators(self):
         rels = qb_relators(5).relators
         # shift case (i,j)=(2,4)
@@ -173,7 +216,7 @@ class TestH1:
     def test_zero_rows_dropped_exactly(self, group):
         # h1 hands only the nonzero exponent rows to the Smith normal form;
         # the full matrix must give the same H_1 and the same transform
-        for n in range(3, 11):
+        for n in range(3, 15):
             p = presentation(group, n)
             index = {atom: c for c, atom in enumerate(p.generators)}
             full = []

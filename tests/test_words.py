@@ -362,3 +362,48 @@ class TestValidation:
     def test_permutation_bijection(self):
         with pytest.raises(WordError):
             Permutation((1, 1, 3))
+
+
+class TestSyllableText:
+    class Spy(words.SyllableText):
+        """A syllable table that records its largest size and its clears."""
+
+        def __init__(self):
+            self.largest = self.clears = 0
+
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            self.largest = max(self.largest, len(self))
+
+        def clear(self):
+            self.clears += 1
+            super().clear()
+
+    def test_bounded_and_output_unchanged(self, monkeypatch):
+        import io
+
+        from qtbraid.cli import run
+
+        from helpers import random_qt_word
+
+        rng = random.Random(60)
+        argvs = [["relators", "--group", "qb", "-n", "6", "--json"]]
+        for target in ("thm41", "thm42"):
+            word = " ".join(map(str, random_qt_word(rng, 6).letters))
+            argvs.append(["decompose", "-n", "6", "--target", target, "--json", word])
+
+        def outputs():
+            texts = []
+            for argv in argvs:
+                out = io.StringIO()
+                assert run(argv, out=out) == 0
+                texts.append(out.getvalue())
+            return texts
+
+        want = outputs()
+        spy = self.Spy()
+        monkeypatch.setattr(words, "_SYLLABLE_TEXT", spy)
+        monkeypatch.setattr(words, "SYLLABLE_CACHE_SIZE", 7)
+        assert outputs() == want
+        assert spy.clears >= 2
+        assert 0 < spy.largest <= 7
