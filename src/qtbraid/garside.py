@@ -48,6 +48,22 @@ it passes, as raising d already does, so the pull ends the sweep.  Only the
 appended factor can be absorbed into its left neighbour (any other right
 factor has grown from b in a left-weighted pair (a, b), and a*b is not
 simple), so it alone is dropped: the list never holds Delta or the identity.
+One helper, _sweep, does this for both front ends below.
+
+A generator word (words.GenWord) is read syllable by syllable instead of
+letter by letter, by gen_normal_factors.  Each syllable atom^{+-1} has its own
+normal form Delta^inf f_1 ... f_k, built once by the letter pass over its
+expansion and kept with tau of each factor.  Appending it raises d by inf:
+Delta^inf moves left past each true factor g as tau^inf(g), so the stored
+tau^d(g) stay.  Then each f_i is appended as tau^d(f_i), at the parity of d
+then current, and swept.  The result is the letter pass's exactly, as the
+normal form is unique and the sweep lemma holds for any appended permutation
+braid.  A power atom^e is |e| such syllables.  The syllable table of n strands
+holds at most two entries for each of its n^2 + n - 1 atoms in range (s, d, t
+and a), and it lives in the per-n context, of which CTX_CACHE_SIZE are kept.
+Before any work gen_normal_factors refuses what expand would: an atom out of
+range, or a word longer than MAX_LETTERS letters, which would otherwise cost
+one sweep per syllable copy.
 
 Permutation braids are stored internally as 0-based one-line arrays under the
 same convention as words.perm (the array entry at position q is the start of
@@ -75,7 +91,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, gt, sub
 
-from .words import BraidWord, WordError, exponent_sum
+from .words import BraidWord, GenWord, WordError, check_expansion, expand, exponent_sum
 
 Factor = tuple[int, ...]
 
@@ -122,6 +138,12 @@ class GarsideNormalForm:
         )
 
 
+def _tau(x: Factor) -> Factor:
+    """The flip automorphism Delta^{-1} x Delta on factor arrays."""
+    n1 = len(x) - 1
+    return tuple([n1 - v for v in reversed(x)])
+
+
 class _LetterFactors(dict):
     """tau^parity of each signed letter's factor, built on first use."""
 
@@ -139,6 +161,22 @@ class _LetterFactors(dict):
         return f
 
 
+class _SyllableForms(dict):
+    """(atom, +-1) -> (inf, ((f, tau f), ...)), the syllable's normal form, built on first use.
+
+    Each entry is made by expanding the syllable and reading its letters once.
+    The caller checks the atom's range first, so a foreign atom is never stored.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __missing__(self, syllable: tuple) -> tuple[int, tuple[tuple[Factor, Factor], ...]]:
+        inf, fs = _normal_factors(expand((syllable,), self.n))
+        self[syllable] = form = (inf, tuple((f, _tau(f)) for f in fs))
+        return form
+
+
 class _Ctx:
     """Per-strand-count tables and the pair-normalization memo."""
 
@@ -154,15 +192,11 @@ class _Ctx:
             self.slots[1][k] = self.slots[1][-k] = n - 1 - k
         # [parity][letter]: tau^parity of the letter's factor
         self.letters = tuple(_LetterFactors(n, slot) for slot in self.slots)
+        self.syllables = _SyllableForms(n)
         self._renorm_memo: dict[
             tuple[Factor, Factor], tuple[Factor, Factor] | None
         ] = {}
         self._renorm_memo_cap = RENORM_MEMO_CELLS // n
-
-    def tau(self, x: Factor) -> Factor:
-        """The flip automorphism Delta^{-1} x Delta on factor arrays."""
-        n1 = self.n - 1
-        return tuple([n1 - v for v in reversed(x)])
 
     def renorm_memoized(self, a: Factor, b: Factor) -> tuple[Factor, Factor] | None:
         """Left-weight the pair (a, b); None means it already was left-weighted.
@@ -241,19 +275,45 @@ def _ctx(n: int) -> _Ctx:
     return _Ctx(n)
 
 
+def _sweep(ctx: _Ctx, fs: list[Factor], d: int) -> int:
+    """Left-weight fs after one simple factor was appended; returns the new d.
+
+    fs holds tau^d of each true factor.  One backward sweep stops at the first
+    unchanged pair or at a Delta pull (see the module docstring).
+    """
+    memo = ctx._renorm_memo
+    j = len(fs) - 1
+    while j:
+        key = (fs[j - 1], fs[j])
+        res = memo.get(key, _MISS)
+        if res is _MISS:
+            res = ctx.renorm_memoized(*key)
+        if res is None:
+            break
+        a, b = res
+        if a == ctx.w0:
+            identity = ctx.identity
+            fs[j - 1 :] = [_tau(f) for f in [b] + fs[j + 1 :] if f != identity]
+            return d + 1
+        fs[j - 1] = a
+        if b == ctx.identity:  # only the appended factor is ever absorbed
+            fs.pop()
+        else:
+            fs[j] = b
+        j -= 1
+    return d
+
+
 def _normal_factors(w: BraidWord) -> tuple[int, list[Factor]]:
     """(inf, factors) of the normal form, in one left-to-right pass over w.
 
-    fs holds tau^d of each true factor.  Each run's factor is appended and
-    followed by one backward sweep of left-weighting that stops at the first
-    unchanged pair or at a Delta pull (see the module docstring).
+    fs holds tau^d of each true factor; each run's factor is appended and swept.
     """
     n = w.strands
     if n == 2:  # B_2 is infinite cyclic, generated by sigma_1 = Delta
         return exponent_sum(w), []
     ctx = _ctx(n)
-    memo = ctx._renorm_memo
-    identity, w0, tau, letters = ctx.identity, ctx.w0, ctx.tau, ctx.letters
+    identity, w0, letters = ctx.identity, ctx.w0, ctx.letters
     slots = ctx.slots
     n1 = n - 1
     word = w.letters
@@ -285,27 +345,36 @@ def _normal_factors(w: BraidWord) -> tuple[int, list[Factor]]:
                     d += 1
                 continue
             fs.append(f if x > 0 else tuple([n1 - v for v in f]))
-        j = len(fs) - 1
-        while j:
-            key = (fs[j - 1], fs[j])
-            res = memo.get(key, _MISS)
-            if res is _MISS:
-                res = ctx.renorm_memoized(*key)
-            if res is None:
-                break
-            a, b = res
-            if a == w0:
-                d += 1
-                fs[j - 1 :] = [tau(f) for f in [b] + fs[j + 1 :] if f != identity]
-                break
-            fs[j - 1] = a
-            if b == identity:  # only the appended factor is ever absorbed
-                fs.pop()
-            else:
-                fs[j] = b
-            j -= 1
+        d = _sweep(ctx, fs, d)
     if d & 1:
-        fs = [tau(f) for f in fs]
+        fs = [_tau(f) for f in fs]
+    return d, fs
+
+
+def gen_normal_factors(gw: GenWord, n: int) -> tuple[int, list[Factor]]:
+    """(inf, factors) of the normal form of a generator word on n strands.
+
+    Equal to _normal_factors(expand(gw, n)), but reads each syllable's cached
+    normal form instead of its letters (see the module docstring).  Refuses,
+    before any work, what expand refuses: fewer than 2 strands, an atom out of
+    range, or a word longer than MAX_LETTERS letters.
+    """
+    if n < 2:
+        raise WordError(f"need at least 2 strands, got {n}")
+    check_expansion(gw, n)
+    ctx = _ctx(n)
+    syllables = ctx.syllables
+    fs: list[Factor] = []
+    d = 0
+    for atom, e in gw:
+        inf, factors = syllables[atom, 1 if e > 0 else -1]
+        for _ in range(abs(e)):
+            d += inf  # the stored factors stay (see the module docstring)
+            for f in factors:
+                fs.append(f[d & 1])
+                d = _sweep(ctx, fs, d)
+    if d & 1:
+        fs = [_tau(f) for f in fs]
     return d, fs
 
 

@@ -25,10 +25,12 @@ qb adds the cyclic generator d0 with
                                                       for j = n and i > 1,
    with one-strand twists t(k,k) dropped as trivial.
 
-Every relator is stored as LHS * RHS^{-1}.  The pb and qb relators expand to
-braid words and are checked against the Garside oracle; the pmod relators live
-in a quotient that braid words do not represent faithfully, so only their
-exponent matrix is consumed (by h1).
+Every relator is stored as LHS * RHS^{-1}.  verify checks the pb and qb
+relators against the Garside oracle without expanding them: a relator u v is
+trivial iff u = v^{-1}, so it compares the normal forms of the two halves of the
+relator, each read from cached syllable normal forms (garside.gen_normal_factors).
+The pmod relators live in a quotient that braid words do not represent
+faithfully, so only their exponent matrix is consumed (by h1).
 
 Each of the two shared families is one signed-slot template (COMMUTATOR,
 PENTAGON): a relator is the syllables t(span)^+-1 of its instance's spans,
@@ -71,7 +73,7 @@ from math import comb
 from operator import itemgetter
 from typing import Callable
 
-from .garside import is_trivial
+from .garside import gen_normal_factors
 from .purebraid import linking
 from .quasitoric import factor
 from .snf import SmithNormalForm, smith_normal_form
@@ -80,7 +82,6 @@ from .words import (
     BraidWord,
     GenWord,
     WordError,
-    expand,
     gen_concat,
     gen_inverse,
 )
@@ -163,13 +164,28 @@ def _span_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
 
 
-def _commutation_relators(pairs: list[tuple[int, int]], t: Syllables) -> list[GenWord]:
+def _commutation_relators(
+    pairs: list[tuple[int, int]], n: int, t: Syllables
+) -> list[GenWord]:
+    """One commutator per unordered pair of disjoint or nested spans, in lexicographic order.
+
+    pairs is in lexicographic order.  The partners (k, l) after a span (i, j)
+    are read directly from the rows of spans with first index k, in order: at
+    k = i the spans with l > j, which contain it; for i < k < j those with
+    l <= j, inside it; none at k = j, which touch it; all of them for k > j,
+    right of it.
+    """
+    rows: dict[int, list[tuple[int, GenWord]]] = {}
+    for i, j in pairs:
+        rows.setdefault(i, []).append((j, t[i, j]))
     out = []
-    for (i, j), (k, l) in combinations(sorted(pairs), 2):
-        disjoint = j < k or l < i
-        nested = (k <= i and j <= l) or (i <= k and l <= j)
-        if disjoint or nested:
-            out.append(_commutator(t[i, j] + t[k, l]))
+    for i, j in pairs:
+        u = t[i, j]
+        out += [_commutator(u + v) for l, v in rows[i] if l > j]
+        for k in range(i + 1, j):
+            out += [_commutator(u + v) for l, v in rows.get(k, ()) if l <= j]
+        for k in range(j + 1, n):
+            out += [_commutator(u + v) for _, v in rows.get(k, ())]
     return out
 
 
@@ -182,7 +198,7 @@ def _pentagonal_relators(n: int, t: Syllables) -> list[GenWord]:
 
 def _zero_relators(pairs: list[tuple[int, int]], n: int, t: Syllables) -> list[GenWord]:
     """The commutation then the pentagonal relators: the zero rows of every group."""
-    return _commutation_relators(pairs, t) + _pentagonal_relators(n, t)
+    return _commutation_relators(pairs, n, t) + _pentagonal_relators(n, t)
 
 
 def _relator_count(group: str, n: int) -> int:
@@ -282,18 +298,32 @@ class VerifyReport:
         return not self.failures
 
 
+def _relator_holds(rel: GenWord, n: int) -> bool:
+    """True iff the relator is trivial in the braid group on n strands.
+
+    r = u v is trivial iff u = v^{-1}, so the oracle compares the normal forms
+    of the two halves, split at h = len(r) // 2 syllables; any split point
+    would give the same verdict.
+    """
+    h = len(rel) // 2
+    return gen_normal_factors(rel[:h], n) == gen_normal_factors(gen_inverse(rel[h:]), n)
+
+
 def verify(p: Presentation) -> VerifyReport:
-    """Expand every relator to a braid word and test triviality with the oracle."""
+    """Check every relator with the Garside oracle, by the normal forms of its two halves.
+
+    No relator is expanded to letters: each half's normal form is read from
+    cached syllable normal forms.  Raises WordError for a half that would
+    expand to more than MAX_LETTERS letters.
+    """
     if p.group == "pmod":
         raise WordError(
             "pmod relators live in a quotient of the braid group; "
             "only their abelianized matrix is meaningful"
         )
-    failures = []
-    for idx, rel in enumerate(p.relators):
-        if not is_trivial(expand(rel, p.strands)):
-            failures.append(idx)
-    return VerifyReport(p.group, p.strands, len(p.relators), tuple(failures))
+    n = p.strands
+    failures = tuple(idx for idx, rel in enumerate(p.relators) if not _relator_holds(rel, n))
+    return VerifyReport(p.group, n, len(p.relators), failures)
 
 
 # ---------------------------------------------------------------------------

@@ -426,12 +426,21 @@ def _check_length(length: int) -> None:
         )
 
 
+def check_expansion(gw: GenWord, n: int) -> None:
+    """Refuse what expand(gw, n) would refuse, without building anything.
+
+    Raises WordError for an atom out of range for n strands, or a word that
+    would expand to more than MAX_LETTERS letters.
+    """
+    _check_length(sum(_atom_length(atom, n) * abs(e) for atom, e in gw))
+
+
 def expand(gw: GenWord, n: int) -> BraidWord:
     """Expand a generator word into a braid word on n strands.
 
     Raises WordError before allocating if the result would exceed MAX_LETTERS.
     """
-    _check_length(sum(_atom_length(atom, n) * abs(e) for atom, e in gw))
+    check_expansion(gw, n)
     letters: list[int] = []
     for atom, e in gw:
         base = _atom_letters(atom, n)

@@ -347,13 +347,13 @@ class TestVerifyFailure:
     def fail_second(self, monkeypatch):
         from qtbraid import presentations
 
-        real, calls = presentations.is_trivial, []
+        real, calls = presentations._relator_holds, []
 
-        def oracle(w):
-            calls.append(w)
-            return len(calls) != 2 and real(w)
+        def holds(rel, n):
+            calls.append(rel)
+            return len(calls) != 2 and real(rel, n)
 
-        monkeypatch.setattr(presentations, "is_trivial", oracle)
+        monkeypatch.setattr(presentations, "_relator_holds", holds)
         return calls
 
     def test_text(self, monkeypatch):

@@ -28,7 +28,8 @@ from qtbraid import (
     toric,
 )
 from qtbraid import garside, presentations
-from qtbraid.garside import _ctx, _normal_factors, perm_braid_word
+from qtbraid.garside import _ctx, _normal_factors, gen_normal_factors, perm_braid_word
+from qtbraid.presentations import Presentation, presentation, verify
 
 from helpers import GOLDENS, WatchedMemo, random_word, rewrite_equivalent
 
@@ -394,6 +395,61 @@ class TestProperties:
     @given(_words(), st.randoms(use_true_random=False))
     def test_invariant_under_rewrites(self, w, rng):
         assert normal_form(rewrite_equivalent(rng, w)) == normal_form(w)
+
+
+@st.composite
+def _gen_words(draw):
+    """(generator word over s/d/t/a atoms with exponents +-1..+-3, n) for n = 2..12."""
+    n = draw(st.integers(2, 12))
+    syllables = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from("sdta"))
+        if kind == "s":
+            atom = Atom.s(draw(st.integers(1, n - 1)))
+        elif kind == "d":
+            atom = Atom.d(draw(st.integers(0, n - 1)))
+        else:
+            i = draw(st.integers(1, n - 1))
+            atom = getattr(Atom, kind)(i, draw(st.integers(i + 1, n)))
+        syllables.append((atom, draw(st.integers(1, 3)) * draw(st.sampled_from((1, -1)))))
+    return tuple(syllables), n
+
+
+class TestGeneratorWords:
+    @_PROPERTY
+    @given(_gen_words())
+    def test_agrees_with_expanded_letters(self, case):
+        gw, n = case
+        assert gen_normal_factors(gw, n) == _normal_factors(expand(gw, n))
+
+    def test_huge_power_refused_before_any_work(self):
+        rel = ((Atom.t(1, 4), 1_000_000_000),)
+        p = Presentation("pb", 4, (Atom.t(1, 4),), (rel,))
+        start = time.perf_counter()
+        with pytest.raises(WordError, match="limit"):
+            verify(p)
+        assert time.perf_counter() - start < 1.0
+
+    def test_out_of_range_atom_refused_and_not_stored(self):
+        table = _ctx(4).syllables
+        for atom in (Atom.s(4), Atom.d(4), Atom.t(1, 5), Atom.a(3, 5)):
+            with pytest.raises(WordError, match="out of range"):
+                gen_normal_factors(((Atom.s(1), 1), (atom, -1)), 4)
+            assert all(a != atom for a, _ in table)
+        with pytest.raises(WordError, match="strands"):
+            gen_normal_factors((), 1)
+
+    @pytest.mark.parametrize("group", ["pb", "qb"])
+    def test_one_flipped_syllable_is_reported(self, group):
+        # flipping a syllable moves the exponent sum, so the mutant is never trivial
+        p = presentation(group, 5)
+        for idx, rel in enumerate(p.relators):
+            k = idx % len(rel)
+            atom, e = rel[k]
+            bad = rel[:k] + ((atom, -e),) + rel[k + 1 :]
+            assert not is_trivial(expand(bad, 5))
+            relators = p.relators[:idx] + (bad,) + p.relators[idx + 1 :]
+            assert verify(Presentation(group, 5, p.generators, relators)).failures == (idx,)
 
 
 class TestMemoBound:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -40,19 +41,31 @@ GOLDEN = json.loads(
 )
 
 
+def pairwise_commutation_spans(pairs):
+    """Independent enumeration: every unordered span pair, kept if disjoint or nested."""
+    kept = []
+    for (i, j), (k, l) in itertools.combinations(sorted(pairs), 2):
+        if j < k or l < i or (k <= i and j <= l) or (i <= k and l <= j):
+            kept.append(((i, j), (k, l)))
+    return kept
+
+
 def brute_commutation_count(n):
-    """Independent enumeration: unordered span pairs, disjoint or nested."""
     pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-    count = 0
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            (i, j), (k, l) = pairs[a], pairs[b]
-            if j < k or l < i or (k <= i and j <= l) or (i <= k and l <= j):
-                count += 1
-    return count
+    return len(pairwise_commutation_spans(pairs))
 
 
 class TestRelatorEnumeration:
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_commutators_match_pairwise_filter(self, n):
+        t = presentations._syllables(n)
+        pb = presentations._span_pairs(n)
+        for pairs in (pb, [p for p in pb if p != (1, n)]):
+            want = [
+                presentations._commutator(t[a] + t[b]) for a, b in pairwise_commutation_spans(pairs)
+            ]
+            assert presentations._commutation_relators(pairs, n, t) == want
+
     def test_pentagonal_counts(self):
         for n, want in ((5, 1), (6, 6), (7, 21)):
             p = pb_relators(n)
