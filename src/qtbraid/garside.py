@@ -59,8 +59,9 @@ tau^d(g) stay.  Then each f_i is appended as tau^d(f_i), at the parity of d
 then current, and swept.  The result is the letter pass's exactly, as the
 normal form is unique and the sweep lemma holds for any appended permutation
 braid.  A power atom^e is |e| such syllables.  The syllable table of n strands
-holds at most two entries for each of its n^2 + n - 1 atoms in range (s, d, t
-and a), and it lives in the per-n context, of which CTX_CACHE_SIZE are kept.
+(a words.Table, filled on first lookup) holds at most two entries for each of
+its n^2 + n - 1 atoms in range (s, d, t and a), and it lives in the per-n
+context, of which words.STRAND_CACHE_SIZE are kept.
 Before any work gen_normal_factors refuses what expand would: an atom out of
 range, or a word longer than MAX_LETTERS letters, which would otherwise cost
 one sweep per syllable copy.
@@ -71,8 +72,10 @@ the strand ending at q).  For a factor array B, sigma_{s+1} is a prefix of the
 factor iff value s+1 occurs before value s in B, and a suffix iff B[s] > B[s+1].
 
 A pair (a, b) becomes (a m, m^{-1} b) with m = (a^{-1} Delta) ^ b, by one of two
-routes behind one memo.  The bubble moves prefix letters of b into a one at a
-time, in passes over the n - 1 letters: about passes * n steps plus |m| swaps.
+routes behind one memo: the context's pairs table, a words.Table emptied at
+RENORM_MEMO_CELLS // n entries.  The bubble moves prefix letters of b into a
+one at a time, in passes over the n - 1 letters: about passes * n steps plus
+|m| swaps.
 The meet takes the strand pairs m leaves uncrossed as the transitive closure
 of those a crosses and b leaves uncrossed (the weak-order meet; Epstein et
 al., ch. 9), in bitmask rows: O(n) steps plus the closure work, which is small
@@ -88,20 +91,26 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import add, gt, sub
 
-from .words import BraidWord, GenWord, WordError, check_expansion, expand, exponent_sum
+from .words import (
+    STRAND_CACHE_SIZE,
+    BraidWord,
+    GenWord,
+    Table,
+    WordError,
+    check_expansion,
+    expand,
+    exponent_sum,
+)
 
 Factor = tuple[int, ...]
-
-_MISS = object()
 
 # The pair memo of n strands is emptied at RENORM_MEMO_CELLS // n entries of at
 # most four n-tuples, so its size does not grow with n.  One benchmark round
 # fills at most ~30,000 entries at n=10 (verify) and ~6,000 at n=32-64.
 RENORM_MEMO_CELLS = 1 << 19
-CTX_CACHE_SIZE = 16
 MEET_MIN_STRANDS = 20  # the narrowest pairs that may go to the meet
 
 
@@ -144,44 +153,100 @@ def _tau(x: Factor) -> Factor:
     return tuple([n1 - v for v in reversed(x)])
 
 
-class _LetterFactors(dict):
-    """tau^parity of each signed letter's factor, built on first use."""
-
-    def __init__(self, n: int, slot: list[int]):
-        self.n, self.slot = n, slot  # slot: _Ctx.slots[parity]
-
-    def __missing__(self, x: int) -> Factor:
-        # sigma_i is its own factor, sigma_i^{-1} = Delta^{-1} (Delta sigma_i^{-1}),
-        # and tau maps sigma_i to sigma_{n-i}, Delta sigma_i^{-1} to Delta sigma_{n-i}^{-1}
-        n = self.n
-        i = self.slot[x]
-        f = list(range(n)) if x > 0 else list(range(n - 1, -1, -1))
-        f[i], f[i + 1] = f[i + 1], f[i]
-        self[x] = f = tuple(f)
-        return f
+def _letter_factor(n: int, slot: list[int], x: int) -> Factor:
+    """tau^parity of the signed letter's factor; slot is _Ctx.slots[parity]."""
+    # sigma_i is its own factor, sigma_i^{-1} = Delta^{-1} (Delta sigma_i^{-1}),
+    # and tau maps sigma_i to sigma_{n-i}, Delta sigma_i^{-1} to Delta sigma_{n-i}^{-1}
+    i = slot[x]
+    f = list(range(n)) if x > 0 else list(range(n - 1, -1, -1))
+    f[i], f[i + 1] = f[i + 1], f[i]
+    return tuple(f)
 
 
-class _SyllableForms(dict):
-    """(atom, +-1) -> (inf, ((f, tau f), ...)), the syllable's normal form, built on first use.
+def _syllable_form(n: int, syllable: tuple) -> tuple[int, tuple[tuple[Factor, Factor], ...]]:
+    """(inf, ((f, tau f), ...)), the normal form of the syllable (atom, +-1).
 
-    Each entry is made by expanding the syllable and reading its letters once.
-    The caller checks the atom's range first, so a foreign atom is never stored.
+    Made by expanding the syllable and reading its letters once.  The caller
+    checks the atom's range first, so a foreign atom is never stored.
     """
+    inf, fs = _normal_factors(expand((syllable,), n))
+    return inf, tuple((f, _tau(f)) for f in fs)
 
-    def __init__(self, n: int):
-        self.n = n
 
-    def __missing__(self, syllable: tuple) -> tuple[int, tuple[tuple[Factor, Factor], ...]]:
-        inf, fs = _normal_factors(expand((syllable,), self.n))
-        self[syllable] = form = (inf, tuple((f, _tau(f)) for f in fs))
-        return form
+def _left_weight(pair: tuple[Factor, Factor]) -> tuple[Factor, Factor] | None:
+    """Left-weight the pair (a, b); None means it already was left-weighted.
+
+    The pairs table stores None for unchanged pairs, so _sweep makes one probe
+    per pair.
+    """
+    a, b = pair
+    wide = len(a) >= MEET_MIN_STRANDS
+    short_a = wide and 2 * sum(map(gt, a, a[1:])) < sum(map(gt, b, b[1:]))
+    return _meet(a, b) if short_a else _bubble(a, b)
+
+
+def _bubble(a: Factor, b: Factor) -> tuple[Factor, Factor] | None:
+    """Move prefix letters of b that are not suffix letters of a, one at a time."""
+    n = len(a)
+    A = list(a)
+    B = list(b)
+    pos = [0] * n
+    for q, v in enumerate(B):
+        pos[v] = q
+    changed = False
+    moving = True
+    while moving:
+        moving = False
+        for s in range(n - 1):
+            # s in starting set of B and not in finishing set of A
+            if pos[s + 1] < pos[s] and A[s] < A[s + 1]:
+                A[s], A[s + 1] = A[s + 1], A[s]
+                p1, p2 = pos[s], pos[s + 1]
+                B[p1], B[p2] = B[p2], B[p1]
+                pos[s], pos[s + 1] = p2, p1
+                changed = moving = True
+    return (tuple(A), tuple(B)) if changed else None
+
+
+def _meet(a: Factor, b: Factor) -> tuple[Factor, Factor] | None:
+    """(a m, m^{-1} b) for the weak-order meet m = (a^{-1} Delta) ^ b.
+
+    up[p] (down[p]) holds the strands q > p (q < p), each named by its middle
+    position, that stay on their side of p in m."""
+    n = len(a)
+    full = (1 << n) - 1
+    up, down = [0] * n, [0] * n
+    # a^{-1} Delta as an array is the inverse of a, reversed
+    for x in (sorted(range(n), key=a.__getitem__)[::-1], b):
+        seen = 0
+        for p in x:
+            if below := seen & ((1 << p) - 1):
+                down[p] |= below
+            if above := (full ^ seen) >> (p + 1):
+                up[p] |= above << (p + 1)
+            seen |= 1 << p
+    # close from the far end; bits a closed row already covers need no visit
+    for rows, order in ((up, range(n - 1, -1, -1)), (down, range(n))):
+        for p in order:
+            row = todo = rows[p]
+            while todo:
+                closed = rows[(todo & -todo).bit_length() - 1]
+                row |= closed
+                todo &= (todo - 1) & ~closed
+            rows[p] = row
+    # p ends after the strands below it that stay and those above it that pass it
+    ends = map(add, map(int.bit_count, down), range(n - 1, -1, -1))
+    pos = list(map(sub, ends, map(int.bit_count, up)))
+    if pos == list(range(n)):
+        return None
+    m = sorted(range(n), key=pos.__getitem__)
+    return tuple(map(a.__getitem__, m)), tuple(map(pos.__getitem__, b))
 
 
 class _Ctx:
-    """Per-strand-count tables and the pair-normalization memo."""
+    """Per-strand-count tables: letter factors, syllable forms and the pair memo."""
 
     def __init__(self, n: int):
-        self.n = n
         self.identity: Factor = tuple(range(n))
         self.w0: Factor = tuple(range(n - 1, -1, -1))
         # [parity][letter]: the s with tau^parity(sigma_|letter|) = sigma_{s+1};
@@ -191,86 +256,13 @@ class _Ctx:
             self.slots[0][k] = self.slots[0][-k] = k - 1
             self.slots[1][k] = self.slots[1][-k] = n - 1 - k
         # [parity][letter]: tau^parity of the letter's factor
-        self.letters = tuple(_LetterFactors(n, slot) for slot in self.slots)
-        self.syllables = _SyllableForms(n)
-        self._renorm_memo: dict[
-            tuple[Factor, Factor], tuple[Factor, Factor] | None
-        ] = {}
-        self._renorm_memo_cap = RENORM_MEMO_CELLS // n
-
-    def renorm_memoized(self, a: Factor, b: Factor) -> tuple[Factor, Factor] | None:
-        """Left-weight the pair (a, b); None means it already was left-weighted.
-
-        The memo stores None for unchanged pairs so the hot path in
-        _normal_factors is a single dict probe.  It is emptied when it holds
-        RENORM_MEMO_CELLS // n entries.
-        """
-        wide = self.n >= MEET_MIN_STRANDS
-        short_a = wide and 2 * sum(map(gt, a, a[1:])) < sum(map(gt, b, b[1:]))
-        result = self._meet(a, b) if short_a else self._bubble(a, b)
-        if len(self._renorm_memo) >= self._renorm_memo_cap:
-            self._renorm_memo.clear()
-        self._renorm_memo[(a, b)] = result
-        return result
-
-    def _bubble(self, a: Factor, b: Factor) -> tuple[Factor, Factor] | None:
-        """Move prefix letters of b that are not suffix letters of a, one at a time."""
-        n = self.n
-        A = list(a)
-        B = list(b)
-        pos = [0] * n
-        for q, v in enumerate(B):
-            pos[v] = q
-        changed = False
-        moving = True
-        while moving:
-            moving = False
-            for s in range(n - 1):
-                # s in starting set of B and not in finishing set of A
-                if pos[s + 1] < pos[s] and A[s] < A[s + 1]:
-                    A[s], A[s + 1] = A[s + 1], A[s]
-                    p1, p2 = pos[s], pos[s + 1]
-                    B[p1], B[p2] = B[p2], B[p1]
-                    pos[s], pos[s + 1] = p2, p1
-                    changed = moving = True
-        return (tuple(A), tuple(B)) if changed else None
-
-    def _meet(self, a: Factor, b: Factor) -> tuple[Factor, Factor] | None:
-        """(a m, m^{-1} b) for the weak-order meet m = (a^{-1} Delta) ^ b.
-
-        up[p] (down[p]) holds the strands q > p (q < p), each named by its middle
-        position, that stay on their side of p in m."""
-        n = self.n
-        full = (1 << n) - 1
-        up, down = [0] * n, [0] * n
-        # a^{-1} Delta as an array is the inverse of a, reversed
-        for x in (sorted(range(n), key=a.__getitem__)[::-1], b):
-            seen = 0
-            for p in x:
-                if below := seen & ((1 << p) - 1):
-                    down[p] |= below
-                if above := (full ^ seen) >> (p + 1):
-                    up[p] |= above << (p + 1)
-                seen |= 1 << p
-        # close from the far end; bits a closed row already covers need no visit
-        for rows, order in ((up, range(n - 1, -1, -1)), (down, range(n))):
-            for p in order:
-                row = todo = rows[p]
-                while todo:
-                    closed = rows[(todo & -todo).bit_length() - 1]
-                    row |= closed
-                    todo &= (todo - 1) & ~closed
-                rows[p] = row
-        # p ends after the strands below it that stay and those above it that pass it
-        ends = map(add, map(int.bit_count, down), range(n - 1, -1, -1))
-        pos = list(map(sub, ends, map(int.bit_count, up)))
-        if pos == list(range(n)):
-            return None
-        m = sorted(range(n), key=pos.__getitem__)
-        return tuple(map(a.__getitem__, m)), tuple(map(pos.__getitem__, b))
+        self.letters = tuple(Table(partial(_letter_factor, n, slot)) for slot in self.slots)
+        self.syllables = Table(partial(_syllable_form, n))
+        # (a, b) -> the left-weighted pair, or None if (a, b) already is one
+        self.pairs = Table(_left_weight, RENORM_MEMO_CELLS // n)
 
 
-@lru_cache(maxsize=CTX_CACHE_SIZE)
+@lru_cache(maxsize=STRAND_CACHE_SIZE)
 def _ctx(n: int) -> _Ctx:
     return _Ctx(n)
 
@@ -281,13 +273,10 @@ def _sweep(ctx: _Ctx, fs: list[Factor], d: int) -> int:
     fs holds tau^d of each true factor.  One backward sweep stops at the first
     unchanged pair or at a Delta pull (see the module docstring).
     """
-    memo = ctx._renorm_memo
+    pairs = ctx.pairs
     j = len(fs) - 1
     while j:
-        key = (fs[j - 1], fs[j])
-        res = memo.get(key, _MISS)
-        if res is _MISS:
-            res = ctx.renorm_memoized(*key)
+        res = pairs[fs[j - 1], fs[j]]
         if res is None:
             break
         a, b = res

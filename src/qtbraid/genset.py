@@ -27,11 +27,12 @@ with every index d<k> staying below N.  Beyond merging adjacent equal atoms,
 no simplification is attempted; soundness, not brevity, is the contract.
 
 Each strand count keeps one twist table per alphabet (_twist_tables, at most
-TWIST_CACHE_SIZE strand counts): an ImageTable from t(i,j) to its image under
-the lines above and that image's inverse, filled on first lookup, so a word
-with no twists builds nothing.  A rewriter is then one substitution pass
-(ImageTable.substitute): image^e for each syllable t(i,j)^e, d0^e kept, and
-one free reduction at the end.
+words.STRAND_CACHE_SIZE strand counts): an ImageTable (a words.Table) from
+t(i,j) to its image under the lines above and that image's inverse, filled on
+first lookup, so a word with no twists builds nothing.  The tables are not
+capped, as the thm41 one looks itself up.  A rewriter is then one substitution
+pass (ImageTable.substitute): image^e for each syllable t(i,j)^e, d0^e kept,
+and one free reduction at the end.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .purebraid import t_decompose
-from .quasitoric import factor, is_quasitoric
+from .quasitoric import factor, is_quasitoric  # noqa: F401  (hooked by bench/spans.py)
 from .words import (
+    STRAND_CACHE_SIZE,
     Atom,
     BraidWord,
     GenWord,
@@ -52,9 +54,6 @@ from .words import (
 )
 
 VARIANTS = ("thm41", "thm42")
-
-# strand counts whose twist tables _twist_tables keeps
-TWIST_CACHE_SIZE = 16
 
 
 def short_twist_bound(n: int) -> int:
@@ -141,7 +140,7 @@ def _thm41_image(n: int, table: ImageTable, atom: Atom) -> GenWord:
     )
 
 
-def _thm42_image(n: int, table: ImageTable, atom: Atom) -> GenWord:
+def _thm42_image(n: int, atom: Atom) -> GenWord:
     """t(1,j) over the thm42 alphabet: d0^{-(n-j)} t(n-j+1,n) d0^{n-j}."""
     j = atom.j
     if atom.kind != "t" or atom.i != 1 or not 2 <= j <= short_twist_bound(n):
@@ -153,13 +152,11 @@ def _thm42_image(n: int, table: ImageTable, atom: Atom) -> GenWord:
     return _conj_d0(-(n - j), gen_inverse(inverse))
 
 
-@lru_cache(maxsize=TWIST_CACHE_SIZE)
+@lru_cache(maxsize=STRAND_CACHE_SIZE)
 def _twist_tables(n: int) -> dict[str, ImageTable]:
     """The thm41 and thm42 twist tables on n strands, empty until first looked up."""
-    return {
-        "thm41": ImageTable(partial(_thm41_image, n), fixed=_D0),
-        "thm42": ImageTable(partial(_thm42_image, n), fixed=_D0),
-    }
+    thm41 = ImageTable(lambda atom: _thm41_image(n, thm41, atom), fixed=_D0)
+    return {"thm41": thm41, "thm42": ImageTable(partial(_thm42_image, n), fixed=_D0)}
 
 
 def rewrite_to_thm41(gw: GenWord, n: int) -> GenWord:
@@ -181,8 +178,6 @@ def decompose(w: BraidWord, target: GensetTarget) -> GenWord:
     """
     if w.strands != target.strands:
         raise WordError(f"strand mismatch: {w.strands} vs {target.strands}")
-    if is_quasitoric(w) is None:
-        raise WordError("braid is not quasitoric: permutation is not a power of the n-cycle")
     k, p = factor(w)
     over_twists = gen_concat(_d0(k) if k else (), t_decompose(p))
     out = rewrite_to_thm41(over_twists, w.strands)

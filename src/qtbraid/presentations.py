@@ -44,7 +44,8 @@ qb relators can hold t(k,k) and are joined with gen_concat.
 h1 computes the Smith normal form of the relator exponent matrix, giving the
 invariant-factor decomposition of the abelianization together with the
 coordinate transform, so homology classes of concrete braids are computable
-(qt_class), not just the group shape.  Only the nonzero exponent rows go to the
+(qt_class), not just the group shape.  qt_class keeps H_1(QB_n) for at most
+words.STRAND_CACHE_SIZE strand counts.  Only the nonzero exponent rows go to the
 Smith normal form.  That is exact: H_1 is Z^g modulo the row span, and a zero
 row adds nothing to the span, so rank and invariant factors cannot change.  It
 is also most of the matrix.  In both templates each slot's exponents sum to
@@ -78,6 +79,7 @@ from .purebraid import linking
 from .quasitoric import factor
 from .snf import SmithNormalForm, smith_normal_form
 from .words import (
+    STRAND_CACHE_SIZE,
     Atom,
     BraidWord,
     GenWord,
@@ -92,9 +94,6 @@ GROUPS = ("pb", "qb", "pmod")
 # any; the command line reports the refusal with exit code 2.  qb on 30 strands
 # has 205,872 relators; the tests and the benchmark build at most 4,824 (n=14)
 MAX_RELATORS = 250_000
-
-# strand counts whose H_1(QB_n) qt_class keeps
-H1_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -422,7 +421,7 @@ def min_generators(a: AbelianStructure) -> int:
     return a.free_rank + len(a.torsion)
 
 
-@lru_cache(maxsize=H1_CACHE_SIZE)
+@lru_cache(maxsize=STRAND_CACHE_SIZE)
 def _qb_h1(n: int) -> AbelianStructure:
     return h1(qb_relators(n))
 

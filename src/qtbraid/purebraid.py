@@ -30,7 +30,9 @@ Full twists t<i>,<j> also generate the pure braid group; the change of basis
 Both conjugation by sigma_q and the change of basis are free-group
 homomorphisms on the atoms, so each runs as one substitution pass through an
 ImageTable (image^e per syllable, one free reduction at the end).  The tables
-live on the per-strand-count _Comb context and fill on first lookup.
+live on the per-strand-count _Comb context, of which words.STRAND_CACHE_SIZE
+are kept, and fill on first lookup (words.Table).  So does the loop-word table,
+which is emptied at COMB_MEMO_CAP entries.
 """
 
 from __future__ import annotations
@@ -41,18 +43,19 @@ from functools import lru_cache, partial
 
 from .garside import perm_braid_word
 from .words import (
+    STRAND_CACHE_SIZE,
     Atom,
     BraidWord,
     GenWord,
     ImageTable,
+    Table,
     WordError,
     gen_concat,
     is_pure,
 )
 
-# strand counts _comb_ctx keeps, and the size at which the loop-word memo of
-# one strand count is emptied (benchmark rounds fill at most 234, at n=13)
-COMB_CACHE_SIZE = 16
+# the size at which the loop-word table of one strand count is emptied
+# (benchmark rounds fill at most 234 entries, at n=13)
 COMB_MEMO_CAP = 1 << 12
 
 
@@ -149,50 +152,33 @@ def _conj_atom(q: int, r: int, s: int) -> GenWord:
     raise AssertionError(f"unhandled conjugation case q={q} r={r} s={s}")
 
 
-def _conj_image(q: int, table: ImageTable, atom: Atom) -> GenWord:
-    return _conj_atom(q, atom.i, atom.j)
+def _loop_word(conj: Table, key: tuple[tuple[int, ...], int, int]) -> GenWord:
+    """lift(pi) * sigma_p^{2*sign} * lift(pi)^{-1} as an a-atom word, for key (pi, p, sign).
 
-
-def _a_to_t_image(n: int, table: ImageTable, atom: Atom) -> GenWord:
-    return a_to_t(n, atom.i, atom.j)
+    lift(pi) is spelled by perm_braid_word, and the double crossing is
+    conjugated by its letters from the last to the first.
+    """
+    pi, p, sign = key
+    result: GenWord = ((Atom.a(p, p + 1), sign),)
+    for q in reversed(perm_braid_word(pi)):
+        result = conj[q].substitute(result)
+    return result
 
 
 class _Comb:
-    """Per-strand-count cache of Schreier-conjugate expressions and atom images.
+    """Per-strand-count tables of Schreier-conjugate expressions and atom images.
 
-    conj[q] maps a(r,s) to sigma_q a(r,s) sigma_q^{-1}; twists maps a(i,j) to
-    its full-twist word.
+    conj[q] maps a(r,s) to sigma_q a(r,s) sigma_q^{-1}; loops maps (pi, p, sign)
+    to its loop word; twists maps a(i,j) to its full-twist word.
     """
 
     def __init__(self, n: int):
-        self.memo: dict[tuple[tuple[int, ...], int, int], GenWord] = {}
-        self.conj: dict[int, ImageTable] = {}
-        self.twists = ImageTable(partial(_a_to_t_image, n))
-
-    def loop_word(self, pi: tuple[int, ...], p: int, sign: int) -> GenWord:
-        """lift(pi) * sigma_p^{2*sign} * lift(pi)^{-1} as an a-atom word.
-
-        lift(pi) is spelled by perm_braid_word, and the double crossing is
-        conjugated by its letters from the last to the first.
-        """
-        key = (pi, p, sign)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        result: GenWord = ((Atom.a(p, p + 1), sign),)
-        conj = self.conj
-        for q in reversed(perm_braid_word(pi)):
-            table = conj.get(q)
-            if table is None:
-                table = conj[q] = ImageTable(partial(_conj_image, q))
-            result = table.substitute(result)
-        if len(self.memo) >= COMB_MEMO_CAP:
-            self.memo.clear()
-        self.memo[key] = result
-        return result
+        self.conj = Table(lambda q: ImageTable(lambda atom: _conj_atom(q, atom.i, atom.j)))
+        self.loops = Table(partial(_loop_word, self.conj), COMB_MEMO_CAP)
+        self.twists = ImageTable(lambda atom: a_to_t(n, atom.i, atom.j))
 
 
-@lru_cache(maxsize=COMB_CACHE_SIZE)
+@lru_cache(maxsize=STRAND_CACHE_SIZE)
 def _comb_ctx(n: int) -> _Comb:
     return _Comb(n)
 
@@ -207,7 +193,7 @@ def comb(w: BraidWord) -> GenWord:
     """
     if not is_pure(w):
         raise WordError("combing needs a pure braid")
-    ctx = _comb_ctx(w.strands)
+    loops = _comb_ctx(w.strands).loops
     image = list(range(w.strands))
     pieces: list[GenWord] = []
     for x in w.letters:
@@ -216,10 +202,10 @@ def comb(w: BraidWord) -> GenWord:
         ascends = image[i] < image[i + 1]
         if x > 0 and not ascends:
             image[i], image[i + 1] = image[i + 1], image[i]
-            pieces.append(ctx.loop_word(tuple(image), p, 1))
+            pieces.append(loops[tuple(image), p, 1])
             continue
         if x < 0 and ascends:
-            pieces.append(ctx.loop_word(tuple(image), p, -1))
+            pieces.append(loops[tuple(image), p, -1])
         image[i], image[i + 1] = image[i + 1], image[i]
     return gen_concat(*pieces)
 

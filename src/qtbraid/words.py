@@ -31,8 +31,13 @@ Text form of a generator word: whitespace-separated tokens, each optionally
 followed by ^<k> for a nonzero exponent, e.g. "d0^3 t1,4^-2 a2,5".
 format_generator_word renders each (atom, exponent) syllable once and reuses
 its text from a table; relator tables and rewriter output repeat a few hundred
-syllables many thousand times.  The table is emptied when it reaches
-SYLLABLE_CACHE_SIZE entries, so it stays bounded in a long-lived process.
+syllables many thousand times.
+
+Every memo in the package is a Table: a dict that computes a missing value on
+first lookup and, given a cap, empties itself before storing past it.  The
+syllable text table is capped at SYLLABLE_CACHE_SIZE entries.  The per-strand-
+count contexts of garside, purebraid, genset and presentations are kept for at
+most STRAND_CACHE_SIZE strand counts each, so a long-lived process stays bounded.
 
 In both grammars an integer is written in ASCII decimal digits with an
 optional sign; '_' separators and other Unicode digits are refused.
@@ -56,6 +61,9 @@ MAX_LETTERS = 10_000_000
 # syllables; one benchmark round renders fewer than 100 of them on qt_rewrite
 # and 196 on presentation_check
 SYLLABLE_CACHE_SIZE = 4_096
+
+# strand counts whose per-n tables each module keeps (its functools.lru_cache size)
+STRAND_CACHE_SIZE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +296,8 @@ class Atom(NamedTuple):
 
     @staticmethod
     def s(i: int) -> "Atom":
+        if i < 1:
+            raise WordError(f"Artin generator index must be >= 1, got s{i}")
         return Atom("s", i)
 
     @staticmethod
@@ -351,22 +361,38 @@ def gen_reduce(gw: Iterable[tuple[Atom, int]]) -> GenWord:
     return tuple(out)
 
 
-class ImageTable(dict):
-    """atom -> (image, inverse image) under a free-group homomorphism, built on first lookup.
+class Table(dict):
+    """key -> compute(key), computed on the first lookup of each key.
 
-    image(table, atom) returns the image word of one atom; it may look other
-    atoms up in the same table, and it raises WordError for an atom outside
-    the map's domain, so a foreign atom is never stored.  The fixed atom, if
-    any, maps to itself and is never looked up.
+    With a cap, a miss that finds the table holding cap entries empties it
+    before storing, so it never holds more.  A key whose compute raises is not
+    stored.  A capped table's compute must not look the table itself up: a
+    clear in the inner lookup could drop entries the outer one filled to read.
     """
 
-    def __init__(self, image: Callable[["ImageTable", Atom], GenWord], fixed: Atom | None = None):
-        self.image, self.fixed = image, fixed
+    def __init__(self, compute: Callable, cap: int | None = None):
+        self.compute, self.cap = compute, cap
 
-    def __missing__(self, atom: Atom) -> tuple[GenWord, GenWord]:
-        word = self.image(self, atom)
-        self[atom] = pair = (word, gen_inverse(word))
-        return pair
+    def __missing__(self, key):
+        value = self.compute(key)
+        if self.cap is not None and len(self) >= self.cap:
+            self.clear()
+        self[key] = value
+        return value
+
+
+class ImageTable(Table):
+    """atom -> (image, inverse image) under a free-group homomorphism, built on first lookup.
+
+    image(atom) returns the image word of one atom; it may look other atoms up
+    in the same table, and it raises WordError for an atom outside the map's
+    domain, so a foreign atom is never stored.  The fixed atom, if any, maps
+    to itself and is never looked up.
+    """
+
+    def __init__(self, image: Callable[[Atom], GenWord], fixed: Atom | None = None):
+        super().__init__(lambda atom: _with_inverse(image(atom)))
+        self.fixed = fixed
 
     def substitute(self, gw: GenWord) -> GenWord:
         """The image of gw: image^e for each syllable atom^e, one free reduction at the end.
@@ -384,6 +410,10 @@ class ImageTable(dict):
                 image, inverse = self[atom]
                 out.extend((image if e > 0 else inverse) * abs(e))
         return gen_reduce(out)
+
+
+def _with_inverse(word: GenWord) -> tuple[GenWord, GenWord]:
+    return word, gen_inverse(word)
 
 
 def _atom_length(atom: Atom, n: int) -> int:
@@ -470,7 +500,7 @@ def parse_generator_word(text: str) -> GenWord:
         kind, params = body[0], body[1:]
         try:
             if kind in ("s", "d"):
-                atom = Atom(kind, int(params))
+                atom = Atom.s(int(params)) if kind == "s" else Atom.d(int(params))
             elif kind in ("t", "a"):
                 i_text, comma, j_text = params.partition(",")
                 if not comma:
@@ -482,30 +512,17 @@ def parse_generator_word(text: str) -> GenWord:
                 raise ValueError
         except ValueError:
             raise WordError(f"bad generator token {tok!r}") from None
-        if kind == "s" and atom.i < 1:
-            raise WordError(f"bad generator token {tok!r}")
-        if kind == "d" and atom.i < 0:
-            raise WordError(f"bad generator token {tok!r}")
         entries.append((atom, e))
     return tuple(entries)
 
 
-class SyllableText(dict):
-    """(atom, exponent) -> the syllable's text, such as "t1,4^-2", rendered on first lookup.
-
-    The table empties itself when it holds SYLLABLE_CACHE_SIZE entries, so a
-    long-lived process keeps at most that many.
-    """
-
-    def __missing__(self, syllable: tuple[Atom, int]) -> str:
-        if len(self) >= SYLLABLE_CACHE_SIZE:
-            self.clear()
-        atom, e = syllable
-        self[syllable] = text = str(atom) if e == 1 else f"{atom}^{e}"
-        return text
+def _syllable_text(syllable: tuple[Atom, int]) -> str:
+    """The syllable's text, such as "t1,4^-2"."""
+    atom, e = syllable
+    return str(atom) if e == 1 else f"{atom}^{e}"
 
 
-_SYLLABLE_TEXT = SyllableText()
+_SYLLABLE_TEXT = Table(_syllable_text, SYLLABLE_CACHE_SIZE)
 
 
 def format_generator_word(gw: GenWord) -> str:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from qtbraid import BraidWord, is_pure
 from qtbraid.quasitoric import QuasitoricForm, qt_to_word
+from qtbraid.words import Table
 
 # Outputs of comb, decompose and nf_word on fixed inputs at n=3-9, recorded
 # before the backward-sweep normal form and the shared permutation-braid word
@@ -15,8 +16,8 @@ from qtbraid.quasitoric import QuasitoricForm, qt_to_word
 GOLDENS = json.loads((Path(__file__).parent / "data" / "rewrite_goldens.json").read_text())
 
 
-class WatchedMemo(dict):
-    """A memo that counts its clears and records its largest size."""
+class WatchedMemo(Table):
+    """A Table that counts its clears and records its largest size."""
 
     clears = 0
     peak = 0

@@ -30,6 +30,7 @@ from qtbraid import (
 from qtbraid import garside, presentations
 from qtbraid.garside import _ctx, _normal_factors, gen_normal_factors, perm_braid_word
 from qtbraid.presentations import Presentation, presentation, verify
+from qtbraid.words import STRAND_CACHE_SIZE
 
 from helpers import GOLDENS, WatchedMemo, random_word, rewrite_equivalent
 
@@ -459,8 +460,9 @@ class TestMemoBound:
         _ctx.cache_clear()  # the entry cap is fixed when a context is built
         try:
             ctx = _ctx(64)
-            memo = WatchedMemo()
-            monkeypatch.setattr(ctx, "_renorm_memo", memo)
+            assert ctx.pairs.cap == cap
+            memo = WatchedMemo(ctx.pairs.compute, cap)
+            monkeypatch.setattr(ctx, "pairs", memo)
             rng = random.Random(21)
             for _ in range(100):
                 w = random_word(rng, 64, 40)
@@ -470,16 +472,16 @@ class TestMemoBound:
             assert memo.clears >= 2 and memo.peak <= cap
         finally:
             _ctx.cache_clear()
-        assert _ctx.cache_parameters()["maxsize"] == garside.CTX_CACHE_SIZE
+        assert _ctx.cache_parameters()["maxsize"] == STRAND_CACHE_SIZE
 
     def test_cells_not_entries_are_bounded(self):
         # an entry holds four n-tuples at most, so entries * n bounds its size
         for n in (3, 10, 64, 1000):
             ctx = garside._Ctx(n)
-            assert ctx._renorm_memo_cap * n <= garside.RENORM_MEMO_CELLS
+            assert ctx.pairs.cap * n <= garside.RENORM_MEMO_CELLS
         # no benchmark-sized memo is cleared: ~30k entries at n=10, ~6k at n=64
-        assert garside._Ctx(10)._renorm_memo_cap >= 50_000
-        assert garside._Ctx(64)._renorm_memo_cap >= 8_000
+        assert garside._Ctx(10).pairs.cap >= 50_000
+        assert garside._Ctx(64).pairs.cap >= 8_000
 
 
 def _short(rng, n, swaps, base):
@@ -504,18 +506,19 @@ def _random_perm(rng, n):
 def _sweep_pairs(ctx, words):
     """Every pair the backward sweeps over the words hand to the pair kernel."""
     seen = []
-    kernel = ctx.renorm_memoized
+    pairs = ctx.pairs
+    kernel = pairs.compute
 
-    def record(a, b):
-        seen.append((a, b))
-        return kernel(a, b)
+    def record(pair):
+        seen.append(pair)
+        return kernel(pair)
 
-    ctx.renorm_memoized = record
+    pairs.compute = record
     try:
         for w in words:
             _normal_factors(w)
     finally:
-        del ctx.renorm_memoized
+        pairs.compute = kernel
     return seen
 
 
@@ -525,11 +528,10 @@ class TestPairKernel:
     def test_every_pair_up_to_five_strands(self):
         count = 0
         for n in range(2, 6):
-            ctx = _ctx(n)
             perms = list(itertools.permutations(range(n)))
             for a in perms:
                 for b in perms:
-                    assert ctx._meet(a, b) == _bubble(a, b), (a, b)
+                    assert garside._meet(a, b) == _bubble(a, b), (a, b)
                     count += 1
         assert count == 15_016
 
@@ -548,18 +550,18 @@ class TestPairKernel:
                 a, b = _short(rng, n, swaps, w0), _short(rng, n, swaps, identity)
             else:
                 a, b = _random_perm(rng, n), _random_perm(rng, n)
-            assert _ctx(n)._meet(a, b) == _bubble(a, b), (a, b)
+            assert garside._meet(a, b) == _bubble(a, b), (a, b)
 
     def test_pairs_from_wide_sweeps(self):
         rng = random.Random(24)
         routed = 0
         for n in (garside.MEET_MIN_STRANDS, 32, 64):
             ctx = _ctx(n)
-            ctx._renorm_memo.clear()
+            ctx.pairs.clear()
             words = [random_word(rng, n, 100) for _ in range(2)]
             for a, b in _sweep_pairs(ctx, words):
-                assert ctx._meet(a, b) == _bubble(a, b), (a, b)
-                assert ctx._renorm_memo[(a, b)] == _bubble(a, b)
+                assert garside._meet(a, b) == _bubble(a, b), (a, b)
+                assert (a, b) in ctx.pairs and ctx.pairs[a, b] == _bubble(a, b)
                 routed += 2 * _descents(a) < _descents(b)
         assert routed > 100  # the gate sends wide sweeps to the meet
 

@@ -19,7 +19,6 @@ from qtbraid import (
 )
 from qtbraid import genset
 from qtbraid.genset import (
-    TWIST_CACHE_SIZE,
     VARIANTS,
     GensetTarget,
     decompose,
@@ -29,7 +28,7 @@ from qtbraid.genset import (
 )
 from qtbraid.purebraid import t_decompose
 from qtbraid.quasitoric import QuasitoricForm, factor, qt_to_word
-from qtbraid.words import gen_concat, gen_inverse, gen_pow
+from qtbraid.words import STRAND_CACHE_SIZE, gen_concat, gen_inverse, gen_pow
 
 from helpers import random_qt_word
 
@@ -330,9 +329,9 @@ class TestAgainstReference:
 class TestTwistTables:
     def test_bounded_by_strand_counts(self):
         genset._twist_tables.cache_clear()
-        for n in range(3, 3 + TWIST_CACHE_SIZE + 4):
+        for n in range(3, 3 + STRAND_CACHE_SIZE + 4):
             decompose(atom_word(Atom.t(1, n - 1), n), GensetTarget("thm42", n))
-        assert genset._twist_tables.cache_info().currsize == TWIST_CACHE_SIZE
+        assert genset._twist_tables.cache_info().currsize == STRAND_CACHE_SIZE
 
     def test_warmup_fills_nothing(self):
         genset._twist_tables.cache_clear()

@@ -20,7 +20,7 @@ from qtbraid.genset import GensetTarget, decompose
 from qtbraid.garside import perm_braid_word
 from qtbraid.purebraid import _conj_atom, a_to_t, comb, linking, t_decompose
 from qtbraid.quasitoric import factor
-from qtbraid.words import gen_concat, gen_pow
+from qtbraid.words import STRAND_CACHE_SIZE, gen_concat, gen_pow
 
 from helpers import (
     GOLDENS,
@@ -151,13 +151,14 @@ class TestCombMemoBound:
             back = BraidWord(7, tuple(abs(x) for x in reversed(u.letters)))
             words.append(concat(u, back))  # pure: sigma and its inverse agree on perm
         expected = [comb(w) for w in words]
+        ctx = purebraid._comb_ctx(7)
+        assert ctx.loops.cap == purebraid.COMB_MEMO_CAP
         cap = 30
-        monkeypatch.setattr(purebraid, "COMB_MEMO_CAP", cap)
-        memo = WatchedMemo()
-        monkeypatch.setattr(purebraid._comb_ctx(7), "memo", memo)
+        memo = WatchedMemo(ctx.loops.compute, cap)
+        monkeypatch.setattr(ctx, "loops", memo)
         assert [comb(w) for w in words] == expected
         assert memo.clears >= 2 and memo.peak <= cap
-        assert purebraid._comb_ctx.cache_parameters()["maxsize"] == purebraid.COMB_CACHE_SIZE
+        assert purebraid._comb_ctx.cache_parameters()["maxsize"] == STRAND_CACHE_SIZE
 
 
 class TestAToT:
@@ -259,7 +260,7 @@ class TestOnePassMatchesReference:
             for pi in itertools.permutations(range(n)):
                 for p in range(1, n):
                     for sign in (1, -1):
-                        assert ctx.loop_word(pi, p, sign) == _ref_loop_word(pi, p, sign)
+                        assert ctx.loops[pi, p, sign] == _ref_loop_word(pi, p, sign)
 
     def test_twist_table_lives_on_the_comb_context(self):
         purebraid._comb_ctx.cache_clear()

@@ -27,8 +27,9 @@ from qtbraid import (
 )
 from qtbraid import words
 from qtbraid.purebraid import linking
+from qtbraid.words import Table
 
-from helpers import random_word
+from helpers import WatchedMemo, random_word
 
 
 def sig(n, *letters):
@@ -303,6 +304,13 @@ class TestGrammar:
             with pytest.raises(WordError):
                 parse_generator_word(bad)
 
+    @pytest.mark.parametrize("tok", ["s0", "s-1", "d-1"])
+    def test_generator_index_below_range(self, tok):
+        # the Atom constructors refuse the index; the parser names the token
+        with pytest.raises(WordError) as info:
+            parse_generator_word(f"s1 {tok}")
+        assert str(info.value) == f"bad generator token {tok!r}"
+
     def test_atom_constructors_match_grammar(self):
         for text, atom in (
             ("t1,4", Atom.t(1, 4)),
@@ -327,6 +335,8 @@ class TestGrammar:
             lambda: Atom.a(0, 1),
             lambda: Atom.a(2, 2),
             lambda: Atom.d(-1),
+            lambda: Atom.s(0),
+            lambda: Atom.s(-3),
         ):
             with pytest.raises(WordError):
                 make()
@@ -364,21 +374,42 @@ class TestValidation:
             Permutation((1, 1, 3))
 
 
+class TestTable:
+    def test_computes_once_and_clears_at_cap(self):
+        calls = []
+
+        def square(k):
+            calls.append(k)
+            return k * k
+
+        table = WatchedMemo(square, 3)
+        assert [table[k] for k in (1, 2, 1, 3, 2)] == [1, 4, 1, 9, 4]
+        assert calls == [1, 2, 3] and table.clears == 0
+        assert table[4] == 16  # a fourth key empties the table first
+        assert table.clears == 1 and dict(table) == {4: 16}
+        for k in range(5, 12):
+            assert table[k] == k * k
+        assert table.clears == 3 and table.peak == 3
+
+    def test_nothing_stored_when_compute_raises(self):
+        def positive(k):
+            if k < 1:
+                raise WordError(f"bad key {k}")
+            return k
+
+        table = Table(positive, 2)
+        table[1], table[2]
+        with pytest.raises(WordError, match="bad key 0"):
+            table[0]
+        assert dict(table) == {1: 1, 2: 2}  # neither stored nor cleared
+
+    def test_uncapped_table_may_look_itself_up(self):
+        fib = Table(lambda k: k if k < 2 else fib[k - 1] + fib[k - 2])
+        assert fib[60] == 1_548_008_755_920
+        assert len(fib) == 61 and fib.cap is None
+
+
 class TestSyllableText:
-    class Spy(words.SyllableText):
-        """A syllable table that records its largest size and its clears."""
-
-        def __init__(self):
-            self.largest = self.clears = 0
-
-        def __setitem__(self, key, value):
-            super().__setitem__(key, value)
-            self.largest = max(self.largest, len(self))
-
-        def clear(self):
-            self.clears += 1
-            super().clear()
-
     def test_bounded_and_output_unchanged(self, monkeypatch):
         import io
 
@@ -401,9 +432,9 @@ class TestSyllableText:
             return texts
 
         want = outputs()
-        spy = self.Spy()
-        monkeypatch.setattr(words, "_SYLLABLE_TEXT", spy)
-        monkeypatch.setattr(words, "SYLLABLE_CACHE_SIZE", 7)
+        assert words._SYLLABLE_TEXT.cap == words.SYLLABLE_CACHE_SIZE
+        watched = WatchedMemo(words._SYLLABLE_TEXT.compute, 7)
+        monkeypatch.setattr(words, "_SYLLABLE_TEXT", watched)
         assert outputs() == want
-        assert spy.clears >= 2
-        assert 0 < spy.largest <= 7
+        assert watched.clears >= 2
+        assert 0 < watched.peak <= 7
