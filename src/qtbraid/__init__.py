@@ -13,7 +13,6 @@ from .words import (
     Permutation,
     WordError,
     closure_components,
-    compose,
     concat,
     delta_word,
     expand,
@@ -23,7 +22,6 @@ from .words import (
     free_reduce,
     gen_concat,
     gen_inverse,
-    gen_pow,
     gen_reduce,
     inverse,
     is_pure,
@@ -42,7 +40,6 @@ __all__ = [
     "Permutation",
     "WordError",
     "closure_components",
-    "compose",
     "concat",
     "delta_word",
     "equal",
@@ -53,7 +50,6 @@ __all__ = [
     "free_reduce",
     "gen_concat",
     "gen_inverse",
-    "gen_pow",
     "gen_reduce",
     "inverse",
     "is_pure",

@@ -128,9 +128,6 @@ class GarsideNormalForm:
     def is_trivial(self) -> bool:
         return self.inf == 0 and not self.factors
 
-    def canonical_length(self) -> int:
-        return len(self.factors)
-
     def __str__(self) -> str:
         head = f"D^{self.inf}"
         if not self.factors:

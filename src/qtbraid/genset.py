@@ -29,10 +29,15 @@ no simplification is attempted; soundness, not brevity, is the contract.
 Each strand count keeps one twist table per alphabet (_twist_tables, at most
 words.STRAND_CACHE_SIZE strand counts): an ImageTable (a words.Table) from
 t(i,j) to its image under the lines above and that image's inverse, filled on
-first lookup, so a word with no twists builds nothing.  The tables are not
-capped, as the thm41 one looks itself up.  A rewriter is then one substitution
-pass (ImageTable.substitute): image^e for each syllable t(i,j)^e, d0^e kept,
-and one free reduction at the end.
+first lookup.  The thm41 images t(1,j) are built once per strand count with
+its table (_thm41_long_twists), top-down from t(1,n) = d0^n, and the table maps
+t(i,j) to the index shift of t(1,j-i+1).  No table looks itself up, so none is
+a reference cycle, and each holds at most C(n,2) entries, uncapped.  A
+rewriter is then one substitution pass (ImageTable.substitute): image^e for
+each syllable t(i,j)^e, d0^e kept, and one free reduction at the end.
+
+decompose factors its input with quasitoric.factor, which refuses a braid
+outside QB_n.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .purebraid import t_decompose
-from .quasitoric import factor, is_quasitoric  # noqa: F401  (hooked by bench/spans.py)
+from .quasitoric import factor
 from .words import (
     STRAND_CACHE_SIZE,
     Atom,
@@ -106,38 +111,43 @@ def _conj_d0(k: int, inner: GenWord) -> GenWord:
     return gen_concat(_d0(k), inner, _d0(-k))
 
 
-def _thm41_image(n: int, table: ImageTable, atom: Atom) -> GenWord:
-    """t(i,j) over the thm41 alphabet, from the lines of the module docstring."""
-    i, j = atom.i, atom.j
-    if atom.kind != "t" or j > n:
-        raise WordError(f"foreign atom {atom} in thm41 rewriting")
+def _thm41_long_twists(n: int) -> dict[int, GenWord]:
+    """j -> t(1,j) over the thm41 alphabet, for j = 2..n.
+
+    The short twists j <= N are letters of the alphabet.  The long ones are
+    filled top-down from t(1,n) = d0^n by the lines of the module docstring,
+    so every t(1,k) they read is already in the dict.
+    """
     N = short_twist_bound(n)
-    if i > 1:
-        return _conj_d0(i - 1, table[Atom.t(1, j - i + 1)][0])
-    if j <= N:
-        return ((atom, 1),)
-    if j == n:
-        return _d0(n)
-    if j == n - 1:
-        return gen_concat(
-            table[Atom.t(1, N - 1)][0],
-            table[Atom.t(N, n - 1)][0],
+    twists = {j: ((Atom.t(1, j), 1),) for j in range(2, N + 1)}
+    if n > N:
+        twists[n] = _d0(n)
+    if n - 1 > N:
+        twists[n - 1] = gen_concat(
+            twists[N - 1],
+            _conj_d0(N - 1, twists[n - N]),
             _d0(n - 1),
-            table[Atom.t(1, N)][1],
+            gen_inverse(twists[N]),
             _d0(1),
-            table[Atom.t(N, n)][1],
+            gen_inverse(_conj_d0(N - 1, twists[n - N + 1])),
         )
-    # t(1,j) leans on t(1,j+1): fill that chain from the top, not by deep recursion
-    for k in range(n - 2, j, -1):
-        table[Atom.t(1, k)]
-    return gen_concat(
-        table[Atom.t(1, n - 1)][0],
-        table[Atom.t(j + 1, n)][0],
-        _d0(-1),
-        table[Atom.t(1, j + 1)][0],
-        _d0(1 - n),
-        table[Atom.t(j + 1, n - 1)][1] if j + 1 < n - 1 else (),
-    )
+    for j in range(n - 2, N, -1):
+        twists[j] = gen_concat(
+            twists[n - 1],
+            _conj_d0(j, twists[n - j]),
+            _d0(-1),
+            twists[j + 1],
+            _d0(1 - n),
+            gen_inverse(_conj_d0(j, twists[n - j - 1])) if j + 1 < n - 1 else (),
+        )
+    return twists
+
+
+def _thm41_image(n: int, twists: dict[int, GenWord], atom: Atom) -> GenWord:
+    """t(i,j) over the thm41 alphabet: the index shift of t(1,j-i+1)."""
+    if atom.kind != "t" or atom.j > n:
+        raise WordError(f"foreign atom {atom} in thm41 rewriting")
+    return _conj_d0(atom.i - 1, twists[atom.j - atom.i + 1])
 
 
 def _thm42_image(n: int, atom: Atom) -> GenWord:
@@ -155,7 +165,7 @@ def _thm42_image(n: int, atom: Atom) -> GenWord:
 @lru_cache(maxsize=STRAND_CACHE_SIZE)
 def _twist_tables(n: int) -> dict[str, ImageTable]:
     """The thm41 and thm42 twist tables on n strands, empty until first looked up."""
-    thm41 = ImageTable(lambda atom: _thm41_image(n, thm41, atom), fixed=_D0)
+    thm41 = ImageTable(partial(_thm41_image, n, _thm41_long_twists(n)), fixed=_D0)
     return {"thm41": thm41, "thm42": ImageTable(partial(_thm42_image, n), fixed=_D0)}
 
 

@@ -1,6 +1,7 @@
 """Finite presentations, relator verification, and abelianization.
 
-Three presented groups are built over the full-twist generators t<i>,<j>:
+One builder, presentation(group, n), makes three presented groups over the
+full-twist generators t<i>,<j>:
 
 * pb:   the pure braid group, generators all t<i>,<j> for 1 <= i < j <= n;
 * qb:   the quasitoric braid group, generators d0 and all t<i>,<j>;
@@ -39,7 +40,9 @@ needed.  The index inequalities rule out a one-strand twist t(k,k) (i < j for a
 commutator span; i < j < k < l < m makes every pentagon span at least two
 strands wide) and give adjacent slots different spans, so no two adjacent
 syllables merge and gen_reduce would return each word unchanged.  The cyclic
-qb relators can hold t(k,k) and are joined with gen_concat.
+qb relators read the same syllable table and are joined the same way: t(k,k)
+is dropped, and the spans of adjacent syllables differ in every case, so they
+need no free reduction either (a test checks gen_reduce on every relator).
 
 h1 computes the Smith normal form of the relator exponent matrix, giving the
 invariant-factor decomposition of the abelianization together with the
@@ -50,15 +53,15 @@ Smith normal form.  That is exact: H_1 is Z^g modulo the row span, and a zero
 row adds nothing to the span, so rank and invariant factors cannot change.  It
 is also most of the matrix.  In both templates each slot's exponents sum to
 zero, checked once per template when the module loads, so every commutator and
-every pentagon abelianizes to zero.  The builders emit those families first
-and record their count in Presentation.zero_rows; h1 skips those rows without
+every pentagon abelianizes to zero.  presentation emits those families first
+and records their count in Presentation.zero_rows; h1 skips those rows without
 reading them.  Of the remaining cyclic qb relators the central one, d0 t(1,n)
 d0^-1 t(1,n)^-1, also abelianizes to zero, and h1 drops it by its row.  What
 reaches the Smith normal form is 91 of 4,824 rows at qb n=14, and no rows at all
 for pb and pmod.
 
 Building a table costs time and memory in proportion to its relator count, which
-grows like n^5 / 120.  Each builder counts its relators from the closed forms
+grows like n^5 / 120.  presentation counts the relators from the closed forms
 first (2 C(n,4) + 2 C(n,3) commutators, C(n,2) - 1 fewer for pmod, C(n,5)
 pentagons, and 1 + C(n,2) cyclic relators for qb) and refuses a table with more
 than MAX_RELATORS of them.  h1 takes a built presentation, so that limit bounds
@@ -75,7 +78,7 @@ from operator import itemgetter
 from typing import Callable
 
 from .garside import gen_normal_factors
-from .purebraid import linking
+from .purebraid import a_to_t, linking
 from .quasitoric import factor
 from .snf import SmithNormalForm, smith_normal_form
 from .words import (
@@ -84,13 +87,12 @@ from .words import (
     BraidWord,
     GenWord,
     WordError,
-    gen_concat,
     gen_inverse,
 )
 
 GROUPS = ("pb", "qb", "pmod")
 
-# the builders refuse a table with more relators than this, before building
+# presentation refuses a table with more relators than this, before building
 # any; the command line reports the refusal with exit code 2.  qb on 30 strands
 # has 205,872 relators; the tests and the benchmark build at most 4,824 (n=14)
 MAX_RELATORS = 250_000
@@ -100,9 +102,9 @@ MAX_RELATORS = 250_000
 class Presentation:
     """Generators and relators of a presented group.
 
-    The first zero_rows relators abelianize to zero, so h1 skips them.  The
-    builders set it from their templates; a hand-built presentation keeps the
-    default 0, and h1 then scans every relator.
+    The first zero_rows relators abelianize to zero, so h1 skips them.
+    presentation sets it from its templates; a hand-built presentation keeps
+    the default 0, and h1 then scans every relator.
     """
 
     group: str
@@ -195,13 +197,36 @@ def _pentagonal_relators(n: int, t: Syllables) -> list[GenWord]:
     ]
 
 
-def _zero_relators(pairs: list[tuple[int, int]], n: int, t: Syllables) -> list[GenWord]:
-    """The commutation then the pentagonal relators: the zero rows of every group."""
-    return _commutation_relators(pairs, n, t) + _pentagonal_relators(n, t)
+def _cyclic_relators(n: int, t: Syllables) -> list[GenWord]:
+    """The qb relators that involve d0: d0^n = t(1,n), then d0 t(i,j) d0^-1 for each span.
+
+    t[span][:1] and t[span][1:] are the one-syllable words t(span)^1 and
+    t(span)^-1; a one-strand span (k, k) is not in t, and t.get gives the
+    empty word for it.
+    """
+    d0 = Atom.d(0)
+    out = [((d0, n),) + t[1, n][1:]]
+    for i, j in _span_pairs(n):
+        conj = ((d0, 1),) + t[i, j][:1] + ((d0, -1),)
+        if j < n:
+            rhs_inverse = t[i + 1, j + 1][1:]
+        elif i == 1:
+            rhs_inverse = t[1, n][1:]
+        else:
+            # (t(2,n)^-1 t(1,i)^-1 t(2,i) t(i+1,n) t(1,n))^-1
+            rhs_inverse = (
+                t[1, n][1:]
+                + t.get((i + 1, n), ())[1:]
+                + t.get((2, i), ())[1:]
+                + t[1, i][:1]
+                + t[2, n][:1]
+            )
+        out.append(conj + rhs_inverse)
+    return out
 
 
 def _relator_count(group: str, n: int) -> int:
-    """Number of relators the builder of `group` makes for n strands."""
+    """Number of relators presentation(group, n) has."""
     pairs = comb(n, 2)
     count = 2 * comb(n, 4) + 2 * comb(n, 3) + comb(n, 5)
     if group == "pmod":
@@ -212,7 +237,14 @@ def _relator_count(group: str, n: int) -> int:
     return count
 
 
-def _require_size(group: str, n: int) -> None:
+def presentation(group: str, n: int) -> Presentation:
+    """The presentation of group ("pb", "qb" or "pmod") on n strands, over the full twists.
+
+    pmod drops the generator t1,<n>, and with it the commutators it takes
+    part in; qb adds d0 and the cyclic relators after the shared families.
+    """
+    if group not in GROUPS:
+        raise WordError(f"unknown group {group!r}; expected one of {GROUPS}")
     if n < 3:
         raise WordError(f"presentations need n >= 3, got {n}")
     count = _relator_count(group, n)
@@ -221,68 +253,17 @@ def _require_size(group: str, n: int) -> None:
             f"{group} on {n} strands has {count} relators, "
             f"more than the limit of {MAX_RELATORS}"
         )
-
-
-def pb_relators(n: int) -> Presentation:
-    """Presentation of the pure braid group on the full-twist generators."""
-    _require_size("pb", n)
     pairs = _span_pairs(n)
-    relators = _zero_relators(pairs, n, _syllables(n))
-    gens = tuple(Atom.t(i, j) for i, j in pairs)
-    return Presentation("pb", n, gens, tuple(relators), len(relators))
-
-
-def pmod_relators(n: int) -> Presentation:
-    """Pure mapping class group of the (n+1)-punctured sphere: drop t1,<n>."""
-    _require_size("pmod", n)
-    pairs = [p for p in _span_pairs(n) if p != (1, n)]
-    relators = _zero_relators(pairs, n, _syllables(n))
-    gens = tuple(Atom.t(i, j) for i, j in pairs)
-    return Presentation("pmod", n, gens, tuple(relators), len(relators))
-
-
-def qb_relators(n: int) -> Presentation:
-    """Presentation of the quasitoric braid group over d0 and the full twists."""
-    _require_size("qb", n)
-    pairs = _span_pairs(n)
-    syllables = _syllables(n)
-
-    def t(i: int, j: int, e: int) -> GenWord:
-        """t(i,j)^e for e = +-1; the one-strand twist t(k,k) is trivial."""
-        return (syllables[i, j][e < 0],) if i < j else ()
-
-    d0 = ((Atom.d(0), 1),)
-    d0_inv = ((Atom.d(0), -1),)
-    relators = _zero_relators(pairs, n, syllables)
-    zero_rows = len(relators)
-    relators.append(gen_concat(((Atom.d(0), n),), t(1, n, -1)))
-    for i, j in pairs:
-        conj = gen_concat(d0, t(i, j, 1), d0_inv)
-        if j < n:
-            rhs: GenWord = t(i + 1, j + 1, 1)
-        elif (i, j) == (1, n):
-            rhs = t(1, n, 1)
-        else:
-            rhs = gen_concat(
-                t(2, n, -1),
-                t(1, i, -1),
-                t(2, i, 1),
-                t(i + 1, n, 1),
-                t(1, n, 1),
-            )
-        relators.append(gen_concat(conj, gen_inverse(rhs)))
-    gens = (Atom.d(0),) + tuple(Atom.t(i, j) for i, j in pairs)
-    return Presentation("qb", n, gens, tuple(relators), zero_rows)
-
-
-def presentation(group: str, n: int) -> Presentation:
-    if group == "pb":
-        return pb_relators(n)
-    if group == "qb":
-        return qb_relators(n)
     if group == "pmod":
-        return pmod_relators(n)
-    raise WordError(f"unknown group {group!r}; expected one of {GROUPS}")
+        pairs.remove((1, n))
+    t = _syllables(n)
+    relators = _commutation_relators(pairs, n, t) + _pentagonal_relators(n, t)
+    zero_rows = len(relators)
+    generators = tuple(Atom.t(i, j) for i, j in pairs)
+    if group == "qb":
+        relators += _cyclic_relators(n, t)
+        generators = (Atom.d(0),) + generators
+    return Presentation(group, n, generators, tuple(relators), zero_rows)
 
 
 @dataclass(frozen=True)
@@ -422,8 +403,10 @@ def min_generators(a: AbelianStructure) -> int:
 
 
 @lru_cache(maxsize=STRAND_CACHE_SIZE)
-def _qb_h1(n: int) -> AbelianStructure:
-    return h1(qb_relators(n))
+def _qb_h1(n: int) -> tuple[AbelianStructure, list[tuple[int, int, GenWord]]]:
+    """H_1(QB_n), and (i, j, a_to_t(n, i, j)) for every pair i < j."""
+    basis = [(i, j, a_to_t(n, i, j)) for i, j in _span_pairs(n)]
+    return h1(presentation("qb", n)), basis
 
 
 def qt_class(w: BraidWord) -> ClassVector:
@@ -431,25 +414,16 @@ def qt_class(w: BraidWord) -> ClassVector:
 
     Factors the braid as d0^k * p, reads the linking matrix of p (its a-atom
     coordinates in the abelianized pure braid group), converts to full-twist
-    coordinates by the inclusion-exclusion change of basis, and pushes the
+    coordinates by the change of basis purebraid.a_to_t, and pushes the
     exponent vector through the Smith transform.
     """
-    structure = _qb_h1(w.strands)
+    structure, basis = _qb_h1(w.strands)
     k, p = factor(w)
     lk = linking(p)
     exponents: dict[Atom, int] = {Atom.d(0): k}
-
-    def bump(i: int, j: int, c: int) -> None:
-        if i < j and c:
-            atom = Atom.t(i, j)
-            exponents[atom] = exponents.get(atom, 0) + c
-
-    n = w.strands
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            c = lk.lk(i, j)
-            bump(i, j, c)
-            bump(i, j - 1, -c)
-            bump(i + 1, j, -c)
-            bump(i + 1, j - 1, c)
+    for i, j, word in basis:
+        c = lk.lk(i, j)
+        if c:
+            for atom, e in word:
+                exponents[atom] = exponents.get(atom, 0) + e * c
     return structure.class_of_exponents(exponents)

@@ -4,7 +4,9 @@ An (n, m)-quasitoric word is m rows, each row running through
 sigma_1 ... sigma_{n-1} in ascending index order with arbitrary signs;
 the sign matrix is the defining datum.  A braid lies in the quasitoric
 subgroup QB_n exactly when its permutation is a power of the n-cycle
-rho, and every member factors as delta_0^k times a pure braid.
+rho, and every member factors as delta_0^k times a pure braid.  rho^k
+maps each position q to q+k mod n, so where perm(w) sends 1 names the only
+candidate k, and is_quasitoric tests membership with one tuple comparison.
 
 File format for sign matrices: one row per line, characters '+'/'-',
 exactly n-1 per line.
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 
 from .words import (
     BraidWord,
-    Permutation,
     WordError,
     concat,
     delta_word,
@@ -43,10 +44,6 @@ class QuasitoricForm:
             if any(e not in (1, -1) for e in row):
                 raise WordError("sign matrix entries must be +1 or -1")
 
-    @property
-    def turns(self) -> int:
-        return len(self.rows)
-
 
 def qt_to_word(form: QuasitoricForm) -> BraidWord:
     """Concatenate the rows: row j contributes sigma_1^{e_1} ... sigma_{n-1}^{e_{n-1}}."""
@@ -56,33 +53,15 @@ def qt_to_word(form: QuasitoricForm) -> BraidWord:
     return BraidWord(form.strands, tuple(letters))
 
 
-def parse_qt_form(w: BraidWord) -> QuasitoricForm | None:
-    """Recognize a literally quasitoric letter sequence; None if it is not one.
-
-    This is a syntactic check on the word, not a membership test for QB_n.
-    """
-    n = w.strands
-    if len(w.letters) % (n - 1) != 0:
-        return None
-    rows = []
-    for start in range(0, len(w.letters), n - 1):
-        row = w.letters[start : start + n - 1]
-        if any(abs(x) != i for i, x in enumerate(row, start=1)):
-            return None
-        rows.append(tuple(1 if x > 0 else -1 for x in row))
-    return QuasitoricForm(n, tuple(rows))
-
-
 def is_quasitoric(w: BraidWord) -> int | None:
-    """Least k in [0, n-1] with perm(w) == rho^k, or None if w is not in QB_n."""
-    target = perm(w)
-    rho = Permutation.rotation(w.strands)
-    cur = Permutation.identity(w.strands)
-    for k in range(w.strands):
-        if cur == target:
-            return k
-        cur = rho.compose(cur)
-    return None
+    """Least k in [0, n-1] with perm(w) == rho^k, or None if w is not in QB_n.
+
+    rho^k maps q to q+k mod n, so the only candidate is k = perm(w).image[0] - 1.
+    """
+    image = perm(w).image
+    k = image[0] - 1
+    rho_k = tuple(range(k + 1, w.strands + 1)) + tuple(range(1, k + 1))
+    return k if image == rho_k else None
 
 
 def factor(w: BraidWord) -> tuple[int, BraidWord]:

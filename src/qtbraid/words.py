@@ -12,9 +12,9 @@ The permutation of a braid maps each endpoint position to the starting
 position of the strand that terminates there.  With this convention the
 permutation map is a homomorphism,
 
-    perm(u * v) == compose(perm(u), perm(v)),
+    perm(u * v)[q] == perm(u)[perm(v)[q]],
 
-where compose(f, g) applies g first, and the cyclic braid
+where perm(w)[q] stands for perm(w).image[q-1], and the cyclic braid
 delta_0 = sigma_1 ... sigma_{n-1} maps to the n-cycle 1 -> 2 -> ... -> n -> 1.
 
 Generator words are sequences of (atom, exponent) pairs over the symbolic
@@ -81,50 +81,14 @@ class Permutation:
         if sorted(self.image) != list(range(1, n + 1)):
             raise WordError(f"not a bijection of 1..{n}: {self.image}")
 
-    @property
-    def size(self) -> int:
-        return len(self.image)
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
-    @staticmethod
-    def rotation(n: int) -> "Permutation":
-        """The n-cycle 1 -> 2 -> ... -> n -> 1."""
-        return Permutation(tuple(range(2, n + 1)) + (1,))
-
-    def __call__(self, q: int) -> int:
-        return self.image[q - 1]
-
     def is_identity(self) -> bool:
         return all(v == q + 1 for q, v in enumerate(self.image))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for q, v in enumerate(self.image):
-            inv[v - 1] = q + 1
-        return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """The permutation q -> self(other(q)); other is applied first."""
-        if self.size != other.size:
-            raise WordError("size mismatch in permutation composition")
-        return Permutation(tuple(self.image[v - 1] for v in other.image))
-
-    def __pow__(self, k: int) -> "Permutation":
-        n = self.size
-        result = Permutation.identity(n)
-        base = self if k >= 0 else self.inverse()
-        for _ in range(abs(k)):
-            result = base.compose(result)
-        return result
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition, fixed points included, cycles sorted by minimum."""
-        seen = [False] * self.size
+        seen = [False] * len(self.image)
         out = []
-        for start in range(1, self.size + 1):
+        for start in range(1, len(self.image) + 1):
             if seen[start - 1]:
                 continue
             cyc = [start]
@@ -139,11 +103,6 @@ class Permutation:
 
     def __str__(self) -> str:
         return " ".join(str(v) for v in self.image)
-
-
-def compose(f: Permutation, g: Permutation) -> Permutation:
-    """compose(f, g)(q) == f(g(q)); matches perm(concat(u, v)) == compose(perm(u), perm(v))."""
-    return f.compose(g)
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +298,6 @@ def gen_concat(*parts: GenWord) -> GenWord:
     return gen_reduce(tuple(out))
 
 
-def gen_pow(gw: GenWord, k: int) -> GenWord:
-    if k < 0:
-        gw, k = gen_inverse(gw), -k
-    return gen_concat(*([gw] * k))
-
-
 def gen_reduce(gw: Iterable[tuple[Atom, int]]) -> GenWord:
     """Merge adjacent equal atoms and drop zero exponents (free reduction)."""
     out: list[tuple[Atom, int]] = []
@@ -384,9 +337,9 @@ class Table(dict):
 class ImageTable(Table):
     """atom -> (image, inverse image) under a free-group homomorphism, built on first lookup.
 
-    image(atom) returns the image word of one atom; it may look other atoms up
-    in the same table, and it raises WordError for an atom outside the map's
-    domain, so a foreign atom is never stored.  The fixed atom, if any, maps
+    image(atom) returns the image word of one atom, without looking the table
+    up, and raises WordError for an atom outside the map's domain, so a
+    foreign atom is never stored.  The fixed atom, if any, maps
     to itself and is never looked up.
     """
 

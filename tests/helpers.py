@@ -6,9 +6,9 @@ import json
 import random
 from pathlib import Path
 
-from qtbraid import BraidWord, is_pure
+from qtbraid import BraidWord, gen_concat, gen_inverse, is_pure
 from qtbraid.quasitoric import QuasitoricForm, qt_to_word
-from qtbraid.words import Table
+from qtbraid.words import GenWord, Table
 
 # Outputs of comb, decompose and nf_word on fixed inputs at n=3-9, recorded
 # before the backward-sweep normal form and the shared permutation-braid word
@@ -29,6 +29,18 @@ class WatchedMemo(Table):
     def __setitem__(self, key, value):
         super().__setitem__(key, value)
         self.peak = max(self.peak, len(self))
+
+
+def compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """The image tuple of q -> f(g(q)) (1-based): g is applied first."""
+    return tuple(f[v - 1] for v in g)
+
+
+def gen_pow(gw: GenWord, k: int) -> GenWord:
+    """gw^k, freely reduced; the inverse word for k < 0."""
+    if k < 0:
+        gw, k = gen_inverse(gw), -k
+    return gen_concat(*([gw] * k))
 
 
 def random_word(rng: random.Random, n: int, length: int) -> BraidWord:

@@ -26,10 +26,7 @@ from qtbraid.genset import GensetTarget, decompose, rewrite_to_thm41, rewrite_to
 from qtbraid.presentations import (
     h1,
     min_generators,
-    pb_relators,
-    pmod_relators,
     presentation,
-    qb_relators,
     qt_class,
     verify,
 )
@@ -79,7 +76,7 @@ def test_criterion_2_qb_abelianization():
     start = time.perf_counter()
     ok = True
     for n in range(3, 21):
-        a = h1(qb_relators(n))
+        a = h1(presentation("qb", n))
         if n % 2:
             ok = ok and a.free_rank == (n - 1) // 2 and a.torsion == (n,)
         else:
@@ -96,8 +93,8 @@ def test_criterion_2_qb_abelianization():
 def test_criterion_3_pb_pmod_abelianizations():
     ok = True
     for n in range(3, 11):
-        apb = h1(pb_relators(n))
-        apmod = h1(pmod_relators(n))
+        apb = h1(presentation("pb", n))
+        apmod = h1(presentation("pmod", n))
         ok = ok and apb.free_rank == math.comb(n, 2) and apb.torsion == ()
         ok = ok and apmod.free_rank == math.comb(n, 2) - 1 and apmod.torsion == ()
     _report(
@@ -112,7 +109,7 @@ def test_criterion_4_minimal_generator_count():
     ok = True
     for n in range(3, 21):
         bound = (n + 1) // 2 if n % 2 else (n + 2) // 2
-        ok = ok and min_generators(h1(qb_relators(n))) == bound
+        ok = ok and min_generators(h1(presentation("qb", n))) == bound
         ok = ok and len(GensetTarget("thm41", n).alphabet) == bound
         ok = ok and len(GensetTarget("thm42", n).alphabet) == bound
     _report(
@@ -259,7 +256,7 @@ def test_criterion_8_homomorphism_and_invariance():
         ok = ok and qt_class(concat(u, v)) == qt_class(u) + qt_class(v)
     # zero on all relators
     for n in range(3, 8):
-        for rel in qb_relators(n).relators:
+        for rel in presentation("qb", n).relators:
             ok = ok and qt_class(expand(rel, n)).is_zero()
     # index-shift and torsion identities at the class level
     for n in range(3, 8):

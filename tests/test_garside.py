@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from qtbraid import (
     Atom,
     BraidWord,
-    Permutation,
     WordError,
-    compose,
     concat,
     equal,
     expand,
@@ -32,7 +30,7 @@ from qtbraid.garside import _ctx, _normal_factors, gen_normal_factors, perm_brai
 from qtbraid.presentations import Presentation, presentation, verify
 from qtbraid.words import STRAND_CACHE_SIZE
 
-from helpers import GOLDENS, WatchedMemo, random_word, rewrite_equivalent
+from helpers import GOLDENS, WatchedMemo, compose, random_word, rewrite_equivalent
 
 
 def _bubble(a, b):
@@ -379,13 +377,16 @@ class TestProperties:
     @given(_words(strands=st.integers(2, 12)), st.integers(0, 40))
     def test_perm_is_a_homomorphism(self, w, k):
         u, v = BraidWord(w.strands, w.letters[:k]), BraidWord(w.strands, w.letters[k:])
-        assert perm(u * v) == compose(perm(u), perm(v))
-        # Delta^inf f_1 ... f_k maps to perm(Delta)^inf composed with the factors'
+        assert perm(u * v).image == compose(perm(u).image, perm(v).image)
+        # Delta^inf f_1 ... f_k maps to perm(Delta)^inf composed with the factors';
+        # perm(Delta) is the reversal, which is its own inverse
         nf = normal_form(w)
-        p = Permutation(tuple(range(w.strands, 0, -1))) ** nf.inf
+        p = tuple(range(1, w.strands + 1))
+        for _ in range(abs(nf.inf)):
+            p = compose(tuple(range(w.strands, 0, -1)), p)
         for f in nf.factors:
-            p = compose(p, Permutation(f))
-        assert p == perm(w)
+            p = compose(p, f)
+        assert p == perm(w).image
 
     @_PROPERTY
     @given(_words())

@@ -1,6 +1,8 @@
+import gc
 import inspect
 import random
 import sys
+import weakref
 from functools import lru_cache
 
 import pytest
@@ -28,9 +30,9 @@ from qtbraid.genset import (
 )
 from qtbraid.purebraid import t_decompose
 from qtbraid.quasitoric import QuasitoricForm, factor, qt_to_word
-from qtbraid.words import STRAND_CACHE_SIZE, gen_concat, gen_inverse, gen_pow
+from qtbraid.words import STRAND_CACHE_SIZE, gen_concat, gen_inverse
 
-from helpers import random_qt_word
+from helpers import gen_pow, random_qt_word
 
 # ---------------------------------------------------------------------------
 # Reference rewriters: a private copy of the step-by-step expansion, which
@@ -339,6 +341,23 @@ class TestTwistTables:
             for variant in VARIANTS:
                 assert decompose(toric(n, 1), GensetTarget(variant, n)) == ((Atom.d(0), 1),)
             assert all(not table for table in genset._twist_tables(n).values())
+
+    def test_freed_by_refcount_alone(self):
+        # no table reaches itself, so dropping the cache frees both tables
+        # without the cyclic collector
+        genset._twist_tables.cache_clear()
+        gc.disable()
+        try:
+            tables = genset._twist_tables(9)
+            thm41 = rewrite_to_thm41(((Atom.t(2, 9), 1), (Atom.t(1, 7), -1)), 9)
+            rewrite_to_thm42(thm41, 9)
+            assert all(tables.values())
+            refs = [weakref.ref(table) for table in tables.values()]
+            del tables
+            genset._twist_tables.cache_clear()
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_long_chain_without_deep_recursion(self):
         # t(1,j) leans on t(1,j+1) down a chain of ~n/2 entries; building

@@ -25,10 +25,7 @@ from qtbraid.presentations import (
     _template,
     h1,
     min_generators,
-    pb_relators,
-    pmod_relators,
     presentation,
-    qb_relators,
     qt_class,
     verify,
 )
@@ -68,7 +65,7 @@ class TestRelatorEnumeration:
 
     def test_pentagonal_counts(self):
         for n, want in ((5, 1), (6, 6), (7, 21)):
-            p = pb_relators(n)
+            p = presentation("pb", n)
             pent = len(p.relators) - brute_commutation_count(n)
             assert pent == want == math.comb(n, 5)
 
@@ -93,12 +90,12 @@ class TestRelatorEnumeration:
 
     def test_generator_counts(self):
         for n in range(3, 9):
-            assert len(pb_relators(n).generators) == math.comb(n, 2)
-            assert len(pmod_relators(n).generators) == math.comb(n, 2) - 1
-            assert len(qb_relators(n).generators) == math.comb(n, 2) + 1
+            assert len(presentation("pb", n).generators) == math.comb(n, 2)
+            assert len(presentation("pmod", n).generators) == math.comb(n, 2) - 1
+            assert len(presentation("qb", n).generators) == math.comb(n, 2) + 1
 
     def test_nested_pair_present_at_n3(self):
-        rels = pb_relators(3).relators
+        rels = presentation("pb", 3).relators
         nested = gen_concat(
             ((Atom.t(1, 3), 1),),
             ((Atom.t(2, 3), 1),),
@@ -109,21 +106,28 @@ class TestRelatorEnumeration:
 
     def test_touching_spans_absent(self):
         # t(1,2) and t(2,3) share an endpoint: no commutation relator
-        for rel in pb_relators(3).relators:
+        for rel in presentation("pb", 3).relators:
             atoms = {atom for atom, _ in rel}
             assert atoms != {Atom.t(1, 2), Atom.t(2, 3)}
 
     def test_small_n_rejected(self):
-        for builder in (pb_relators, qb_relators, pmod_relators):
-            with pytest.raises(WordError):
-                builder(2)
+        for group in ("pb", "qb", "pmod"):
+            with pytest.raises(WordError, match="n >= 3"):
+                presentation(group, 2)
+
+    def test_unknown_group_refused(self):
+        with pytest.raises(WordError, match="unknown group"):
+            presentation("bq", 4)
 
     @pytest.mark.parametrize("group", ["pb", "qb", "pmod"])
     def test_zero_rows_are_reduced_and_abelianize_to_zero(self, group):
+        # every family, the cyclic qb one included, is joined by plain tuple
+        # concatenation; that is exact only while no adjacent syllables merge,
+        # so every relator, not only the zero rows, must be freely reduced
         for n in range(3, 17):
             p = presentation(group, n)
+            assert all(rel == gen_reduce(rel) for rel in p.relators)
             for rel in p.relators[: p.zero_rows]:
-                assert rel == gen_reduce(rel)
                 exponents = {}
                 for atom, e in rel:
                     exponents[atom] = exponents.get(atom, 0) + e
@@ -144,14 +148,14 @@ class TestRelatorEnumeration:
             _template(((0, 1), (1, 1), (0, -1)))
 
     def test_foreign_atom_named(self):
-        p = pb_relators(4)
+        p = presentation("pb", 4)
         stray = ((Atom.t(1, 2), 1), (Atom.d(0), 1), (Atom.s(1), 1))
         relators = p.relators[:3] + (stray, ((Atom.s(2), 1),))
         with pytest.raises(WordError, match=r"^relator uses non-generator d0$"):
             Presentation(p.group, p.strands, p.generators, relators)
 
     def test_bad_zero_rows_refused(self):
-        p = pb_relators(4)
+        p = presentation("pb", 4)
         for bad in (-1, len(p.relators) + 1):
             with pytest.raises(WordError, match="zero_rows"):
                 Presentation(p.group, p.strands, p.generators, p.relators, bad)
@@ -159,7 +163,7 @@ class TestRelatorEnumeration:
         assert h1(full).snf.rows == 0
 
     def test_qb_case_relators(self):
-        rels = qb_relators(5).relators
+        rels = presentation("qb", 5).relators
         # shift case (i,j)=(2,4)
         shift = gen_concat(
             ((Atom.d(0), 1), (Atom.t(2, 4), 1), (Atom.d(0), -1)),
@@ -194,7 +198,7 @@ class TestVerify:
         assert report.checked == GOLDEN[f"{group},{n}"]["total"]
 
     def test_corrupted_relator_detected(self):
-        p = qb_relators(4)
+        p = presentation("qb", 4)
         corrupted = []
         for rel in p.relators:
             atom, e = rel[0]
@@ -206,23 +210,23 @@ class TestVerify:
 
     def test_pmod_not_verifiable(self):
         with pytest.raises(WordError):
-            verify(pmod_relators(4))
+            verify(presentation("pmod", 4))
 
 
 class TestH1:
     def test_qb_structure(self):
         for n, rank, torsion in ((3, 1, (3,)), (4, 2, (2,)), (6, 3, (3,))):
-            a = h1(qb_relators(n))
+            a = h1(presentation("qb", n))
             assert (a.free_rank, a.torsion) == (rank, torsion)
 
     def test_pb_free(self):
         for n in range(3, 8):
-            a = h1(pb_relators(n))
+            a = h1(presentation("pb", n))
             assert a.free_rank == math.comb(n, 2) and a.torsion == ()
 
     def test_pmod_free(self):
         for n in range(3, 8):
-            a = h1(pmod_relators(n))
+            a = h1(presentation("pmod", n))
             assert a.free_rank == math.comb(n, 2) - 1 and a.torsion == ()
 
     @pytest.mark.parametrize("group", ["pb", "qb", "pmod"])
@@ -247,8 +251,8 @@ class TestH1:
             assert a.snf.rows == sum(1 for row in full if any(row))
 
     def test_min_generators(self):
-        assert min_generators(h1(qb_relators(3))) == 2
-        assert min_generators(h1(qb_relators(4))) == 3
+        assert min_generators(h1(presentation("qb", 3))) == 2
+        assert min_generators(h1(presentation("qb", 4))) == 3
         # one generator killed by one relator: the trivial group needs none
         trivial = AbelianStructure(
             "qb", 3, (Atom.t(1, 2),), 0, (), smith_normal_form([[1]])
@@ -259,7 +263,7 @@ class TestH1:
 class TestQtClass:
     def test_relators_vanish(self):
         for n in (3, 4):
-            p = qb_relators(n)
+            p = presentation("qb", n)
             for rel in p.relators:
                 assert qt_class(expand(rel, n)).is_zero()
 

@@ -20,11 +20,12 @@ from qtbraid.genset import GensetTarget, decompose
 from qtbraid.garside import perm_braid_word
 from qtbraid.purebraid import _conj_atom, a_to_t, comb, linking, t_decompose
 from qtbraid.quasitoric import factor
-from qtbraid.words import STRAND_CACHE_SIZE, gen_concat, gen_pow
+from qtbraid.words import STRAND_CACHE_SIZE, gen_concat
 
 from helpers import (
     GOLDENS,
     WatchedMemo,
+    gen_pow,
     random_pure_word,
     random_qt_word,
     random_word,

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from qtbraid import (
     expand,
     is_pure,
     parse_word,
+    perm,
     toric,
 )
 from qtbraid.quasitoric import (
@@ -19,11 +21,33 @@ from qtbraid.quasitoric import (
     format_form_text,
     is_quasitoric,
     parse_form_text,
-    parse_qt_form,
     qt_to_word,
 )
 
-from helpers import random_form, random_qt_word
+from helpers import compose, random_form, random_qt_word, random_word
+
+
+def brute_is_quasitoric(w):
+    """The least k with perm(w) == rho^k, trying rho^0 .. rho^(n-1) in turn."""
+    n = w.strands
+    rho = tuple(range(2, n + 1)) + (1,)
+    power = tuple(range(1, n + 1))
+    for k in range(n):
+        if perm(w).image == power:
+            return k
+        power = compose(rho, power)
+    return None
+
+
+def word_with_perm(image):
+    """A braid word whose permutation has the given image tuple (1-based)."""
+    target, swaps = list(image), []
+    for end in range(len(target) - 1, 0, -1):
+        for q in range(end):
+            if target[q] > target[q + 1]:
+                target[q], target[q + 1] = target[q + 1], target[q]
+                swaps.append(q + 1)
+    return BraidWord(len(image), tuple(reversed(swaps)))
 
 
 class TestQtToWord:
@@ -39,37 +63,6 @@ class TestQtToWord:
     def test_figure_signs(self):
         form = QuasitoricForm(4, ((1, 1, 1), (-1, -1, 1), (-1, 1, 1)))
         assert qt_to_word(form) == parse_word(4, "1 2 3 -1 -2 3 -1 2 3")
-
-
-class TestParseQtForm:
-    def test_toric_rows(self):
-        form = parse_qt_form(toric(5, 3))
-        assert form is not None
-        assert form.rows == ((1, 1, 1, 1),) * 3
-
-    def test_wrong_order_fails(self):
-        assert parse_qt_form(parse_word(3, "2 1")) is None
-
-    def test_wrong_length_fails(self):
-        assert parse_qt_form(parse_word(3, "1 2 1")) is None
-
-    def test_empty(self):
-        form = parse_qt_form(BraidWord(4))
-        assert form is not None and form.turns == 0
-
-    def test_roundtrip(self):
-        rng = random.Random(20)
-        for _ in range(50):
-            form = random_form(rng, rng.randint(2, 6), rng.randint(0, 5))
-            assert parse_qt_form(qt_to_word(form)) == form
-
-    def test_product_closure(self):
-        rng = random.Random(21)
-        for _ in range(50):
-            n = rng.randint(2, 5)
-            u = random_qt_word(rng, n)
-            v = random_qt_word(rng, n)
-            assert parse_qt_form(concat(u, v)) is not None
 
 
 class TestIsQuasitoric:
@@ -88,7 +81,29 @@ class TestIsQuasitoric:
         for _ in range(60):
             n = rng.randint(2, 6)
             form = random_form(rng, n, rng.randint(0, 7))
-            assert is_quasitoric(qt_to_word(form)) == form.turns % n
+            assert is_quasitoric(qt_to_word(form)) == len(form.rows) % n
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_permutation_matches_brute_powers(self, n):
+        # members and non-members alike: every image tuple
+        members = 0
+        for image in itertools.permutations(range(1, n + 1)):
+            w = word_with_perm(image)
+            assert perm(w).image == image
+            k = is_quasitoric(w)
+            assert k == brute_is_quasitoric(w)
+            members += k is not None
+        assert members == n
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_random_words_match_brute_powers(self, n):
+        rng = random.Random(24 + n)
+        for _ in range(200):
+            w = random_word(rng, n, rng.randint(0, 30))
+            assert is_quasitoric(w) == brute_is_quasitoric(w)
+        for k in range(-n, 2 * n):
+            w = toric(n, k) if k >= 0 else toric(n, -k) ** -1
+            assert is_quasitoric(w) == brute_is_quasitoric(w) == k % n
 
 
 class TestFactor:
@@ -145,4 +160,4 @@ class TestFormFiles:
     def test_empty_needs_strands(self):
         with pytest.raises(WordError):
             parse_form_text("")
-        assert parse_form_text("", strands=5).turns == 0
+        assert parse_form_text("", strands=5).rows == ()

@@ -9,7 +9,6 @@ from qtbraid import (
     Permutation,
     WordError,
     closure_components,
-    compose,
     concat,
     delta_word,
     expand,
@@ -29,7 +28,7 @@ from qtbraid import words
 from qtbraid.purebraid import linking
 from qtbraid.words import Table
 
-from helpers import WatchedMemo, random_word
+from helpers import WatchedMemo, compose, random_word
 
 
 def sig(n, *letters):
@@ -100,7 +99,7 @@ class TestPerm:
 
     def test_delta0_is_rotation(self):
         for n in range(2, 8):
-            assert perm(toric(n, 1)) == Permutation.rotation(n)
+            assert perm(toric(n, 1)).image == tuple(range(2, n + 1)) + (1,)
 
     def test_empty_is_identity(self):
         assert perm(BraidWord(5)).is_identity()
@@ -114,13 +113,13 @@ class TestPerm:
             n = rng.randint(2, 6)
             u = random_word(rng, n, rng.randint(0, 12))
             v = random_word(rng, n, rng.randint(0, 12))
-            assert perm(concat(u, v)) == compose(perm(u), perm(v))
+            assert perm(concat(u, v)).image == compose(perm(u).image, perm(v).image)
 
     def test_inverse_permutation(self):
         rng = random.Random(3)
         for _ in range(50):
             w = random_word(rng, 5, rng.randint(0, 12))
-            assert perm(inverse(w)) == perm(w).inverse()
+            assert compose(perm(inverse(w)).image, perm(w).image) == tuple(range(1, 6))
 
 
 class TestExponentSum:
