@@ -47,18 +47,22 @@ need no free reduction either (a test checks gen_reduce on every relator).
 h1 computes the Smith normal form of the relator exponent matrix, giving the
 invariant-factor decomposition of the abelianization together with the
 coordinate transform, so homology classes of concrete braids are computable
-(qt_class), not just the group shape.  qt_class keeps H_1(QB_n) for at most
-words.STRAND_CACHE_SIZE strand counts.  Only the nonzero exponent rows go to the
-Smith normal form.  That is exact: H_1 is Z^g modulo the row span, and a zero
-row adds nothing to the span, so rank and invariant factors cannot change.  It
-is also most of the matrix.  In both templates each slot's exponents sum to
-zero, checked once per template when the module loads, so every commutator and
-every pentagon abelianizes to zero.  presentation emits those families first
-and records their count in Presentation.zero_rows; h1 skips those rows without
-reading them.  Of the remaining cyclic qb relators the central one, d0 t(1,n)
-d0^-1 t(1,n)^-1, also abelianizes to zero, and h1 drops it by its row.  What
-reaches the Smith normal form is 91 of 4,824 rows at qb n=14, and no rows at all
-for pb and pmod.
+(qt_class), not just the group shape.  The class of d0^k p is linear:
+k c(d0) + sum over i < j of lk(i,j)(p) c(a(i,j)), where c is a coordinate row
+read from the transform.  Those coefficients are computed once per n, with
+H_1(QB_n), and kept for at most words.STRAND_CACHE_SIZE strand counts, so a
+call costs one row sum per nonzero linking number.
+
+Only the nonzero exponent rows go to the Smith normal form.  That is exact: H_1
+is Z^g modulo the row span, and a zero row adds nothing to the span, so rank
+and invariant factors cannot change.  It is also most of the matrix.  In both
+templates each slot's exponents sum to zero, checked once per template when the
+module loads, so every commutator and every pentagon abelianizes to zero.
+presentation emits those families first and records their count in
+Presentation.zero_rows; h1 skips those rows without reading them.  Of the
+remaining cyclic qb relators the central one, d0 t(1,n) d0^-1 t(1,n)^-1, also
+abelianizes to zero, and h1 drops it by its row.  What reaches the Smith normal
+form is 91 of 4,824 rows at qb n=14, and no rows at all for pb and pmod.
 
 Building a table costs time and memory in proportion to its relator count, which
 grows like n^5 / 120.  presentation counts the relators from the closed forms
@@ -334,13 +338,6 @@ class ClassVector:
             self.moduli,
         )
 
-    def __neg__(self) -> "ClassVector":
-        return ClassVector(
-            tuple(-a for a in self.free),
-            tuple((-a) % d for a, d in zip(self.torsion, self.moduli)),
-            self.moduli,
-        )
-
     def is_zero(self) -> bool:
         return not any(self.free) and not any(self.torsion)
 
@@ -355,25 +352,6 @@ class AbelianStructure:
     free_rank: int
     torsion: tuple[int, ...]  # invariant factors > 1, ascending
     snf: SmithNormalForm
-
-    def class_of_exponents(self, exponents: dict[Atom, int]) -> ClassVector:
-        """Canonical coordinates of a generator-exponent vector."""
-        index = {atom: c for c, atom in enumerate(self.generators)}
-        vec = [0] * len(self.generators)
-        for atom, e in exponents.items():
-            if atom not in index:
-                raise WordError(f"{atom} is not a generator of this presentation")
-            vec[index[atom]] += e
-        y = self.snf.coordinates(vec)
-        rank = self.snf.rank
-        free = tuple(y[rank:])
-        torsion = tuple(
-            y[c] % d for c, d in enumerate(self.snf.diag[:rank]) if d > 1
-        )
-        return ClassVector(free, torsion, self.torsion)
-
-    def zero(self) -> ClassVector:
-        return ClassVector((0,) * self.free_rank, (0,) * len(self.torsion), self.torsion)
 
 
 def h1(p: Presentation) -> AbelianStructure:
@@ -403,27 +381,40 @@ def min_generators(a: AbelianStructure) -> int:
 
 
 @lru_cache(maxsize=STRAND_CACHE_SIZE)
-def _qb_h1(n: int) -> tuple[AbelianStructure, list[tuple[int, int, GenWord]]]:
-    """H_1(QB_n), and (i, j, a_to_t(n, i, j)) for every pair i < j."""
-    basis = [(i, j, a_to_t(n, i, j)) for i, j in _span_pairs(n)]
-    return h1(presentation("qb", n)), basis
+def _qb_h1(
+    n: int,
+) -> tuple[AbelianStructure, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """H_1(QB_n), the coordinates of d0, and those of each a(i,j), i < j, in span order.
+
+    A generator's coordinates are its row of the Smith transform V; an a-atom's
+    are the rows of the twists in a_to_t(n, i, j), each times its exponent.
+    """
+    a = h1(presentation("qb", n))
+    rows = dict(zip(a.generators, a.snf.right))
+    pair_rows = []
+    for i, j in _span_pairs(n):
+        y = [0] * len(a.generators)
+        for atom, e in a_to_t(n, i, j):
+            y = [u + e * x for u, x in zip(y, rows[atom])]
+        pair_rows.append(tuple(y))
+    return a, rows[Atom.d(0)], tuple(pair_rows)
 
 
 def qt_class(w: BraidWord) -> ClassVector:
     """Homology class of a quasitoric braid in canonical H_1(QB_n) coordinates.
 
-    Factors the braid as d0^k * p, reads the linking matrix of p (its a-atom
-    coordinates in the abelianized pure braid group), converts to full-twist
-    coordinates by the change of basis purebraid.a_to_t, and pushes the
-    exponent vector through the Smith transform.
+    Factors the braid as d0^k * p and adds k times the coordinates of d0 to
+    lk(i,j) times those of a(i,j) for each linking number of p.  The entries
+    of the linking matrix and the pair rows of _qb_h1 are both row-major over
+    i < j.  Coordinates past the rank are free; the others are reduced modulo
+    their invariant factor, and those of unit factors dropped.
     """
-    structure, basis = _qb_h1(w.strands)
+    a, d0_row, pair_rows = _qb_h1(w.strands)
     k, p = factor(w)
-    lk = linking(p)
-    exponents: dict[Atom, int] = {Atom.d(0): k}
-    for i, j, word in basis:
-        c = lk.lk(i, j)
+    y = [k * x for x in d0_row]
+    for c, row in zip(chain.from_iterable(linking(p).entries), pair_rows):
         if c:
-            for atom, e in word:
-                exponents[atom] = exponents.get(atom, 0) + e * c
-    return structure.class_of_exponents(exponents)
+            y = [u + c * x for u, x in zip(y, row)]
+    rank = a.snf.rank
+    torsion = tuple(y[col] % d for col, d in enumerate(a.snf.diag[:rank]) if d > 1)
+    return ClassVector(tuple(y[rank:]), torsion, a.torsion)

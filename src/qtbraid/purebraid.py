@@ -70,12 +70,12 @@ class LinkingMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def lk(self, i: int, j: int) -> int:
+        if not (1 <= i <= self.strands and 1 <= j <= self.strands):
+            raise WordError(f"no strand pair ({i}, {j}) in {self.strands} strands")
         if i == j:
             return 0
         if i > j:
             i, j = j, i
-        if not 1 <= i < j <= self.strands:
-            raise WordError(f"no strand pair ({i}, {j}) in {self.strands} strands")
         return self.entries[i - 1][j - i - 1]
 
     def __add__(self, other: "LinkingMatrix") -> "LinkingMatrix":

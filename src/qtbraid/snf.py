@@ -2,9 +2,11 @@
 
 Given an integer matrix M (rows = relations, columns = generators) there are
 unimodular U, V with U M V = D diagonal, d_1 | d_2 | ... and d_i >= 0.  Only V
-is tracked: it is what converts generator-exponent vectors into coordinates of
-the quotient group Z^g / rowspan(M).  Arithmetic is Python int, so there is no
-overflow to silence.
+is tracked: a generator-exponent row vector x has coordinates x V in the
+quotient group Z^g / rowspan(M).  V is carried as the g rows after the r rows
+of M, starting from the identity, so every column operation acts on both at
+once, while row operations stop at row r.  Arithmetic is Python int, so there
+is no overflow to silence.
 
 Pivoting is deterministic (smallest absolute value, then lowest row, then
 lowest column), and invariant factors are normalized positive and ascending,
@@ -33,15 +35,6 @@ class SmithNormalForm:
     def invariant_factors(self) -> tuple[int, ...]:
         return tuple(d for d in self.diag if d != 0)
 
-    def coordinates(self, vector: list[int] | tuple[int, ...]) -> tuple[int, ...]:
-        """The row vector x*V; entry i lives in Z/d_i (or Z past the rank)."""
-        if len(vector) != self.cols:
-            raise ValueError(f"expected {self.cols} entries, got {len(vector)}")
-        return tuple(
-            sum(vector[r] * self.right[r][c] for r in range(self.cols))
-            for c in range(self.cols)
-        )
-
 
 def smith_normal_form(matrix: list[list[int]], cols: int | None = None) -> SmithNormalForm:
     """Compute the Smith normal form of an integer matrix.
@@ -60,25 +53,19 @@ def smith_normal_form(matrix: list[list[int]], cols: int | None = None) -> Smith
             raise ValueError("empty matrix needs an explicit column count")
         g = cols
     m = [list(row) for row in matrix]
-    v = [[1 if a == b else 0 for b in range(g)] for a in range(g)]
+    m += ([1 if a == b else 0 for b in range(g)] for a in range(g))
 
     def swap_cols(a: int, b: int) -> None:
         for row in m:
-            row[a], row[b] = row[b], row[a]
-        for row in v:
             row[a], row[b] = row[b], row[a]
 
     def add_col(dst: int, src: int, q: int) -> None:
         # column dst += q * column src
         for row in m:
             row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
 
     def negate_col(a: int) -> None:
         for row in m:
-            row[a] = -row[a]
-        for row in v:
             row[a] = -row[a]
 
     def pivot_at(t: int) -> tuple[int, int] | None:
@@ -149,4 +136,4 @@ def smith_normal_form(matrix: list[list[int]], cols: int | None = None) -> Smith
         t += 1
 
     diag = tuple(m[t][t] for t in range(limit))
-    return SmithNormalForm(r, g, diag, tuple(tuple(row) for row in v))
+    return SmithNormalForm(r, g, diag, tuple(tuple(row) for row in m[r:]))

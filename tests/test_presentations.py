@@ -29,6 +29,8 @@ from qtbraid.presentations import (
     qt_class,
     verify,
 )
+from qtbraid.purebraid import t_decompose
+from qtbraid.quasitoric import factor
 from qtbraid.snf import smith_normal_form
 
 from helpers import random_qt_word, rewrite_equivalent
@@ -290,10 +292,32 @@ class TestQtClass:
     def test_additive(self):
         rng = random.Random(50)
         for _ in range(50):
-            n = rng.randint(3, 6)
+            n = rng.randint(3, 13)
             u = random_qt_word(rng, n)
             v = random_qt_word(rng, n)
             assert qt_class(concat(u, v)) == qt_class(u) + qt_class(v)
+
+    def test_matches_combing_route(self):
+        # a second route to the class: the exponent vector of d0^k times the
+        # combed twist word of p, not p's linking numbers, times the Smith
+        # transform V
+        rng = random.Random(52)
+        for n in range(3, 14):
+            a = h1(presentation("qb", n))
+            index = {atom: c for c, atom in enumerate(a.generators)}
+            rank = a.snf.rank
+            for _ in range(15):
+                w = random_qt_word(rng, n, 3)
+                k, p = factor(w)
+                x = [0] * len(a.generators)
+                for atom, e in ((Atom.d(0), k),) + t_decompose(p):
+                    x[index[atom]] += e
+                y = [sum(u * v[c] for u, v in zip(x, a.snf.right)) for c in range(len(x))]
+                cv = qt_class(w)
+                assert cv.free == tuple(y[rank:])
+                assert cv.torsion == tuple(
+                    y[c] % d for c, d in enumerate(a.snf.diag[:rank]) if d > 1
+                )
 
     def test_garside_invariant(self):
         rng = random.Random(51)

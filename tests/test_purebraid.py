@@ -42,6 +42,13 @@ class TestLinking:
         lk = linking(BraidWord(3, (1, 1)))
         assert lk.lk(1, 2) == 1 and lk.lk(1, 3) == 0 and lk.lk(2, 3) == 0
 
+    def test_lk_checks_range_first(self):
+        lk = linking(BraidWord(3, (1, 1)))
+        assert lk.lk(2, 1) == 1 and lk.lk(3, 3) == 0
+        for i, j in ((7, 7), (0, 2), (0, 0), (2, 4)):
+            with pytest.raises(WordError):
+                lk.lk(i, j)
+
     def test_full_twist_indicator(self):
         for n in range(2, 8):
             for i in range(1, n):

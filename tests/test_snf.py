@@ -56,7 +56,7 @@ class TestSmithNormalForm:
             assert det in (1, -1)
             # every relator row must land in the lattice spanned by d_i e_i
             for row in m:
-                y = s.coordinates(row)
+                y = [sum(x * v[c] for x, v in zip(row, s.right)) for c in range(g)]
                 for c, val in enumerate(y):
                     if c < len(s.diag) and s.diag[c]:
                         assert val % s.diag[c] == 0
