@@ -31,10 +31,11 @@ words.STRAND_CACHE_SIZE strand counts): an ImageTable (a words.Table) from
 t(i,j) to its image under the lines above and that image's inverse, filled on
 first lookup.  The thm41 images t(1,j) are built once per strand count with
 its table (_thm41_long_twists), top-down from t(1,n) = d0^n, and the table maps
-t(i,j) to the index shift of t(1,j-i+1).  No table looks itself up, so none is
-a reference cycle, and each holds at most C(n,2) entries, uncapped.  A
-rewriter is then one substitution pass (ImageTable.substitute): image^e for
-each syllable t(i,j)^e, d0^e kept, and one free reduction at the end.
+t(i,j) to the index shift of t(1,j-i+1); the thm42 table maps it to that image
+rewritten by a private table of the short twists.  No table looks itself up,
+so none is a reference cycle; each holds at most C(n,2) entries, uncapped.
+decompose, for either target, is one substitution pass (ImageTable.substitute):
+image^e for each syllable t(i,j)^e, d0^e kept, reduced at the seams only.
 
 decompose factors its input with quasitoric.factor, which refuses a braid
 outside QB_n.
@@ -150,7 +151,7 @@ def _thm41_image(n: int, twists: dict[int, GenWord], atom: Atom) -> GenWord:
     return _conj_d0(atom.i - 1, twists[atom.j - atom.i + 1])
 
 
-def _thm42_image(n: int, atom: Atom) -> GenWord:
+def _short_thm42_image(n: int, atom: Atom) -> GenWord:
     """t(1,j) over the thm42 alphabet: d0^{-(n-j)} t(n-j+1,n) d0^{n-j}."""
     j = atom.j
     if atom.kind != "t" or atom.i != 1 or not 2 <= j <= short_twist_bound(n):
@@ -162,11 +163,17 @@ def _thm42_image(n: int, atom: Atom) -> GenWord:
     return _conj_d0(-(n - j), gen_inverse(inverse))
 
 
+def _thm42_image(thm41: ImageTable, short: ImageTable, atom: Atom) -> GenWord:
+    """t(i,j) over the thm42 alphabet: its thm41 image, rewritten by the short-twist table."""
+    return short.substitute(thm41[atom][0])
+
+
 @lru_cache(maxsize=STRAND_CACHE_SIZE)
 def _twist_tables(n: int) -> dict[str, ImageTable]:
     """The thm41 and thm42 twist tables on n strands, empty until first looked up."""
     thm41 = ImageTable(partial(_thm41_image, n, _thm41_long_twists(n)), fixed=_D0)
-    return {"thm41": thm41, "thm42": ImageTable(partial(_thm42_image, n), fixed=_D0)}
+    short = ImageTable(partial(_short_thm42_image, n), fixed=_D0)
+    return {"thm41": thm41, "thm42": ImageTable(partial(_thm42_image, thm41, short), fixed=_D0)}
 
 
 def rewrite_to_thm41(gw: GenWord, n: int) -> GenWord:
@@ -176,6 +183,10 @@ def rewrite_to_thm41(gw: GenWord, n: int) -> GenWord:
 
 def rewrite_to_thm42(gw: GenWord, n: int) -> GenWord:
     """Rewrite a word over the thm41 alphabet into the cyclic thm42 alphabet."""
+    thm41 = GensetTarget("thm41", n).alphabet
+    for atom, _ in gw:
+        if atom not in thm41:
+            raise WordError(f"foreign atom {atom} in thm42 rewriting")
     return _twist_tables(n)["thm42"].substitute(gw)
 
 
@@ -183,16 +194,13 @@ def decompose(w: BraidWord, target: GensetTarget) -> GenWord:
     """Write a quasitoric braid over the target alphabet.
 
     Pipeline: factor off the cyclic part d0^k, comb the pure part into full
-    twists, then run the alphabet rewriters.  The result expands to a braid
-    Garside-equal to the input.
+    twists, then one substitution pass through the target's twist table.  The
+    result expands to a braid Garside-equal to the input.
     """
     if w.strands != target.strands:
         raise WordError(f"strand mismatch: {w.strands} vs {target.strands}")
     k, p = factor(w)
-    over_twists = gen_concat(_d0(k) if k else (), t_decompose(p))
-    out = rewrite_to_thm41(over_twists, w.strands)
-    if target.variant == "thm42":
-        out = rewrite_to_thm42(out, w.strands)
+    out = _twist_tables(w.strands)[target.variant].substitute(_d0(k) + t_decompose(p))
     if not target.admits(out):
         raise AssertionError(f"decompose left atoms outside the {target.variant} alphabet")
     return out

@@ -29,10 +29,10 @@ Full twists t<i>,<j> also generate the pure braid group; the change of basis
 
 Both conjugation by sigma_q and the change of basis are free-group
 homomorphisms on the atoms, so each runs as one substitution pass through an
-ImageTable (image^e per syllable, one free reduction at the end).  The tables
-live on the per-strand-count _Comb context, of which words.STRAND_CACHE_SIZE
-are kept, and fill on first lookup (words.Table).  So does the loop-word table,
-which is emptied at COMB_MEMO_CAP entries.
+ImageTable (image^e per syllable, reduced at the seams only, as comb joins its
+loop words).  The tables live on the per-strand-count _Comb context, of which
+words.STRAND_CACHE_SIZE are kept, and fill on first lookup (words.Table).  So
+does the loop-word table, which is emptied at COMB_MEMO_CAP entries.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .words import (
     ImageTable,
     Table,
     WordError,
+    _join,
     gen_concat,
     is_pure,
 )
@@ -195,19 +196,19 @@ def comb(w: BraidWord) -> GenWord:
         raise WordError("combing needs a pure braid")
     loops = _comb_ctx(w.strands).loops
     image = list(range(w.strands))
-    pieces: list[GenWord] = []
+    out: list[tuple[Atom, int]] = []
     for x in w.letters:
         p = abs(x)
         i = p - 1
         ascends = image[i] < image[i + 1]
         if x > 0 and not ascends:
             image[i], image[i + 1] = image[i + 1], image[i]
-            pieces.append(loops[tuple(image), p, 1])
+            _join(out, loops[tuple(image), p, 1])
             continue
         if x < 0 and ascends:
-            pieces.append(loops[tuple(image), p, -1])
+            _join(out, loops[tuple(image), p, -1])
         image[i], image[i + 1] = image[i + 1], image[i]
-    return gen_concat(*pieces)
+    return tuple(out)
 
 
 def t_decompose(w: BraidWord) -> GenWord:

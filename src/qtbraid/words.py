@@ -46,6 +46,7 @@ optional sign; '_' separators and other Unicode digits are refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, NamedTuple
 
 
@@ -292,26 +293,28 @@ def gen_inverse(gw: GenWord) -> GenWord:
 
 
 def gen_concat(*parts: GenWord) -> GenWord:
-    out: list[tuple[Atom, int]] = []
-    for part in parts:
-        out.extend(part)
-    return gen_reduce(tuple(out))
+    return gen_reduce(syllable for part in parts for syllable in part)
 
 
 def gen_reduce(gw: Iterable[tuple[Atom, int]]) -> GenWord:
     """Merge adjacent equal atoms and drop zero exponents (free reduction)."""
     out: list[tuple[Atom, int]] = []
-    for atom, e in gw:
-        if e == 0:
-            continue
-        if out and out[-1][0] == atom:
-            merged = out[-1][1] + e
-            out.pop()
-            if merged:
-                out.append((atom, merged))
-        else:
-            out.append((atom, e))
+    for syllable in gw:
+        if syllable[1]:
+            _join(out, (syllable,))
     return tuple(out)
+
+
+def _join(out: list[tuple[Atom, int]], piece: GenWord) -> None:
+    """Append the reduced word piece to the reduced list out; only the seam can merge."""
+    k = 0
+    while out and k < len(piece) and out[-1][0] == piece[k][0]:
+        atom, e = out.pop()
+        e, k = e + piece[k][1], k + 1
+        if e:
+            out.append((atom, e))
+            break  # piece is reduced, so its next atom differs
+    out.extend(piece[k:])
 
 
 class Table(dict):
@@ -339,33 +342,35 @@ class ImageTable(Table):
 
     image(atom) returns the image word of one atom, without looking the table
     up, and raises WordError for an atom outside the map's domain, so a
-    foreign atom is never stored.  The fixed atom, if any, maps
-    to itself and is never looked up.
+    foreign atom is never stored.  Images are stored freely reduced.  The
+    fixed atom, if any, maps to itself and is never looked up.
     """
 
     def __init__(self, image: Callable[[Atom], GenWord], fixed: Atom | None = None):
-        super().__init__(lambda atom: _with_inverse(image(atom)))
+        super().__init__(partial(_reduced_with_inverse, image))
         self.fixed = fixed
 
     def substitute(self, gw: GenWord) -> GenWord:
-        """The image of gw: image^e for each syllable atom^e, one free reduction at the end.
+        """The image of gw, freely reduced: image^e for each syllable atom^e.
 
-        That equals reducing after every syllable: the map is a homomorphism
-        of free groups on the atoms, and gen_reduce's stack reduction gives the
-        unique reduced form of a free-group element, however reached.
+        Each piece joined on (an image, its inverse, a fixed-atom syllable) is
+        reduced, so only its seam can merge.  That gives gen_reduce of the whole
+        concatenation, the unique reduced form, even for unreduced gw or 0 exponents.
         """
         out: list[tuple[Atom, int]] = []
         fixed = self.fixed
         for atom, e in gw:
             if atom == fixed:
-                out.append((atom, e))
+                _join(out, ((atom, e),) if e else ())
             else:
-                image, inverse = self[atom]
-                out.extend((image if e > 0 else inverse) * abs(e))
-        return gen_reduce(out)
+                piece = self[atom][e < 0]  # the inverse image for e < 0
+                for _ in range(abs(e)):
+                    _join(out, piece)
+        return tuple(out)
 
 
-def _with_inverse(word: GenWord) -> tuple[GenWord, GenWord]:
+def _reduced_with_inverse(image: Callable, atom: Atom) -> tuple[GenWord, GenWord]:
+    word = gen_reduce(image(atom))
     return word, gen_inverse(word)
 
 

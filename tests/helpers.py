@@ -6,13 +6,14 @@ import json
 import random
 from pathlib import Path
 
-from qtbraid import BraidWord, gen_concat, gen_inverse, is_pure
+from qtbraid import Atom, BraidWord, gen_concat, gen_inverse, is_pure
 from qtbraid.quasitoric import QuasitoricForm, qt_to_word
 from qtbraid.words import GenWord, Table
 
 # Outputs of comb, decompose and nf_word on fixed inputs at n=3-9, recorded
 # before the backward-sweep normal form and the shared permutation-braid word
-# routine, to pin the rewritten paths byte for byte.
+# routine, to pin the rewritten paths byte for byte; and decompose at n=10-16
+# and 21, recorded before substitution joined its pieces at the seams.
 GOLDENS = json.loads((Path(__file__).parent / "data" / "rewrite_goldens.json").read_text())
 
 
@@ -34,6 +35,35 @@ class WatchedMemo(Table):
 def compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     """The image tuple of q -> f(g(q)) (1-based): g is applied first."""
     return tuple(f[v - 1] for v in g)
+
+
+def stack_reduce(gw) -> GenWord:
+    """Free reduction as first written, sharing no code with the library's:
+    one pass with a stack, merging equal neighbours and dropping zeros."""
+    out: list[tuple[Atom, int]] = []
+    for atom, e in gw:
+        if e == 0:
+            continue
+        if out and out[-1][0] == atom:
+            merged = out.pop()[1] + e
+            if merged:
+                out.append((atom, merged))
+        else:
+            out.append((atom, e))
+    return tuple(out)
+
+
+def substitute_then_reduce(image, fixed: Atom | None, gw: GenWord) -> GenWord:
+    """The image of gw under atom -> image(atom), fixed -> fixed, as first defined:
+    concatenate image(atom)^e for every syllable, then free-reduce once."""
+    out: list[tuple[Atom, int]] = []
+    for atom, e in gw:
+        if atom == fixed:
+            out.append((atom, e))
+        else:
+            word = image(atom)
+            out.extend((word if e > 0 else gen_inverse(word)) * abs(e))
+    return stack_reduce(out)
 
 
 def gen_pow(gw: GenWord, k: int) -> GenWord:

@@ -30,7 +30,7 @@ from qtbraid.genset import (
 )
 from qtbraid.purebraid import t_decompose
 from qtbraid.quasitoric import QuasitoricForm, factor, qt_to_word
-from qtbraid.words import STRAND_CACHE_SIZE, gen_concat, gen_inverse
+from qtbraid.words import STRAND_CACHE_SIZE, ImageTable, gen_concat, gen_inverse
 
 from helpers import gen_pow, random_qt_word
 
@@ -49,6 +49,7 @@ def _ref_conj_d0(k, inner):
     return inner if k == 0 else gen_concat(_ref_d0(k), inner, _ref_d0(-k))
 
 
+@lru_cache(maxsize=None)
 def _ref_short_twist_words(n):
     N = short_twist_bound(n)
     words = {j: ((Atom.t(1, j), 1),) for j in range(2, N + 1)}
@@ -193,6 +194,13 @@ class TestRewriteThm42:
             rewrite_to_thm42(((Atom.t(1, short_twist_bound(n) + 1), 1),), n)
         with pytest.raises(WordError):
             rewrite_to_thm42(((Atom.t(2, 3), 1),), n)
+        # refused before any lookup: a valid atom ahead of the foreign one
+        # fills no table, the private short-twist table included
+        genset._twist_tables.cache_clear()
+        with pytest.raises(WordError, match="foreign atom d1 in thm42 rewriting"):
+            rewrite_to_thm42(((Atom.t(1, 2), 1), (Atom.d(1), 1)), n)
+        tables = genset._twist_tables(n)
+        assert not any(tables.values()) and not _short_table(tables)
 
 
 class TestDecompose:
@@ -223,6 +231,24 @@ class TestDecompose:
     def test_rejects_strand_mismatch(self):
         with pytest.raises(WordError):
             decompose(toric(4, 1), GensetTarget("thm41", 5))
+
+    def test_one_substitution_pass(self, monkeypatch):
+        # either target is one pass through its own twist table, thm42 included
+        n = 9
+        w = random_qt_word(random.Random(15), n)
+        tables = genset._twist_tables(n)
+        substitute, seen = ImageTable.substitute, []
+
+        def recorded(table, gw):
+            seen.append(table)
+            return substitute(table, gw)
+
+        monkeypatch.setattr(ImageTable, "substitute", recorded)
+        for variant in VARIANTS:
+            want = decompose(w, GensetTarget(variant, n))
+            seen.clear()
+            assert decompose(w, GensetTarget(variant, n)) == want
+            assert [name for t in seen for name, u in tables.items() if t is u] == [variant]
 
     def test_alphabet_postcondition_raises(self, monkeypatch):
         monkeypatch.setattr(GensetTarget, "admits", lambda self, gw: False)
@@ -328,6 +354,32 @@ class TestAgainstReference:
                         assert rewrite_to_thm42(thm41, n) == _ref_thm42(thm41, n), (n, i, j, e)
 
 
+def _short_table(tables):
+    """The private short-twist thm42 table, reached through the thm42 image partial."""
+    return tables["thm42"].compute.args[0].args[1]
+
+
+class TestComposedThm42Table:
+    def test_every_twist_matches_reference(self):
+        # t(i,j) maps straight to the thm42 alphabet: thm42 after thm41
+        for n in range(3, 21):
+            table = genset._twist_tables(n)["thm42"]
+            for i in range(1, n):
+                for j in range(i + 1, n + 1):
+                    want = [_ref_thm42(_ref_thm41(((Atom.t(i, j), e),), n), n) for e in (1, -1)]
+                    assert list(table[Atom.t(i, j)]) == want, (n, i, j)
+
+    def test_every_twist_sound(self):
+        for n in range(3, 9):
+            target = GensetTarget("thm42", n)
+            table = genset._twist_tables(n)["thm42"]
+            for i in range(1, n):
+                for j in range(i + 1, n + 1):
+                    image, _ = table[Atom.t(i, j)]
+                    assert target.admits(image), (n, i, j)
+                    assert equal(expand(image, n), atom_word(Atom.t(i, j), n)), (n, i, j)
+
+
 class TestTwistTables:
     def test_bounded_by_strand_counts(self):
         genset._twist_tables.cache_clear()
@@ -343,19 +395,20 @@ class TestTwistTables:
             assert all(not table for table in genset._twist_tables(n).values())
 
     def test_freed_by_refcount_alone(self):
-        # no table reaches itself, so dropping the cache frees both tables
-        # without the cyclic collector
+        # no table reaches itself, so dropping the cache frees all three
+        # tables, the private short-twist one too, without the cyclic collector
         genset._twist_tables.cache_clear()
         gc.disable()
         try:
             tables = genset._twist_tables(9)
             thm41 = rewrite_to_thm41(((Atom.t(2, 9), 1), (Atom.t(1, 7), -1)), 9)
             rewrite_to_thm42(thm41, 9)
-            assert all(tables.values())
-            refs = [weakref.ref(table) for table in tables.values()]
-            del tables
+            short = _short_table(tables)
+            assert all(tables.values()) and short
+            refs = [weakref.ref(table) for table in (*tables.values(), short)]
+            del tables, short
             genset._twist_tables.cache_clear()
-            assert [ref() for ref in refs] == [None, None]
+            assert [ref() for ref in refs] == [None, None, None]
         finally:
             gc.enable()
 

@@ -2,6 +2,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtbraid import (
     Atom,
@@ -26,9 +28,9 @@ from qtbraid import (
 )
 from qtbraid import words
 from qtbraid.purebraid import linking
-from qtbraid.words import Table
+from qtbraid.words import ImageTable, Table
 
-from helpers import WatchedMemo, compose, random_word
+from helpers import WatchedMemo, compose, random_word, stack_reduce, substitute_then_reduce
 
 
 def sig(n, *letters):
@@ -406,6 +408,67 @@ class TestTable:
         fib = Table(lambda k: k if k < 2 else fib[k - 1] + fib[k - 2])
         assert fib[60] == 1_548_008_755_920
         assert len(fib) == 61 and fib.cap is None
+
+
+_X, _Y, _Z = Atom.s(1), Atom.s(2), Atom.s(3)
+_D0 = Atom.d(0)
+# the domain of the test maps; _D0 is their fixed atom and may occur in images
+_DOMAIN = (Atom.t(1, 2), Atom.t(1, 3), Atom.t(2, 3))
+
+_exponents = st.sampled_from((1, -1, 2, -2, 3, -3))
+# unreduced words: adjacent syllables may share an atom or cancel outright
+_image_words = st.lists(st.tuples(st.sampled_from((_X, _Y, _D0)), _exponents), max_size=5)
+
+
+@st.composite
+def _maps_and_words(draw):
+    images = dict(zip(_DOMAIN, draw(st.tuples(*[_image_words] * 3))))
+    if draw(st.booleans()):
+        # an image that cancels completely against its neighbour's
+        images[_DOMAIN[1]] = gen_inverse(tuple(images[_DOMAIN[0]]))
+    atoms = st.sampled_from(_DOMAIN + (_D0,))
+    gw = draw(st.lists(st.tuples(atoms, _exponents), max_size=12))
+    return images, tuple(gw)
+
+
+class TestImageTableSubstitute:
+    """substitute joins reduced pieces at their seams; it must equal the
+    concatenate-then-reduce definition on every input, reduced or not."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @given(_maps_and_words())
+    def test_equals_concatenate_then_reduce(self, case):
+        images, gw = case
+        table = ImageTable(lambda atom: tuple(images[atom]), fixed=_D0)
+        want = substitute_then_reduce(lambda atom: tuple(images[atom]), _D0, gw)
+        assert table.substitute(gw) == want
+        assert gen_reduce(want) == want
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(st.lists(st.tuples(st.sampled_from((_X, _Y, _D0)), st.integers(-3, 3)), max_size=16))
+    def test_gen_reduce_is_stack_reduction(self, gw):
+        # gen_reduce joins one syllable at a time; zero exponents are dropped
+        assert gen_reduce(gw) == stack_reduce(gw)
+
+    def test_neighbours_cancel_completely(self):
+        word = ((_X, 1), (_Y, -2), (_Z, 1))
+        images = {_DOMAIN[0]: word, _DOMAIN[1]: gen_inverse(word)}
+        table = ImageTable(images.__getitem__, fixed=_D0)
+        gw = ((_DOMAIN[0], 2), (_DOMAIN[1], 1), (_D0, 1), (_DOMAIN[1], 1), (_DOMAIN[0], 1))
+        # A^2 B = w w w^-1 = w, and B A = w^-1 w is empty
+        assert table.substitute(gw) == word + ((_D0, 1),)
+        assert table.substitute(((_DOMAIN[0], 1), (_DOMAIN[1], 1))) == ()
+
+    def test_powers_merge_between_copies(self):
+        table = ImageTable(lambda atom: ((_X, 1), (_Y, 1), (_X, -1)), fixed=_D0)
+        for e in (1, -1, 2, -2, 3, -3):
+            assert table.substitute(((_DOMAIN[0], e),)) == ((_X, 1), (_Y, e), (_X, -1))
+
+    def test_fixed_atom_runs_and_unreduced_images(self):
+        table = ImageTable(lambda atom: ((_D0, 1), (_X, 2), (_X, -2), (_D0, 2)), fixed=_D0)
+        gw = ((_D0, 2), (_D0, -1), (_DOMAIN[0], 1), (_D0, -3), (_D0, 0))
+        assert table.substitute(gw) == ((_D0, 1),)
+        assert table[_DOMAIN[0]] == (((_D0, 3),), ((_D0, -3),))  # stored reduced
 
 
 class TestSyllableText:
