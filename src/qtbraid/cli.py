@@ -90,7 +90,7 @@ def _eq(args, as_json):
 
 def _perm(args, as_json):
     p = perm(_word(args))
-    return 0, [json.dumps({"image": list(p.image)}) if as_json else str(p)]
+    return 0, [json.dumps({"image": [v + 1 for v in p.image]}) if as_json else str(p)]
 
 
 def _expand(args, as_json):
@@ -170,7 +170,6 @@ OPTIONAL_WORD = ("word", {"nargs": "?"})
 FORM = ("--form", {})
 TARGET = ("--target", {"choices": ["thm41", "thm42"], "default": "thm41"})
 ANY_GROUP = ("--group", {"choices": list(GROUPS), "required": True})
-BRAID_GROUP = ("--group", {"choices": ["pb", "qb"], "required": True})
 
 # name -> (help text, arguments, handler), in the order --help lists them
 COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict], ...], Callable]] = {
@@ -189,7 +188,7 @@ COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict], ...], Callable]] = {
     ),
     "abelianize": ("homology class of a quasitoric braid", (OPTIONAL_WORD, FORM), _abelianize),
     "h1": ("abelianization of a presented group", (ANY_GROUP,), _h1),
-    "verify": ("oracle-check every relator of a presentation", (BRAID_GROUP,), _verify),
+    "verify": ("oracle-check every relator of a presentation", (ANY_GROUP,), _verify),
     "relators": ("list the relators of a presentation", (ANY_GROUP,), _relators),
     "components": ("closure component count of a word", (WORD,), _components),
 }

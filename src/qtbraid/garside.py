@@ -66,9 +66,9 @@ Before any work gen_normal_factors refuses what expand would: an atom out of
 range, or a word longer than MAX_LETTERS letters, which would otherwise cost
 one sweep per syllable copy.
 
-Permutation braids are stored internally as 0-based one-line arrays under the
-same convention as words.perm (the array entry at position q is the start of
-the strand ending at q).  For a factor array B, sigma_{s+1} is a prefix of the
+Permutation braids are 0-based one-line arrays, the encoding of words.perm
+(the array entry at position q is the start of the strand ending at q), also in
+GarsideNormalForm.  For a factor array B, sigma_{s+1} is a prefix of the
 factor iff value s+1 occurs before value s in B, and a suffix iff B[s] > B[s+1].
 
 A pair (a, b) becomes (a m, m^{-1} b) with m = (a^{-1} Delta) ^ b, by one of two
@@ -118,7 +118,7 @@ MEET_MIN_STRANDS = 20  # the narrowest pairs that may go to the meet
 class GarsideNormalForm:
     """Canonical form (Delta power, left-weighted permutation-braid factors).
 
-    Factors are stored as tuples of 1-based permutation images.
+    Factors are 0-based one-line arrays, as words.perm; str and to_json print 1-based.
     """
 
     strands: int
@@ -132,14 +132,14 @@ class GarsideNormalForm:
         head = f"D^{self.inf}"
         if not self.factors:
             return head
-        return " | ".join([head] + [" ".join(map(str, f)) for f in self.factors])
+        return " | ".join([head] + [" ".join(str(v + 1) for v in f) for f in self.factors])
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "strands": self.strands,
                 "inf": self.inf,
-                "factors": [list(f) for f in self.factors],
+                "factors": [[v + 1 for v in f] for f in self.factors],
             }
         )
 
@@ -367,9 +367,7 @@ def gen_normal_factors(gw: GenWord, n: int) -> tuple[int, list[Factor]]:
 def normal_form(w: BraidWord) -> GarsideNormalForm:
     """The left-greedy normal form of the braid represented by w."""
     inf, fs = _normal_factors(w)
-    return GarsideNormalForm(
-        w.strands, inf, tuple(tuple(v + 1 for v in f) for f in fs)
-    )
+    return GarsideNormalForm(w.strands, inf, tuple(fs))
 
 
 def equal(u: BraidWord, v: BraidWord) -> bool:
@@ -416,5 +414,5 @@ def nf_word(nf: GarsideNormalForm) -> BraidWord:
             delta = [-x for x in reversed(delta)]
         letters.extend(delta * abs(nf.inf))
     for f in nf.factors:
-        letters.extend(perm_braid_word(tuple(v - 1 for v in f)))
+        letters.extend(perm_braid_word(f))
     return BraidWord(n, tuple(letters))

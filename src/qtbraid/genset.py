@@ -79,9 +79,6 @@ class GensetTarget:
             raise WordError(f"unknown variant {self.variant!r}; expected {VARIANTS}")
         if self.strands < 3:
             raise WordError(f"generating-set targets need n >= 3, got {self.strands}")
-        n, N = self.strands, self.size
-        if not n - N <= N - 1:
-            raise AssertionError("alphabet too small to span the long twists")
 
     @property
     def size(self) -> int:
@@ -174,20 +171,6 @@ def _twist_tables(n: int) -> dict[str, ImageTable]:
     thm41 = ImageTable(partial(_thm41_image, n, _thm41_long_twists(n)), fixed=_D0)
     short = ImageTable(partial(_short_thm42_image, n), fixed=_D0)
     return {"thm41": thm41, "thm42": ImageTable(partial(_thm42_image, thm41, short), fixed=_D0)}
-
-
-def rewrite_to_thm41(gw: GenWord, n: int) -> GenWord:
-    """Rewrite a word over d0 and full twists into the thm41 alphabet."""
-    return _twist_tables(n)["thm41"].substitute(gw)
-
-
-def rewrite_to_thm42(gw: GenWord, n: int) -> GenWord:
-    """Rewrite a word over the thm41 alphabet into the cyclic thm42 alphabet."""
-    thm41 = GensetTarget("thm41", n).alphabet
-    for atom, _ in gw:
-        if atom not in thm41:
-            raise WordError(f"foreign atom {atom} in thm42 rewriting")
-    return _twist_tables(n)["thm42"].substitute(gw)
 
 
 def decompose(w: BraidWord, target: GensetTarget) -> GenWord:

@@ -26,12 +26,12 @@ qb adds the cyclic generator d0 with
                                                       for j = n and i > 1,
    with one-strand twists t(k,k) dropped as trivial.
 
-Every relator is stored as LHS * RHS^{-1}.  verify checks the pb and qb
-relators against the Garside oracle without expanding them: a relator u v is
-trivial iff u = v^{-1}, so it compares the normal forms of the two halves of the
-relator, each read from cached syllable normal forms (garside.gen_normal_factors).
-The pmod relators live in a quotient that braid words do not represent
-faithfully, so only their exponent matrix is consumed (by h1).
+Every relator is stored as LHS * RHS^{-1}.  verify checks the relators against
+the Garside oracle without expanding them: a relator u v is trivial iff
+u = v^{-1}, so it compares the normal forms of the two halves of the relator,
+each read from cached syllable normal forms (garside.gen_normal_factors).
+Every pmod relator is also a pb relator, so it holds in PB_n and hence in the
+quotient PB_n / Z(PB_n) that pmod presents.
 
 Each of the two shared families is one signed-slot template (COMMUTATOR,
 PENTAGON): a relator is the syllables t(span)^+-1 of its instance's spans,
@@ -300,11 +300,6 @@ def verify(p: Presentation) -> VerifyReport:
     cached syllable normal forms.  Raises WordError for a half that would
     expand to more than MAX_LETTERS letters.
     """
-    if p.group == "pmod":
-        raise WordError(
-            "pmod relators live in a quotient of the braid group; "
-            "only their abelianized matrix is meaningful"
-        )
     n = p.strands
     failures = tuple(idx for idx, rel in enumerate(p.relators) if not _relator_holds(rel, n))
     return VerifyReport(p.group, n, len(p.relators), failures)

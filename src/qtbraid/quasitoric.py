@@ -5,7 +5,7 @@ sigma_1 ... sigma_{n-1} in ascending index order with arbitrary signs;
 the sign matrix is the defining datum.  A braid lies in the quasitoric
 subgroup QB_n exactly when its permutation is a power of the n-cycle
 rho, and every member factors as delta_0^k times a pure braid.  rho^k
-maps each position q to q+k mod n, so where perm(w) sends 1 names the only
+maps each position q to q+k mod n, so where perm(w) sends 0 names the only
 candidate k, and is_quasitoric tests membership with one tuple comparison.
 
 File format for sign matrices: one row per line, characters '+'/'-',
@@ -56,11 +56,12 @@ def qt_to_word(form: QuasitoricForm) -> BraidWord:
 def is_quasitoric(w: BraidWord) -> int | None:
     """Least k in [0, n-1] with perm(w) == rho^k, or None if w is not in QB_n.
 
-    rho^k maps q to q+k mod n, so the only candidate is k = perm(w).image[0] - 1.
+    rho^k maps position q to q+k mod n (0-based, as words.perm), so the only
+    candidate is k = perm(w).image[0].
     """
     image = perm(w).image
-    k = image[0] - 1
-    rho_k = tuple(range(k + 1, w.strands + 1)) + tuple(range(1, k + 1))
+    k = image[0]
+    rho_k = tuple(range(k, w.strands)) + tuple(range(k))
     return k if image == rho_k else None
 
 

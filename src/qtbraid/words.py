@@ -9,13 +9,15 @@ u are read first.  Text form: whitespace-separated signed decimal integers,
 so "1 2 -3" is sigma_1 sigma_2 sigma_3^{-1}.
 
 The permutation of a braid maps each endpoint position to the starting
-position of the strand that terminates there.  With this convention the
+position of the strand that terminates there.  Positions are 0-based, here
+and in the Garside factor arrays: one encoding throughout the package, which
+only text and JSON output render 1-based.  With this convention the
 permutation map is a homomorphism,
 
-    perm(u * v)[q] == perm(u)[perm(v)[q]],
+    perm(u * v).image[q] == perm(u).image[perm(v).image[q]],
 
-where perm(w)[q] stands for perm(w).image[q-1], and the cyclic braid
-delta_0 = sigma_1 ... sigma_{n-1} maps to the n-cycle 1 -> 2 -> ... -> n -> 1.
+and the cyclic braid delta_0 = sigma_1 ... sigma_{n-1} maps to the n-cycle
+0 -> 1 -> ... -> n-1 -> 0.
 
 Generator words are sequences of (atom, exponent) pairs over the symbolic
 alphabet
@@ -73,37 +75,37 @@ STRAND_CACHE_SIZE = 16
 
 @dataclass(frozen=True)
 class Permutation:
-    """A permutation of {1..n} stored as the tuple of images (1-based)."""
+    """A permutation of positions 0..n-1 stored as the tuple of images; str renders 1-based."""
 
     image: tuple[int, ...]
 
     def __post_init__(self):
         n = len(self.image)
-        if sorted(self.image) != list(range(1, n + 1)):
-            raise WordError(f"not a bijection of 1..{n}: {self.image}")
+        if sorted(self.image) != list(range(n)):
+            raise WordError(f"not a bijection of 0..{n - 1}: {self.image}")
 
     def is_identity(self) -> bool:
-        return all(v == q + 1 for q, v in enumerate(self.image))
+        return self.image == tuple(range(len(self.image)))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition, fixed points included, cycles sorted by minimum."""
         seen = [False] * len(self.image)
         out = []
-        for start in range(1, len(self.image) + 1):
-            if seen[start - 1]:
+        for start in range(len(self.image)):
+            if seen[start]:
                 continue
             cyc = [start]
-            seen[start - 1] = True
-            q = self.image[start - 1]
+            seen[start] = True
+            q = self.image[start]
             while q != start:
                 cyc.append(q)
-                seen[q - 1] = True
-                q = self.image[q - 1]
+                seen[q] = True
+                q = self.image[q]
             out.append(tuple(cyc))
         return out
 
     def __str__(self) -> str:
-        return " ".join(str(v) for v in self.image)
+        return " ".join(str(v + 1) for v in self.image)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +204,7 @@ def free_reduce(w: BraidWord) -> BraidWord:
 
 def perm(w: BraidWord) -> Permutation:
     """The permutation of w; see the module docstring for the convention."""
-    image = list(range(1, w.strands + 1))
+    image = list(range(w.strands))
     for x in w.letters:
         i = abs(x) - 1
         image[i], image[i + 1] = image[i + 1], image[i]

@@ -7,6 +7,7 @@ import random
 from pathlib import Path
 
 from qtbraid import Atom, BraidWord, gen_concat, gen_inverse, is_pure
+from qtbraid import genset
 from qtbraid.quasitoric import QuasitoricForm, qt_to_word
 from qtbraid.words import GenWord, Table
 
@@ -33,8 +34,17 @@ class WatchedMemo(Table):
 
 
 def compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """The image tuple of q -> f(g(q)) (1-based): g is applied first."""
-    return tuple(f[v - 1] for v in g)
+    """The image tuple of q -> f(g(q)) (0-based, as words.perm): g is applied first."""
+    return tuple(f[v] for v in g)
+
+
+def rewrite(gw: GenWord, n: int, variant: str) -> GenWord:
+    """gw rewritten by the library's twist table for variant ("thm41" or "thm42").
+
+    On the thm41 alphabet the "thm42" table gives the thm42 rewriting, since
+    thm41 fixes d0 and t1,j for j <= N.
+    """
+    return genset._twist_tables(n)[variant].substitute(gw)
 
 
 def stack_reduce(gw) -> GenWord:

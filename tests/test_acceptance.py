@@ -22,7 +22,7 @@ from qtbraid import (
     perm,
     toric,
 )
-from qtbraid.genset import GensetTarget, decompose, rewrite_to_thm41, rewrite_to_thm42
+from qtbraid.genset import GensetTarget, decompose
 from qtbraid.presentations import (
     h1,
     min_generators,
@@ -33,7 +33,13 @@ from qtbraid.presentations import (
 from qtbraid.purebraid import a_to_t, linking
 from qtbraid.quasitoric import qt_to_word
 
-from helpers import random_form, random_pure_word, random_qt_word, rewrite_equivalent
+from helpers import (
+    random_form,
+    random_pure_word,
+    random_qt_word,
+    rewrite,
+    rewrite_equivalent,
+)
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "relator_counts.json").read_text()
@@ -129,8 +135,8 @@ def test_criterion_5_rewriting_soundness():
         for i in range(1, n):
             for j in range(i + 1, n + 1):
                 ref = atom_word(Atom.t(i, j), n)
-                w41 = rewrite_to_thm41(((Atom.t(i, j), 1),), n)
-                w42 = rewrite_to_thm42(w41, n)
+                w41 = rewrite(((Atom.t(i, j), 1),), n, "thm41")
+                w42 = rewrite(w41, n, "thm42")
                 ok = ok and t41.admits(w41) and equal(expand(w41, n), ref)
                 ok = ok and t42.admits(w42) and equal(expand(w42, n), ref)
     # the full pipeline (factor, comb, rewrite) on every expanded twist word

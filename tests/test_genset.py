@@ -24,15 +24,13 @@ from qtbraid.genset import (
     VARIANTS,
     GensetTarget,
     decompose,
-    rewrite_to_thm41,
-    rewrite_to_thm42,
     short_twist_bound,
 )
 from qtbraid.purebraid import t_decompose
 from qtbraid.quasitoric import QuasitoricForm, factor, qt_to_word
 from qtbraid.words import STRAND_CACHE_SIZE, ImageTable, gen_concat, gen_inverse
 
-from helpers import gen_pow, random_qt_word
+from helpers import gen_pow, random_qt_word, rewrite
 
 # ---------------------------------------------------------------------------
 # Reference rewriters: a private copy of the step-by-step expansion, which
@@ -118,6 +116,9 @@ class TestTargets:
             assert short_twist_bound(n) == want
             for variant in ("thm41", "thm42"):
                 assert len(GensetTarget(variant, n).alphabet) == want
+        # the short twists and d0 span every long twist: n - N <= N - 1
+        for n in range(3, 1001):
+            assert n - short_twist_bound(n) <= short_twist_bound(n) - 1, n
 
     def test_alphabets(self):
         assert GensetTarget("thm41", 5).alphabet == (
@@ -137,70 +138,71 @@ class TestTargets:
 class TestRewriteThm41:
     def test_shift_case(self):
         # t(2,3) in B_5 conjugates down to the short twist t(1,2)
-        out = rewrite_to_thm41(((Atom.t(2, 3), 1),), 5)
+        out = rewrite(((Atom.t(2, 3), 1),), 5, "thm41")
         assert out == ((Atom.d(0), 1), (Atom.t(1, 2), 1), (Atom.d(0), -1))
 
     def test_t1n_is_d0_power(self):
         for n in range(3, 8):
-            assert rewrite_to_thm41(((Atom.t(1, n), 1),), n) == ((Atom.d(0), n),)
+            assert rewrite(((Atom.t(1, n), 1),), n, "thm41") == ((Atom.d(0), n),)
 
     def test_every_generator_sound(self):
         for n in range(3, 7):
             target = GensetTarget("thm41", n)
             for i in range(1, n):
                 for j in range(i + 1, n + 1):
-                    out = rewrite_to_thm41(((Atom.t(i, j), 1),), n)
+                    out = rewrite(((Atom.t(i, j), 1),), n, "thm41")
                     assert target.admits(out), (n, i, j)
                     assert equal(expand(out, n), atom_word(Atom.t(i, j), n)), (n, i, j)
 
     def test_inverse_exponents(self):
         n = 5
-        out_pos = rewrite_to_thm41(((Atom.t(1, 4), 1),), n)
-        out_neg = rewrite_to_thm41(((Atom.t(1, 4), -1),), n)
+        out_pos = rewrite(((Atom.t(1, 4), 1),), n, "thm41")
+        out_neg = rewrite(((Atom.t(1, 4), -1),), n, "thm41")
         assert equal(
             expand(out_neg, n), inverse(expand(out_pos, n))
         )
 
     def test_foreign_atom_rejected(self):
         with pytest.raises(WordError):
-            rewrite_to_thm41(((Atom.a(1, 3), 1),), 4)
+            rewrite(((Atom.a(1, 3), 1),), 4, "thm41")
         with pytest.raises(WordError):
-            rewrite_to_thm41(((Atom.d(1), 1),), 4)
+            rewrite(((Atom.d(1), 1),), 4, "thm41")
 
 
 class TestRewriteThm42:
     def test_adjacent_twist_inverse(self):
         # t(n-1,n)^{-1} = d0^{-1} d1, so t(1,2) conjugates to d-atoms
         n = 3
-        out = rewrite_to_thm42(((Atom.t(1, 2), 1),), n)
+        out = rewrite(((Atom.t(1, 2), 1),), n, "thm42")
         assert equal(expand(out, n), atom_word(Atom.t(1, 2), n))
         assert GensetTarget("thm42", n).admits(out)
 
     def test_d0_passthrough(self):
-        assert rewrite_to_thm42(((Atom.d(0), 4),), 5) == ((Atom.d(0), 4),)
+        assert rewrite(((Atom.d(0), 4),), 5, "thm42") == ((Atom.d(0), 4),)
 
     def test_short_twists_sound(self):
         for n in range(3, 7):
             target = GensetTarget("thm42", n)
             N = short_twist_bound(n)
             for j in range(2, N + 1):
-                out = rewrite_to_thm42(((Atom.t(1, j), 1),), n)
+                out = rewrite(((Atom.t(1, j), 1),), n, "thm42")
                 assert target.admits(out), (n, j)
                 assert equal(expand(out, n), atom_word(Atom.t(1, j), n)), (n, j)
 
     def test_foreign_atom_rejected(self):
+        # the short-twist table maps t(1,j) for j <= N only; the composed
+        # table refuses what the thm41 one does, and stores neither
         n = 7
-        with pytest.raises(WordError):
-            rewrite_to_thm42(((Atom.t(1, short_twist_bound(n) + 1), 1),), n)
-        with pytest.raises(WordError):
-            rewrite_to_thm42(((Atom.t(2, 3), 1),), n)
-        # refused before any lookup: a valid atom ahead of the foreign one
-        # fills no table, the private short-twist table included
-        genset._twist_tables.cache_clear()
-        with pytest.raises(WordError, match="foreign atom d1 in thm42 rewriting"):
-            rewrite_to_thm42(((Atom.t(1, 2), 1), (Atom.d(1), 1)), n)
         tables = genset._twist_tables(n)
-        assert not any(tables.values()) and not _short_table(tables)
+        short = _short_table(tables)
+        foreign = (Atom.t(1, short_twist_bound(n) + 1), Atom.t(2, 3), Atom.d(1))
+        for atom in foreign:
+            with pytest.raises(WordError, match=f"foreign atom {atom} in thm42 rewriting"):
+                short.substitute(((atom, 1),))
+        with pytest.raises(WordError, match="foreign atom d1 in thm41 rewriting"):
+            rewrite(((Atom.t(1, 2), 1), (Atom.d(1), 1)), n, "thm42")
+        assert not set(foreign) & short.keys()
+        assert Atom.d(1) not in tables["thm42"] and Atom.d(1) not in tables["thm41"]
 
 
 class TestDecompose:
@@ -349,9 +351,9 @@ class TestAgainstReference:
                 for j in range(i + 1, n + 1):
                     for e in (1, -1, 2, -2):
                         gw = ((Atom.t(i, j), e),)
-                        thm41 = rewrite_to_thm41(gw, n)
+                        thm41 = rewrite(gw, n, "thm41")
                         assert thm41 == _ref_thm41(gw, n), (n, i, j, e)
-                        assert rewrite_to_thm42(thm41, n) == _ref_thm42(thm41, n), (n, i, j, e)
+                        assert rewrite(thm41, n, "thm42") == _ref_thm42(thm41, n), (n, i, j, e)
 
 
 def _short_table(tables):
@@ -401,8 +403,8 @@ class TestTwistTables:
         gc.disable()
         try:
             tables = genset._twist_tables(9)
-            thm41 = rewrite_to_thm41(((Atom.t(2, 9), 1), (Atom.t(1, 7), -1)), 9)
-            rewrite_to_thm42(thm41, 9)
+            thm41 = rewrite(((Atom.t(2, 9), 1), (Atom.t(1, 7), -1)), 9, "thm41")
+            rewrite(thm41, 9, "thm42")
             short = _short_table(tables)
             assert all(tables.values()) and short
             refs = [weakref.ref(table) for table in (*tables.values(), short)]
@@ -420,7 +422,7 @@ class TestTwistTables:
         sys.setrecursionlimit(len(inspect.stack()) + 60)
         try:
             genset._twist_tables.cache_clear()
-            out = rewrite_to_thm41(((Atom.t(1, short_twist_bound(n) + 1), 1),), n)
+            out = rewrite(((Atom.t(1, short_twist_bound(n) + 1), 1),), n, "thm41")
         finally:
             sys.setrecursionlimit(limit)
         assert out == _ref_thm41(((Atom.t(1, short_twist_bound(n) + 1), 1),), n)

@@ -210,9 +210,14 @@ class TestVerify:
         # flipping one sign breaks all non-commutation relators
         assert report.failures
 
-    def test_pmod_not_verifiable(self):
-        with pytest.raises(WordError):
-            verify(presentation("pmod", 4))
+    def test_pmod_relators_are_pb_relators(self):
+        # pmod only drops t1,<n> and its commutators, so its relators hold in
+        # PB_n and in the quotient PB_n / Z(PB_n) alike
+        for n in range(3, 12):
+            pb = set(presentation("pb", n).relators)
+            assert set(presentation("pmod", n).relators) <= pb, n
+        for n in range(3, 10):
+            assert verify(presentation("pmod", n)).ok, n
 
 
 class TestH1:

@@ -30,8 +30,8 @@ from helpers import compose, random_form, random_qt_word, random_word
 def brute_is_quasitoric(w):
     """The least k with perm(w) == rho^k, trying rho^0 .. rho^(n-1) in turn."""
     n = w.strands
-    rho = tuple(range(2, n + 1)) + (1,)
-    power = tuple(range(1, n + 1))
+    rho = tuple(range(1, n)) + (0,)
+    power = tuple(range(n))
     for k in range(n):
         if perm(w).image == power:
             return k
@@ -40,7 +40,7 @@ def brute_is_quasitoric(w):
 
 
 def word_with_perm(image):
-    """A braid word whose permutation has the given image tuple (1-based)."""
+    """A braid word whose permutation has the given image tuple (0-based, as perm)."""
     target, swaps = list(image), []
     for end in range(len(target) - 1, 0, -1):
         for q in range(end):
@@ -87,7 +87,7 @@ class TestIsQuasitoric:
     def test_every_permutation_matches_brute_powers(self, n):
         # members and non-members alike: every image tuple
         members = 0
-        for image in itertools.permutations(range(1, n + 1)):
+        for image in itertools.permutations(range(n)):
             w = word_with_perm(image)
             assert perm(w).image == image
             k = is_quasitoric(w)

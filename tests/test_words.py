@@ -97,11 +97,11 @@ class TestInverse:
 
 class TestPerm:
     def test_sigma1_is_transposition(self):
-        assert perm(sig(3, 1)).cycles() == [(1, 2), (3,)]
+        assert perm(sig(3, 1)).cycles() == [(0, 1), (2,)]
 
     def test_delta0_is_rotation(self):
         for n in range(2, 8):
-            assert perm(toric(n, 1)).image == tuple(range(2, n + 1)) + (1,)
+            assert perm(toric(n, 1)).image == tuple(range(1, n)) + (0,)
 
     def test_empty_is_identity(self):
         assert perm(BraidWord(5)).is_identity()
@@ -121,7 +121,7 @@ class TestPerm:
         rng = random.Random(3)
         for _ in range(50):
             w = random_word(rng, 5, rng.randint(0, 12))
-            assert compose(perm(inverse(w)).image, perm(w).image) == tuple(range(1, 6))
+            assert compose(perm(inverse(w)).image, perm(w).image) == tuple(range(5))
 
 
 class TestExponentSum:
@@ -372,7 +372,9 @@ class TestValidation:
 
     def test_permutation_bijection(self):
         with pytest.raises(WordError):
-            Permutation((1, 1, 3))
+            Permutation((0, 0, 2))
+        with pytest.raises(WordError):
+            Permutation((1, 2, 3))  # 1-based images are not a permutation of 0..2
 
 
 class TestTable:
