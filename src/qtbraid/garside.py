@@ -35,6 +35,27 @@ parity of d.  Two runs add no factor: a positive run equal to Delta only
 raises d (tau^{d+1} tau = tau^d, so the stored factors stay), and a negative
 run with y = Delta, whose Delta y^{-1} is the identity, only lowers it.
 
+From LEVEL_MIN_STRANDS strands on, the letters are first put in the order of
+their levels (Cartier and Foata, LNM 85, 1969), which makes the runs longer
+and so the appended factors, and the sweeps below, fewer.  A letter +-i has
+level 1 + the largest level among the letters +-(i-1), +-i and +-(i+1) before
+it.  The letters of one level then commute pairwise, their indices being at
+least 2 apart, and a letter that does not commute with an earlier one has a
+higher level.  Reading the word level by level thus keeps the order of every
+pair of letters that do not commute: it is the same trace, so the same braid,
+and its normal form is the same.  Within a level the positive letters come
+first on odd levels and the negative ones on even levels, so the same-sign
+letters that end one level and start the next can make one run.  On six random
+250-letter words at n=64 this cut the sweeps from 790 to 179 and the
+pair-kernel calls from 3,316 to 959.  The pass costs ~0.7 us a letter.  It
+keeps n + 1 levels and one list of the L letters, keyed for the sort and read
+back in place, but no list per level: ~41 bytes a letter at its peak, beside
+the 8 of the word's own tuple.  Below 8 strands the levels barely lengthen the
+runs and the pass does not pay.  On six random 500-letter words per n (at n=4
+the sweeps went only from 2,092 to 2,047), in 11 interleaved pairs, reading by
+levels was faster in 0 / 3 / 4 / 6 of them at n = 4 / 5 / 6 / 7, and in
+10 / 9 / 11 / 11 / 11 at n = 8 / 9 / 10 / 12 / 16.
+
 Each run's factor is appended, and the pairs are left-weighted once from
 right to left.  By the sweep lemma (Elrifai and Morton, Q. J. Math. 1994;
 Epstein et al., "Word Processing in Groups", ch. 9), that one backward sweep
@@ -79,12 +100,18 @@ one at a time, in passes over the n - 1 letters: about passes * n steps plus
 The meet takes the strand pairs m leaves uncrossed as the transitive closure
 of those a crosses and b leaves uncrossed (the weak-order meet; Epstein et
 al., ch. 9), in bitmask rows: O(n) steps plus the closure work, which is small
-exactly when m, and so the bubble, is long.  Each negative letter appends a
-near-Delta factor to a short one, so wide words are full of such pairs.  The
-meet takes a pair when n >= MEET_MIN_STRANDS and a has under half as many
-descents as b.  On random words at n=64 such pairs took the bubble ~530 us and
-the meet ~85 us, the rest took the bubble ~20 us (Python 3.11, 2-vCPU Xeon);
-below 20 strands the gate cost what the meet saved.
+exactly when m, and so the bubble, is long.  Each negative run appends a
+near-Delta factor, so wide words are full of such pairs.  The meet takes a pair
+when n >= MEET_MIN_STRANDS, b has more than n/2 descents, and a has under half
+as many descents as b.  On the pairs that the sweeps of six random 250-letter
+words hand to the kernel at n = 20 / 32 / 64 (Python 3.11, 2-vCPU Xeon), those
+the gate takes cost the bubble 75 / 174 / 738 us and the meet 46 / 67 / 143 us,
+and the rest cost the bubble 23 / 30 / 42 us.  The bound on b came with the
+level order: without it the gate also took 150 / 119 / 89 pairs with a short a
+and a b of few descents, whose m is short, and these cost the bubble
+7 / 9 / 16 us and the meet 97 / 212 / 1,001 us.  With it, those words' normal
+forms took 111 / 114 / 100 ms instead of 123 / 141 / 192 ms.  Below 20 strands
+the gate cost about what the meet saved.
 """
 
 from __future__ import annotations
@@ -109,9 +136,11 @@ Factor = tuple[int, ...]
 
 # The pair memo of n strands is emptied at RENORM_MEMO_CELLS // n entries of at
 # most four n-tuples, so its size does not grow with n.  One benchmark round
-# fills at most ~30,000 entries at n=10 (verify) and ~6,000 at n=32-64.
+# fills at most ~16,600 entries at n=6 (nf, eq), ~6,500 at n=10 (verify) and
+# ~1,600 at n=32-64.
 RENORM_MEMO_CELLS = 1 << 19
 MEET_MIN_STRANDS = 20  # the narrowest pairs that may go to the meet
+LEVEL_MIN_STRANDS = 8  # the narrowest words read by levels
 
 
 @dataclass(frozen=True)
@@ -177,9 +206,11 @@ def _left_weight(pair: tuple[Factor, Factor]) -> tuple[Factor, Factor] | None:
     per pair.
     """
     a, b = pair
-    wide = len(a) >= MEET_MIN_STRANDS
-    short_a = wide and 2 * sum(map(gt, a, a[1:])) < sum(map(gt, b, b[1:]))
-    return _meet(a, b) if short_a else _bubble(a, b)
+    if len(a) >= MEET_MIN_STRANDS:
+        descents_b = sum(map(gt, b, b[1:]))
+        if 2 * descents_b > len(a) and 2 * sum(map(gt, a, a[1:])) < descents_b:
+            return _meet(a, b)
+    return _bubble(a, b)
 
 
 def _bubble(a: Factor, b: Factor) -> tuple[Factor, Factor] | None:
@@ -290,6 +321,28 @@ def _sweep(ctx: _Ctx, fs: list[Factor], d: int) -> int:
     return d
 
 
+def _by_levels(word: tuple[int, ...], n: int) -> list[int]:
+    """The letters of word in the order of their levels (see the module docstring)."""
+    n2 = 2 * n
+    top = [0] * (n + 1)  # top[i]: the level of the last letter +-i so far
+    keyed = []
+    for x in word:
+        i = x if x > 0 else -x
+        k = top[i - 1]
+        if top[i] > k:
+            k = top[i]
+        if top[i + 1] > k:
+            k = top[i + 1]
+        k += 1
+        top[i] = k
+        # level k, then its first sign (positive on odd k), then the letter
+        keyed.append((2 * k + ((x > 0) ^ (k & 1))) * n2 + x + n)
+    keyed.sort()
+    for j, p in enumerate(keyed):  # in place, so that one list of L ints is kept
+        keyed[j] = p % n2 - n
+    return keyed
+
+
 def _normal_factors(w: BraidWord) -> tuple[int, list[Factor]]:
     """(inf, factors) of the normal form, in one left-to-right pass over w.
 
@@ -302,7 +355,7 @@ def _normal_factors(w: BraidWord) -> tuple[int, list[Factor]]:
     identity, w0, letters = ctx.identity, ctx.w0, ctx.letters
     slots = ctx.slots
     n1 = n - 1
-    word = w.letters
+    word = w.letters if n < LEVEL_MIN_STRANDS else _by_levels(w.letters, n)
     end = len(word)
     fs: list[Factor] = []
     d = i = 0

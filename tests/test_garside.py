@@ -125,6 +125,9 @@ def _reference_inputs():
     for _ in range(6):  # wide enough for the meet route
         n = rng.randint(garside.MEET_MIN_STRANDS, 64)
         yield random_word(rng, n, rng.randint(30, 90))
+    for _ in range(16):  # on both sides of the level order's threshold
+        n = rng.randint(garside.LEVEL_MIN_STRANDS - 2, 40)
+        yield random_word(rng, n, rng.randint(10, 100))
     for _ in range(40):
         n = rng.randint(2, 10)
         yield BraidWord(n, tuple(-abs(x) for x in random_word(rng, n, 60).letters))
@@ -456,7 +459,7 @@ class TestGeneratorWords:
 
 class TestMemoBound:
     def test_pair_memo_is_capped(self, monkeypatch):
-        cap = 400
+        cap = 128
         monkeypatch.setattr(garside, "RENORM_MEMO_CELLS", cap * 64)
         _ctx.cache_clear()  # the entry cap is fixed when a context is built
         try:
@@ -480,9 +483,52 @@ class TestMemoBound:
         for n in (3, 10, 64, 1000):
             ctx = garside._Ctx(n)
             assert ctx.pairs.cap * n <= garside.RENORM_MEMO_CELLS
-        # no benchmark-sized memo is cleared: ~30k entries at n=10, ~6k at n=64
+        # no benchmark-sized memo is cleared: ~6.5k entries at n=10, ~1.6k at n=32-64
         assert garside._Ctx(10).pairs.cap >= 50_000
         assert garside._Ctx(64).pairs.cap >= 8_000
+
+
+def _same_sign_runs(letters):
+    return sum(1 for k, x in enumerate(letters) if k == 0 or (x ^ letters[k - 1]) < 0)
+
+
+class TestLevels:
+    """The level order is a rearrangement of the same trace, and it saves sweeps."""
+
+    def test_keeps_the_order_of_letters_that_do_not_commute(self):
+        rng = random.Random(25)
+        for k in range(80):
+            n = 3 + k % 62
+            word = random_word(rng, n, rng.randint(0, 120)).letters
+            out = garside._by_levels(word, n)
+            # letters of one index never commute, so the k-th one of each index
+            # in out is the k-th one in word: that fixes each letter's position
+            where = {}
+            for p, x in enumerate(word):
+                where.setdefault(abs(x), []).append(p)
+            for ps in where.values():
+                ps.reverse()
+            pos = [where[abs(x)].pop() for x in out]
+            assert sorted(pos) == list(range(len(word)))
+            assert [word[p] for p in pos] == out
+            for a in range(len(out)):
+                for b in range(a + 1, len(out)):
+                    if abs(abs(out[a]) - abs(out[b])) <= 1:
+                        assert pos[a] < pos[b], (word, out, a, b)
+
+    def test_wide_word_sweeps_at_most_half_its_runs(self, monkeypatch):
+        sweeps = 0
+        sweep = garside._sweep
+
+        def counted(*args):
+            nonlocal sweeps
+            sweeps += 1
+            return sweep(*args)
+
+        monkeypatch.setattr(garside, "_sweep", counted)
+        w = random_word(random.Random(26), 64, 250)
+        _normal_factors(w)
+        assert 2 * sweeps <= _same_sign_runs(w.letters), (sweeps, _same_sign_runs(w.letters))
 
 
 def _short(rng, n, swaps, base):
@@ -563,7 +609,7 @@ class TestPairKernel:
             for a, b in _sweep_pairs(ctx, words):
                 assert garside._meet(a, b) == _bubble(a, b), (a, b)
                 assert (a, b) in ctx.pairs and ctx.pairs[a, b] == _bubble(a, b)
-                routed += 2 * _descents(a) < _descents(b)
+                routed += 2 * _descents(b) > n and 2 * _descents(a) < _descents(b)
         assert routed > 100  # the gate sends wide sweeps to the meet
 
 
