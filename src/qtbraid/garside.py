@@ -48,13 +48,18 @@ first on odd levels and the negative ones on even levels, so the same-sign
 letters that end one level and start the next can make one run.  On six random
 250-letter words at n=64 this cut the sweeps from 790 to 179 and the
 pair-kernel calls from 3,316 to 959.  The pass costs ~0.7 us a letter.  It
-keeps n + 1 levels and one list of the L letters, keyed for the sort and read
-back in place, but no list per level: ~41 bytes a letter at its peak, beside
-the 8 of the word's own tuple.  Below 8 strands the levels barely lengthen the
-runs and the pass does not pay.  On six random 500-letter words per n (at n=4
-the sweeps went only from 2,092 to 2,047), in 11 interleaved pairs, reading by
-levels was faster in 0 / 3 / 4 / 6 of them at n = 4 / 5 / 6 / 7, and in
-10 / 9 / 11 / 11 / 11 at n = 8 / 9 / 10 / 12 / 16.
+orders the word LEVEL_BLOCK letters at a time, each block as a word of its
+own, which is the same braid; a word of up to that many letters is one block.
+A block keeps n + 1 levels and its letters keyed for the sort, but no list per
+level.  The result reads its letters back from the word's tuple, so it makes
+no new int and holds 8 bytes a letter.  At n=16 the peak was 25 bytes a letter
+on 65,536 random letters (four blocks) and 12 on eight 1,024-letter blocks,
+beside the 8 of the word's own tuple; keying the whole word at once took 41.
+Below 8 strands the levels barely lengthen the runs and the pass does not pay.
+On six random 500-letter words per n (at n=4 the sweeps went only from 2,092
+to 2,047), in 11 interleaved pairs, reading by levels was faster in
+0 / 3 / 4 / 6 of them at n = 4 / 5 / 6 / 7, and in 10 / 9 / 11 / 11 / 11 at
+n = 8 / 9 / 10 / 12 / 16.
 
 Each run's factor is appended, and the pairs are left-weighted once from
 right to left.  By the sweep lemma (Elrifai and Morton, Q. J. Math. 1994;
@@ -141,6 +146,7 @@ Factor = tuple[int, ...]
 RENORM_MEMO_CELLS = 1 << 19
 MEET_MIN_STRANDS = 20  # the narrowest pairs that may go to the meet
 LEVEL_MIN_STRANDS = 8  # the narrowest words read by levels
+LEVEL_BLOCK = 1 << 14  # letters per sort of the level pass
 
 
 @dataclass(frozen=True)
@@ -322,25 +328,34 @@ def _sweep(ctx: _Ctx, fs: list[Factor], d: int) -> int:
 
 
 def _by_levels(word: tuple[int, ...], n: int) -> list[int]:
-    """The letters of word in the order of their levels (see the module docstring)."""
+    """The letters of word in the order of their levels, LEVEL_BLOCK letters at a time.
+
+    See the module docstring.  Each block is put in order as a word of its
+    own, so the result is the same braid.
+    """
     n2 = 2 * n
-    top = [0] * (n + 1)  # top[i]: the level of the last letter +-i so far
-    keyed = []
-    for x in word:
-        i = x if x > 0 else -x
-        k = top[i - 1]
-        if top[i] > k:
-            k = top[i]
-        if top[i + 1] > k:
-            k = top[i + 1]
-        k += 1
-        top[i] = k
-        # level k, then its first sign (positive on odd k), then the letter
-        keyed.append((2 * k + ((x > 0) ^ (k & 1))) * n2 + x + n)
-    keyed.sort()
-    for j, p in enumerate(keyed):  # in place, so that one list of L ints is kept
-        keyed[j] = p % n2 - n
-    return keyed
+    block = LEVEL_BLOCK
+    out = [0] * len(word)
+    for start in range(0, len(word), block):
+        chunk = word[start : start + block]
+        top = [0] * (n + 1)  # top[i]: the level of the last letter +-i so far
+        keyed = []
+        for offset, x in enumerate(chunk):
+            i = x if x > 0 else -x
+            k = top[i - 1]
+            if top[i] > k:
+                k = top[i]
+            if top[i + 1] > k:
+                k = top[i + 1]
+            k += 1
+            top[i] = k
+            # level k, then its first sign (positive on odd k), then the
+            # letter; the offset only tells where the letter was
+            keyed.append(((2 * k + ((x > 0) ^ (k & 1))) * n2 + x + n) * block + offset)
+        keyed.sort()
+        # read back from word, so that no new int is made
+        out[start : start + len(chunk)] = [chunk[key % block] for key in keyed]
+    return out
 
 
 def _normal_factors(w: BraidWord) -> tuple[int, list[Factor]]:

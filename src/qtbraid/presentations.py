@@ -44,38 +44,63 @@ qb relators read the same syllable table and are joined the same way: t(k,k)
 is dropped, and the spans of adjacent syllables differ in every case, so they
 need no free reduction either (a test checks gen_reduce on every relator).
 
-h1 computes the Smith normal form of the relator exponent matrix, giving the
-invariant-factor decomposition of the abelianization together with the
-coordinate transform, so homology classes of concrete braids are computable
-(qt_class), not just the group shape.  The class of d0^k p is linear:
-k c(d0) + sum over i < j of lk(i,j)(p) c(a(i,j)), where c is a coordinate row
-read from the transform.  Those coefficients are computed once per n, with
-H_1(QB_n), and kept for at most words.STRAND_CACHE_SIZE strand counts, so a
-call costs one row sum per nonzero linking number.
+h1 computes the abelianization by exact Smith normal form, together with the
+coordinates of each generator, so homology classes of concrete braids are
+computable (qt_class), not just the group shape.  The class of d0^k p is
+linear: k x(d0) + sum over i < j of lk(i,j)(p) x(a(i,j)).  Each a(i,j) combs
+into at most four twists, and each twist is a sign times one class column of
+h1 (below), so those terms are computed once per n, with H_1(QB_n), in O(n^2)
+space, and kept for at most words.STRAND_CACHE_SIZE strand counts.  A call
+adds up the terms of its nonzero linking numbers over the class columns and
+multiplies the sum by the transform once.
 
-Only the nonzero exponent rows go to the Smith normal form.  That is exact: H_1
-is Z^g modulo the row span, and a zero row adds nothing to the span, so rank
-and invariant factors cannot change.  It is also most of the matrix.  In both
-templates each slot's exponents sum to zero, checked once per template when the
-module loads, so every commutator and every pentagon abelianizes to zero.
-presentation emits those families first and records their count in
-Presentation.zero_rows; h1 skips those rows without reading them.  Of the
-remaining cyclic qb relators the central one, d0 t(1,n) d0^-1 t(1,n)^-1, also
-abelianizes to zero, and h1 drops it by its row.  What reaches the Smith normal
-form is 91 of 4,824 rows at qb n=14, and no rows at all for pb and pmod.
+H_1 is Z^g modulo the span of the relators' exponent rows, and h1 shrinks that
+matrix exactly before the Smith normal form:
 
-Building a table costs time and memory in proportion to its relator count, which
-grows like n^5 / 120.  presentation counts the relators from the closed forms
-first (2 C(n,4) + 2 C(n,3) commutators, C(n,2) - 1 fewer for pmod, C(n,5)
-pentagons, and 1 + C(n,2) cyclic relators for qb) and refuses a table with more
-than MAX_RELATORS of them.  h1 takes a built presentation, so that limit bounds
-h1 too, although it reads none of the zero rows.
+* The commutators and pentagons abelianize to zero: in both templates each
+  slot's exponents sum to zero, checked once per template when the module
+  loads.  presentation puts those families first and records their count in
+  Presentation.zero_rows, and h1 reads only the rows after them; a zero row
+  adds nothing to the span.  So h1 reads the cyclic qb relators and nothing
+  else, and no row at all for pb and pmod.
+* A row with exactly two entries, both +-1, says x_a = +-x_b.  Replacing x_a
+  by x_a -+ x_b is a unimodular column operation that makes the row a unit
+  vector, so the row and the column of x_a drop out, and the other rows read
+  +-x_b for x_a.  h1 does that for every such row, in order, with a signed
+  union-find over the columns: each column is a sign times a root column, and
+  of two joined roots the smaller index stays root.  A row whose two columns
+  are already joined would close a cycle, so it stays, like every other row.
+  For qb, relation 4 gives such a row for every t(i,j) with j < n, which merges
+  each twist with its shifts: the roots are d0 and the t(1,j), and of the
+  C(n,2) + 1 cyclic rows only n - 1 stay (relation 3 and relation 4 at j = n,
+  i > 1); the central row is zero.
+* The rows that stay, rewritten over the roots, go to the dense Smith normal
+  form on the root columns they touch, at most n of them for qb.  Every other
+  root is a free coordinate of H_1 and has no column there, so pb and pmod,
+  whose generators are all roots, make no g x g identity.
+
+A generator's coordinates are its sign times the transform row of its root,
+or the unit vector of a free root.  Row order, union-find roots and pivoting
+are deterministic, so the output is reproducible.
+
+Building the relator table costs time and memory in proportion to its relator
+count, which grows like n^5 / 120, but h1 needs only the generators and the
+cyclic qb relators, C(n,2) + 1 of each at most.  So presentation builds
+nothing at once: the generators, the cyclic relators and the whole table are
+each built on their first read.  Reading relators
+counts the relators from the closed forms (2 C(n,4) + 2 C(n,3) commutators,
+C(n,2) - 1 fewer for pmod, C(n,5) pentagons, and 1 + C(n,2) cyclic relators
+for qb) and refuses a table of more than MAX_RELATORS relators, which bounds
+relators and verify at n = 31.  Reading the generators or the cyclic relators
+refuses more than MAX_GENERATORS generators, which bounds h1 and qt_class at
+n = 707.  h1(qb) takes ~0.3 s at n = 200, most of it in the Smith normal form
+of the n - 1 rows that stay, and that dense form grows like n^3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from math import comb
 from operator import itemgetter
@@ -96,19 +121,26 @@ from .words import (
 
 GROUPS = ("pb", "qb", "pmod")
 
-# presentation refuses a table with more relators than this, before building
-# any; the command line reports the refusal with exit code 2.  qb on 30 strands
-# has 205,872 relators; the tests and the benchmark build at most 4,824 (n=14)
+# Presentation.relators refuses a table with more relators than this, before
+# building any; the command line reports the refusal with exit code 2.  qb on
+# 30 strands has 205,872 relators; the tests and the benchmark build at most
+# 4,824 (n=14)
 MAX_RELATORS = 250_000
+# A presentation from presentation() refuses more generators than this, before
+# building any, on the first read of its generators or its cyclic relators, one
+# per generator.  That is all h1 reads of it, so this bounds h1, and with it
+# qt_class: 250,000 generators is qb on 707 strands
+MAX_GENERATORS = 250_000
 
 
 @dataclass(frozen=True)
 class Presentation:
     """Generators and relators of a presented group.
 
-    The first zero_rows relators abelianize to zero, so h1 skips them.
-    presentation sets it from its templates; a hand-built presentation keeps
-    the default 0, and h1 then scans every relator.
+    The first zero_rows relators abelianize to zero, so h1 skips them and reads
+    only abelian_rows, the relators after them.  presentation sets zero_rows
+    from its templates; a hand-built presentation keeps the default 0, and h1
+    then reads every relator.
     """
 
     group: str
@@ -128,6 +160,59 @@ class Presentation:
         if foreign := atoms.difference(self.generators):
             atom = next(a for a, _ in chain.from_iterable(self.relators) if a in foreign)
             raise WordError(f"relator uses non-generator {atom}")
+
+    @cached_property
+    def abelian_rows(self) -> tuple[GenWord, ...]:
+        return self.relators[self.zero_rows :]
+
+
+class _Built(Presentation):
+    """A presentation from presentation(), whose parts are built on first read.
+
+    Reading relators refuses a table of more than MAX_RELATORS relators, and
+    reading generators or abelian_rows refuses more than MAX_GENERATORS
+    generators.  Every atom is a generator by construction, so none is checked.
+    """
+
+    def __init__(self, group: str, n: int):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "strands", n)
+        object.__setattr__(self, "zero_rows", _zero_sum_count(group, n))
+
+    def _check_generators(self) -> None:
+        count = comb(self.strands, 2) + {"pb": 0, "qb": 1, "pmod": -1}[self.group]
+        if count > MAX_GENERATORS:
+            raise WordError(
+                f"{self.group} on {self.strands} strands has {count} generators, "
+                f"more than the limit of {MAX_GENERATORS}"
+            )
+
+    @cached_property
+    def generators(self) -> tuple[Atom, ...]:
+        self._check_generators()
+        twists = tuple(Atom.t(i, j) for i, j in _generator_spans(self.group, self.strands))
+        return (Atom.d(0),) + twists if self.group == "qb" else twists
+
+    @cached_property
+    def abelian_rows(self) -> tuple[GenWord, ...]:
+        if self.group != "qb":
+            return ()
+        self._check_generators()
+        return tuple(_cyclic_relators(self.strands, _syllables(self.strands)))
+
+    @cached_property
+    def relators(self) -> tuple[GenWord, ...]:
+        n = self.strands
+        count = _relator_count(self.group, n)
+        if count > MAX_RELATORS:
+            raise WordError(
+                f"{self.group} on {n} strands has {count} relators, "
+                f"more than the limit of {MAX_RELATORS}"
+            )
+        t = _syllables(n)
+        pairs = _generator_spans(self.group, n)
+        zero_sum = _commutation_relators(pairs, n, t) + _pentagonal_relators(n, t)
+        return tuple(zero_sum) + self.abelian_rows
 
 
 def _template(slots: tuple[tuple[int, int], ...]) -> Callable[[GenWord], GenWord]:
@@ -153,6 +238,9 @@ PENTAGON = ((0, -1), (1, 1), (2, 1), (3, 1), (4, -1), (0, 1), (1, -1), (2, -1), 
 _commutator = _template(COMMUTATOR)
 _pentagon = _template(PENTAGON)
 
+# (class column, coefficient) pairs, as AbelianStructure.classes numbers the columns
+Terms = tuple[tuple[int, int], ...]
+
 # span (i, j) -> the syllables (t(i,j), 1) and (t(i,j), -1), for i < j
 Syllables = dict[tuple[int, int], GenWord]
 
@@ -167,6 +255,14 @@ def _syllables(n: int) -> Syllables:
 
 def _span_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+
+
+def _generator_spans(group: str, n: int) -> list[tuple[int, int]]:
+    """The spans of group's twist generators, in order: all of them, but (1, n) for pmod."""
+    pairs = _span_pairs(n)
+    if group == "pmod":
+        pairs.remove((1, n))
+    return pairs
 
 
 def _commutation_relators(
@@ -229,16 +325,18 @@ def _cyclic_relators(n: int, t: Syllables) -> list[GenWord]:
     return out
 
 
-def _relator_count(group: str, n: int) -> int:
-    """Number of relators presentation(group, n) has."""
-    pairs = comb(n, 2)
+def _zero_sum_count(group: str, n: int) -> int:
+    """Number of commutators and pentagons presentation(group, n) has."""
     count = 2 * comb(n, 4) + 2 * comb(n, 3) + comb(n, 5)
     if group == "pmod":
         # every other span is nested in (1, n), so each loses one commutator
-        return count - (pairs - 1)
-    if group == "qb":
-        return count + 1 + pairs
+        return count - (comb(n, 2) - 1)
     return count
+
+
+def _relator_count(group: str, n: int) -> int:
+    """Number of relators presentation(group, n) has."""
+    return _zero_sum_count(group, n) + (1 + comb(n, 2) if group == "qb" else 0)
 
 
 def presentation(group: str, n: int) -> Presentation:
@@ -246,28 +344,14 @@ def presentation(group: str, n: int) -> Presentation:
 
     pmod drops the generator t1,<n>, and with it the commutators it takes
     part in; qb adds d0 and the cyclic relators after the shared families.
+    Builds nothing yet: the generators, the cyclic relators and the whole
+    table are each built on their first read.
     """
     if group not in GROUPS:
         raise WordError(f"unknown group {group!r}; expected one of {GROUPS}")
     if n < 3:
         raise WordError(f"presentations need n >= 3, got {n}")
-    count = _relator_count(group, n)
-    if count > MAX_RELATORS:
-        raise WordError(
-            f"{group} on {n} strands has {count} relators, "
-            f"more than the limit of {MAX_RELATORS}"
-        )
-    pairs = _span_pairs(n)
-    if group == "pmod":
-        pairs.remove((1, n))
-    t = _syllables(n)
-    relators = _commutation_relators(pairs, n, t) + _pentagonal_relators(n, t)
-    zero_rows = len(relators)
-    generators = tuple(Atom.t(i, j) for i, j in pairs)
-    if group == "qb":
-        relators += _cyclic_relators(n, t)
-        generators = (Atom.d(0),) + generators
-    return Presentation(group, n, generators, tuple(relators), zero_rows)
+    return _Built(group, n)
 
 
 @dataclass(frozen=True)
@@ -339,35 +423,101 @@ class ClassVector:
 
 @dataclass(frozen=True)
 class AbelianStructure:
-    """Invariant-factor shape of H_1 plus the generator-to-coordinate transform."""
+    """Invariant-factor shape of H_1 plus the generator-to-coordinate map.
+
+    A class has rank + free_rank coordinates, rank = snf.rank: coordinate t < rank
+    lives in Z / snf.diag[t], and the others are free.  Generator c is sign
+    times class column p, (sign, p) = classes[c].  Class column p has the
+    coordinates row p of snf.right (padded with zeros) if p < snf.cols, and
+    else the unit vector at p.
+    """
 
     group: str
     strands: int
     generators: tuple[Atom, ...]
     free_rank: int
     torsion: tuple[int, ...]  # invariant factors > 1, ascending
-    snf: SmithNormalForm
+    snf: SmithNormalForm  # of the residue rows, over the columns they touch
+    classes: tuple[tuple[int, int], ...]
+
+    def coordinates(self, c: int) -> list[int]:
+        """The coordinates of generator c: the signed transform row of its class."""
+        sign, p = self.classes[c]
+        z = [0] * (self.snf.rank + self.free_rank)
+        z[p] = sign
+        return self.combination(z)
+
+    def combination(self, z: list[int]) -> list[int]:
+        """The coordinates of the sum over class columns p of z[p] times column p."""
+        y = [0] * self.snf.cols
+        for zp, row in zip(z, self.snf.right):
+            if zp:
+                y = [u + zp * x for u, x in zip(y, row)]
+        return y + z[self.snf.cols :]
 
 
 def h1(p: Presentation) -> AbelianStructure:
     """Abelianization of the presented group by exact Smith normal form.
 
-    The first p.zero_rows relators are skipped unread, and the Smith normal
-    form sees only the nonzero rows of the rest, in relator order; see the
-    module docstring for why that is exact.
+    Reads only p.abelian_rows, in order, as exponent rows; see the module
+    docstring for the merge of two-term unit rows and why it is exact.
     """
     index = {atom: c for c, atom in enumerate(p.generators)}
-    matrix = []
-    for rel in p.relators[p.zero_rows:]:
-        row = [0] * len(p.generators)
+    # column c is sign[c] times column parent[c]; a root is its own parent
+    parent = list(range(len(p.generators)))
+    sign = [1] * len(p.generators)
+
+    def find(c: int) -> tuple[int, int]:
+        """(root, s) with x_c = s x_root modulo the merged rows; compresses the path."""
+        path = []
+        while parent[c] != c:
+            path.append(c)
+            c = parent[c]
+        sg = 1
+        for node in reversed(path):
+            sg *= sign[node]
+            parent[node], sign[node] = c, sg
+        return c, sg
+
+    residue = []
+    for rel in p.abelian_rows:
+        row: dict[int, int] = {}
         for atom, e in rel:
-            row[index[atom]] += e
-        if any(row):
-            matrix.append(row)
-    s = smith_normal_form(matrix, cols=len(p.generators))
-    torsion = tuple(d for d in s.invariant_factors if d > 1)
-    free_rank = len(p.generators) - s.rank
-    return AbelianStructure(p.group, p.strands, p.generators, free_rank, torsion, s)
+            c = index[atom]
+            row[c] = row.get(c, 0) + e
+        entries = [(c, e) for c, e in row.items() if e]
+        if len(entries) == 2 and all(e in (1, -1) for _, e in entries):
+            (a, ea), (b, eb) = entries
+            (ra, sa), (rb, sb) = find(a), find(b)
+            if ra != rb:
+                # ea x_a + eb x_b = 0 makes x_ra = -ea eb sa sb x_rb; the
+                # larger root joins the smaller
+                lo, hi = min(ra, rb), max(ra, rb)
+                parent[hi], sign[hi] = lo, -ea * eb * sa * sb
+                continue
+        if entries:
+            residue.append(entries)
+    # the rows that stay, over the roots, on the root columns they touch, in order
+    merged = []
+    for entries in residue:
+        row = {}
+        for c, e in entries:
+            root, sg = find(c)
+            row[root] = row.get(root, 0) + sg * e
+        if row := {c: e for c, e in row.items() if e}:
+            merged.append(row)
+    touched = sorted(set().union(*merged))
+    matrix = [[row.get(c, 0) for c in touched] for row in merged]
+    snf = smith_normal_form(matrix, cols=len(touched))
+    # the free roots follow the touched ones
+    column = {c: k for k, c in enumerate(touched)}
+    roots = [c for c in range(len(parent)) if parent[c] == c]
+    for c in roots:
+        column.setdefault(c, len(column))
+    classes = tuple((sg, column[root]) for root, sg in map(find, range(len(parent))))
+    torsion = tuple(d for d in snf.invariant_factors if d > 1)
+    free_rank = len(roots) - snf.rank
+    return AbelianStructure(p.group, p.strands, p.generators, free_rank, torsion, snf, classes)
 
 
 def min_generators(a: AbelianStructure) -> int:
@@ -376,40 +526,47 @@ def min_generators(a: AbelianStructure) -> int:
 
 
 @lru_cache(maxsize=STRAND_CACHE_SIZE)
-def _qb_h1(
-    n: int,
-) -> tuple[AbelianStructure, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """H_1(QB_n), the coordinates of d0, and those of each a(i,j), i < j, in span order.
+def _qb_h1(n: int) -> tuple[AbelianStructure, Terms, tuple[Terms, ...]]:
+    """H_1(QB_n), the terms of d0, and those of each a(i,j), i < j, in span order.
 
-    A generator's coordinates are its row of the Smith transform V; an a-atom's
-    are the rows of the twists in a_to_t(n, i, j), each times its exponent.
+    The terms of a generator are its class column and sign, and an a-atom's
+    terms are those of the twists in a_to_t(n, i, j), each times its exponent,
+    with the terms on one column added.  They take O(n^2) space in all, where
+    coordinate rows per a-atom would take O(n^3).
     """
     a = h1(presentation("qb", n))
-    rows = dict(zip(a.generators, a.snf.right))
-    pair_rows = []
+    index = {atom: c for c, atom in enumerate(a.generators)}
+    pair_terms = []
     for i, j in _span_pairs(n):
-        y = [0] * len(a.generators)
+        z: dict[int, int] = {}
         for atom, e in a_to_t(n, i, j):
-            y = [u + e * x for u, x in zip(y, rows[atom])]
-        pair_rows.append(tuple(y))
-    return a, rows[Atom.d(0)], tuple(pair_rows)
+            sign, p = a.classes[index[atom]]
+            z[p] = z.get(p, 0) + sign * e
+        pair_terms.append(tuple((p, e) for p, e in z.items() if e))
+    sign, p = a.classes[index[Atom.d(0)]]
+    return a, ((p, sign),), tuple(pair_terms)
 
 
 def qt_class(w: BraidWord) -> ClassVector:
     """Homology class of a quasitoric braid in canonical H_1(QB_n) coordinates.
 
-    Factors the braid as d0^k * p and adds k times the coordinates of d0 to
-    lk(i,j) times those of a(i,j) for each linking number of p.  The entries
-    of the linking matrix and the pair rows of _qb_h1 are both row-major over
-    i < j.  Coordinates past the rank are free; the others are reduced modulo
-    their invariant factor, and those of unit factors dropped.
+    Factors the braid as d0^k * p, adds k times the terms of d0 to lk(i,j)
+    times those of a(i,j) for each linking number of p, and reads the sum's
+    coordinates.  The entries of the linking matrix and the pair terms of
+    _qb_h1 are both row-major over i < j.  Coordinates past the rank are free;
+    the others are reduced modulo their invariant factor, and those of unit
+    factors dropped.
     """
-    a, d0_row, pair_rows = _qb_h1(w.strands)
     k, p = factor(w)
-    y = [k * x for x in d0_row]
-    for c, row in zip(chain.from_iterable(linking(p).entries), pair_rows):
+    a, d0_terms, pair_terms = _qb_h1(w.strands)
+    z = [0] * (a.snf.rank + a.free_rank)
+    for col, e in d0_terms:
+        z[col] += k * e
+    for c, terms in zip(chain.from_iterable(linking(p).entries), pair_terms):
         if c:
-            y = [u + c * x for u, x in zip(y, row)]
+            for col, e in terms:
+                z[col] += c * e
+    y = a.combination(z)
     rank = a.snf.rank
     torsion = tuple(y[col] % d for col, d in enumerate(a.snf.diag[:rank]) if d > 1)
     return ClassVector(tuple(y[rank:]), torsion, a.torsion)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 import tracemalloc
 from functools import lru_cache
 from pathlib import Path
@@ -113,7 +114,9 @@ class TestOutputs:
         # class of delta_0 in H1(QB_3) = Z + Z/3; tripling it must give the
         # class of the full twist t(1,3) = delta_0^3, i.e. (3, 0)
         code, out = go("abelianize", "-n", "3", "1 2")
-        assert code == 0 and out == "free=[1] torsion=[2] moduli=[3]\n"
+        assert code == 0 and out == "free=[1] torsion=[0] moduli=[3]\n"
+        tripled = go("abelianize", "-n", "3", "1 2 1 2 1 2")
+        assert tripled == (0, "free=[3] torsion=[0] moduli=[3]\n")
 
 
 class TestJson:
@@ -212,7 +215,7 @@ class TestErrors:
         assert peak < 32 << 20, f"peak allocation {peak} bytes"
 
     def test_oversized_presentation(self):
-        # C(1000, 5) pentagonal relators: refused from the count, before building
+        # about C(1000, 2) generators: refused from the count, before building
         for group in ("pb", "qb", "pmod"):
             tracemalloc.start()
             try:
@@ -222,6 +225,32 @@ class TestErrors:
                 tracemalloc.stop()
             assert code == 2 and out == ""
             assert peak < 1 << 20, f"peak allocation {peak} bytes"
+
+    def test_oversized_abelianize(self):
+        # qb on 708 strands has 250,279 generators: H_1(QB_708) is refused
+        # before any of it is built; a word that is not quasitoric is refused
+        # before that
+        for word, reason in (("", "250279 generators"), ("1", "not quasitoric")):
+            tracemalloc.start()
+            try:
+                code, out, err = go_all(["abelianize", "-n", "708", word])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 2 and out == "" and reason in err
+            assert peak < 1 << 20, f"peak allocation {peak} bytes"
+
+    def test_h1_reach(self):
+        # h1 builds no relator table, so it answers past the table's limit,
+        # and refuses only from the generator count
+        start = time.perf_counter()
+        assert go("h1", "--group", "pb", "-n", "2000") == (2, "")
+        assert time.perf_counter() - start < 0.1
+        assert go("h1", "--group", "pb", "-n", "200") == (0, "rank=19900 torsion=[]\n")
+        assert go("h1", "--group", "qb", "-n", "40") == (0, "rank=20 torsion=[20]\n")
+        # qb on 32 strands has 283,713 relators
+        for command in ("relators", "verify"):
+            assert go(command, "--group", "qb", "-n", "32") == (2, "")
 
 
 class TestFiles:

@@ -2,6 +2,7 @@ import itertools
 import operator
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -495,26 +496,53 @@ def _same_sign_runs(letters):
 class TestLevels:
     """The level order is a rearrangement of the same trace, and it saves sweeps."""
 
+    @staticmethod
+    def assert_same_trace(word, n):
+        out = garside._by_levels(word, n)
+        # letters of one index never commute, so the k-th one of each index
+        # in out is the k-th one in word: that fixes each letter's position
+        where = {}
+        for p, x in enumerate(word):
+            where.setdefault(abs(x), []).append(p)
+        for ps in where.values():
+            ps.reverse()
+        pos = [where[abs(x)].pop() for x in out]
+        assert sorted(pos) == list(range(len(word)))
+        assert [word[p] for p in pos] == out
+        for a in range(len(out)):
+            for b in range(a + 1, len(out)):
+                if abs(abs(out[a]) - abs(out[b])) <= 1:
+                    assert pos[a] < pos[b], (word, out, a, b)
+
     def test_keeps_the_order_of_letters_that_do_not_commute(self):
         rng = random.Random(25)
         for k in range(80):
             n = 3 + k % 62
-            word = random_word(rng, n, rng.randint(0, 120)).letters
-            out = garside._by_levels(word, n)
-            # letters of one index never commute, so the k-th one of each index
-            # in out is the k-th one in word: that fixes each letter's position
-            where = {}
-            for p, x in enumerate(word):
-                where.setdefault(abs(x), []).append(p)
-            for ps in where.values():
-                ps.reverse()
-            pos = [where[abs(x)].pop() for x in out]
-            assert sorted(pos) == list(range(len(word)))
-            assert [word[p] for p in pos] == out
-            for a in range(len(out)):
-                for b in range(a + 1, len(out)):
-                    if abs(abs(out[a]) - abs(out[b])) <= 1:
-                        assert pos[a] < pos[b], (word, out, a, b)
+            self.assert_same_trace(random_word(rng, n, rng.randint(0, 120)).letters, n)
+
+    def test_blocks_keep_the_trace_and_bound_memory(self, monkeypatch):
+        # each block is ordered as a word of its own: the same trace, so the
+        # same normal form, as the word ordered in one block
+        rng = random.Random(27)
+        w = random_word(rng, 16, 400)
+        assert len(w.letters) <= garside.LEVEL_BLOCK
+        want = _normal_factors(w)
+        monkeypatch.setattr(garside, "LEVEL_BLOCK", 64)
+        assert _normal_factors(w) == want
+        for n in (3, 8, 40):
+            self.assert_same_trace(random_word(rng, n, 200).letters, n)
+        # the result holds 8 bytes a letter, and the keys of one block at a
+        # time come on top: a word of 8 blocks stays under 24 bytes a letter
+        monkeypatch.setattr(garside, "LEVEL_BLOCK", 1024)
+        word = random_word(rng, 16, 8 * 1024).letters
+        tracemalloc.start()
+        try:
+            out = garside._by_levels(word, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(out) == sorted(word)
+        assert peak <= 24 * len(word), peak / len(word)
 
     def test_wide_word_sweeps_at_most_half_its_runs(self, monkeypatch):
         sweeps = 0

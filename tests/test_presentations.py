@@ -5,6 +5,8 @@ import random
 from pathlib import Path
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import invariant_factors
 
 from qtbraid import (
     Atom,
@@ -29,6 +31,7 @@ from qtbraid.presentations import (
     qt_class,
     verify,
 )
+from qtbraid.genset import GensetTarget, short_twist_bound
 from qtbraid.purebraid import t_decompose
 from qtbraid.quasitoric import factor
 from qtbraid.snf import smith_normal_form
@@ -81,14 +84,43 @@ class TestRelatorEnumeration:
                 assert _relator_count(group, n) == gold["total"]
 
     def test_oversized_table_refused(self, monkeypatch):
+        # the table is built, and refused, on the first read of relators;
+        # h1 reads none of it
         assert _relator_count("qb", 14) == 4824
         monkeypatch.setattr(presentations, "MAX_RELATORS", 4823)
         for group in ("pb", "qb", "pmod"):
-            presentation(group, 13)
+            assert len(presentation(group, 13).relators) == _relator_count(group, 13)
+        p = presentation("qb", 14)
+        assert h1(p).torsion == (7,)
+        for _ in range(2):
+            with pytest.raises(WordError, match="has 4824 relators, more than the limit"):
+                p.relators
         with pytest.raises(WordError, match="limit"):
-            presentation("qb", 14)
-        with pytest.raises(WordError, match="limit"):
-            presentation("pb", 1000)
+            presentation("pb", 40).relators
+
+    def test_generator_count_refused(self, monkeypatch):
+        # h1 reads only the generators and the cyclic qb relators, C(n,2) + 1
+        # of each at most, so the generator count is what bounds it
+        monkeypatch.setattr(presentations, "MAX_GENERATORS", 43)
+        for group, count in (("pb", 45), ("qb", 46), ("pmod", 44)):
+            assert h1(presentation(group, 9)).free_rank > 0
+            p = presentation(group, 10)
+            limit = f"{group} on 10 strands has {count} generators, more than the limit of 43"
+            with pytest.raises(WordError, match=limit):
+                h1(p)
+            with pytest.raises(WordError, match=limit):
+                p.generators
+        with pytest.raises(WordError, match="has 46 generators"):
+            presentation("qb", 10).abelian_rows
+
+    def test_each_limit_has_its_own_refusal(self):
+        # past both limits, relators names the relator count and h1 the
+        # generator count
+        p = presentation("qb", 2000)
+        with pytest.raises(WordError, match="has 266667666666401 relators, more than"):
+            p.relators
+        with pytest.raises(WordError, match="has 1999001 generators, more than"):
+            h1(p)
 
     def test_generator_counts(self):
         for n in range(3, 9):
@@ -205,7 +237,7 @@ class TestVerify:
         for rel in p.relators:
             atom, e = rel[0]
             corrupted.append(((atom, -e),) + rel[1:])
-        bad = p.__class__(p.group, p.strands, p.generators, tuple(corrupted))
+        bad = Presentation(p.group, p.strands, p.generators, tuple(corrupted))
         report = verify(bad)
         # flipping one sign breaks all non-commutation relators
         assert report.failures
@@ -238,33 +270,109 @@ class TestH1:
 
     @pytest.mark.parametrize("group", ["pb", "qb", "pmod"])
     def test_zero_rows_dropped_exactly(self, group):
-        # h1 hands only the nonzero exponent rows to the Smith normal form;
-        # the full matrix must give the same H_1 and the same transform
+        # h1 skips the zero-sum rows and merges the two-term unit rows before
+        # its Smith normal form; the dense Smith normal form of the full
+        # matrix is the reference for H_1 and for which classes are zero
+        rng = random.Random(53)
         for n in range(3, 15):
             p = presentation(group, n)
+            g = len(p.generators)
             index = {atom: c for c, atom in enumerate(p.generators)}
             full = []
             for rel in p.relators:
-                row = [0] * len(p.generators)
+                row = [0] * g
                 for atom, e in rel:
                     row[index[atom]] += e
                 full.append(row)
-            s = smith_normal_form(full, cols=len(p.generators))
+            s = smith_normal_form(full, cols=g)
             a = h1(p)
-            assert a.snf.invariant_factors == s.invariant_factors
-            assert a.snf.right == s.right
-            assert a.free_rank == len(p.generators) - s.rank
+            assert a.free_rank == g - s.rank
             assert a.torsion == tuple(d for d in s.invariant_factors if d > 1)
-            assert a.snf.rows == sum(1 for row in full if any(row))
+            # at most the n - 1 qb rows that merge nothing reach the Smith
+            # normal form
+            assert a.snf.rows <= max(0, n - 1)
+            vectors = []
+            rows = [row for row in full if any(row)]
+            for _ in range(20):
+                # a sum of relator rows is zero; a multiple of one generator
+                # on top of it may be, by torsion
+                x = [0] * g
+                for row in rng.sample(rows, min(3, len(rows))):
+                    e = rng.choice((-2, -1, 1, 2))
+                    x = [u + e * v for u, v in zip(x, row)]
+                if rng.random() < 0.5:
+                    x[rng.randrange(g)] += rng.randint(-n, n)
+                vectors.append(x)
+            if group == "qb" and n < 14:
+                for _ in range(10):
+                    k, pure = factor(random_qt_word(rng, n, 3))
+                    x = [0] * g
+                    for atom, e in ((Atom.d(0), k),) + t_decompose(pure):
+                        x[index[atom]] += e
+                    vectors.append(x)
+            zeros = 0
+            for x in vectors:
+                dense = [sum(u * v[c] for u, v in zip(x, s.right)) for c in range(g)]
+                merged = [0] * (a.snf.rank + a.free_rank)
+                for c, e in enumerate(x):
+                    if e:
+                        merged = [u + e * v for u, v in zip(merged, a.coordinates(c))]
+                assert is_zero(dense, s.diag) == is_zero(merged, a.snf.diag), x
+                zeros += is_zero(merged, a.snf.diag)
+            assert 0 < zeros < len(vectors)
 
     def test_min_generators(self):
         assert min_generators(h1(presentation("qb", 3))) == 2
         assert min_generators(h1(presentation("qb", 4))) == 3
         # one generator killed by one relator: the trivial group needs none
         trivial = AbelianStructure(
-            "qb", 3, (Atom.t(1, 2),), 0, (), smith_normal_form([[1]])
+            "qb", 3, (Atom.t(1, 2),), 0, (), smith_normal_form([[1]]), ((1, 0),)
         )
         assert min_generators(trivial) == 0
+
+
+def is_zero(y, diag):
+    """True iff coordinates y, against the Smith diagonal diag, give the zero class."""
+    return all(u % d == 0 if d else u == 0 for u, d in itertools.zip_longest(y, diag, fillvalue=0))
+
+
+class TestMinimality:
+    """H_1 of QB_n is the paper's lower bound, and both alphabets meet it."""
+
+    def test_qb_closed_forms_and_minimal_alphabets(self):
+        for n in [*range(3, 41), 64, 100]:
+            a = h1(presentation("qb", n))
+            want = (n // 2, (n // 2,)) if n % 2 == 0 else ((n - 1) // 2, (n,))
+            assert (a.free_rank, a.torsion) == want, n
+            bound = short_twist_bound(n)
+            assert min_generators(a) == bound
+            for variant in ("thm41", "thm42"):
+                assert len(GensetTarget(variant, n).alphabet) == bound
+
+    def test_qb_against_sympy(self):
+        # an oracle that shares no code with h1: sympy's invariant factors
+        # of every nonzero exponent row
+        for n in (5, 6, 9):
+            p = presentation("qb", n)
+            index = {atom: c for c, atom in enumerate(p.generators)}
+            rows = []
+            for rel in p.relators:
+                row = [0] * len(p.generators)
+                for atom, e in rel:
+                    row[index[atom]] += e
+                if any(row):
+                    rows.append(row)
+            factors = [int(d) for d in invariant_factors(sympy.Matrix(rows)) if d != 0]
+            a = h1(p)
+            assert a.torsion == tuple(d for d in factors if d > 1)
+            assert a.free_rank == len(p.generators) - len(factors)
+
+    def test_pb_pmod_closed_forms(self):
+        for n in range(3, 61):
+            a = h1(presentation("pb", n))
+            assert (a.free_rank, a.torsion) == (n * (n - 1) // 2, ()), n
+            a = h1(presentation("pmod", n))
+            assert (a.free_rank, a.torsion) == ((n + 1) * (n - 2) // 2, ()), n
 
 
 class TestQtClass:
@@ -304,8 +412,8 @@ class TestQtClass:
 
     def test_matches_combing_route(self):
         # a second route to the class: the exponent vector of d0^k times the
-        # combed twist word of p, not p's linking numbers, times the Smith
-        # transform V
+        # combed twist word of p, not p's linking numbers, summed over the
+        # generators' coordinate rows
         rng = random.Random(52)
         for n in range(3, 14):
             a = h1(presentation("qb", n))
@@ -317,12 +425,25 @@ class TestQtClass:
                 x = [0] * len(a.generators)
                 for atom, e in ((Atom.d(0), k),) + t_decompose(p):
                     x[index[atom]] += e
-                y = [sum(u * v[c] for u, v in zip(x, a.snf.right)) for c in range(len(x))]
+                y = [0] * (rank + a.free_rank)
+                for c, e in enumerate(x):
+                    y = [u + e * v for u, v in zip(y, a.coordinates(c))]
                 cv = qt_class(w)
                 assert cv.free == tuple(y[rank:])
                 assert cv.torsion == tuple(
                     y[c] % d for c, d in enumerate(a.snf.diag[:rank]) if d > 1
                 )
+
+    def test_pair_terms_are_quadratic(self):
+        # a(i,j) combs into at most four twists, so the cache keeps at most
+        # four (column, coefficient) pairs per pair, O(n^2) in all, and no
+        # coordinate row per pair; the terms are tuples, so no caller can
+        # change what later calls read
+        for n in (3, 10, 40):
+            a, d0_terms, pair_terms = presentations._qb_h1(n)
+            assert len(d0_terms) == 1 and len(pair_terms) == math.comb(n, 2)
+            assert all(type(terms) is tuple and len(terms) <= 4 for terms in pair_terms)
+            assert all(0 <= col < a.snf.rank + a.free_rank for terms in pair_terms for col, _ in terms)
 
     def test_garside_invariant(self):
         rng = random.Random(51)
