@@ -59,10 +59,10 @@ matrix exactly before the Smith normal form:
 
 * The commutators and pentagons abelianize to zero: in both templates each
   slot's exponents sum to zero, checked once per template when the module
-  loads.  presentation puts those families first and records their count in
-  Presentation.zero_rows, and h1 reads only the rows after them; a zero row
-  adds nothing to the span.  So h1 reads the cyclic qb relators and nothing
-  else, and no row at all for pb and pmod.
+  loads.  presentation puts those families first, and h1 reads only
+  abelian_rows, the relators after them; a zero row adds nothing to the
+  span.  So h1 reads the cyclic qb relators and nothing else, and no row at
+  all for pb and pmod.
 * A row with exactly two entries, both +-1, says x_a = +-x_b.  Replacing x_a
   by x_a -+ x_b is a unimodular column operation that makes the row a unit
   vector, so the row and the column of x_a drop out, and the other rows read
@@ -85,9 +85,10 @@ are deterministic, so the output is reproducible.
 
 Building the relator table costs time and memory in proportion to its relator
 count, which grows like n^5 / 120, but h1 needs only the generators and the
-cyclic qb relators, C(n,2) + 1 of each at most.  So presentation builds
+cyclic qb relators, C(n,2) + 1 of each at most.  So a presentation is its
+(group, n), which alone make its repr, equality and hash, and it builds
 nothing at once: the generators, the cyclic relators and the whole table are
-each built on their first read.  Reading relators
+each built on their first read, from one syllable table.  Reading relators
 counts the relators from the closed forms (2 C(n,4) + 2 C(n,3) commutators,
 C(n,2) - 1 fewer for pmod, C(n,5) pentagons, and 1 + C(n,2) cyclic relators
 for qb) and refuses a table of more than MAX_RELATORS relators, which bounds
@@ -126,58 +127,23 @@ GROUPS = ("pb", "qb", "pmod")
 # 30 strands has 205,872 relators; the tests and the benchmark build at most
 # 4,824 (n=14)
 MAX_RELATORS = 250_000
-# A presentation from presentation() refuses more generators than this, before
-# building any, on the first read of its generators or its cyclic relators, one
-# per generator.  That is all h1 reads of it, so this bounds h1, and with it
-# qt_class: 250,000 generators is qb on 707 strands
+# A presentation refuses more generators than this, before building any, on
+# the first read of its generators or its cyclic relators, one per generator.
+# That is all h1 reads of it, so this bounds h1, and with it qt_class: 250,000
+# generators is qb on 707 strands
 MAX_GENERATORS = 250_000
 
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators and relators of a presented group.
+    """The presentation of group on strands strands; build it with presentation().
 
-    The first zero_rows relators abelianize to zero, so h1 skips them and reads
-    only abelian_rows, the relators after them.  presentation sets zero_rows
-    from its templates; a hand-built presentation keeps the default 0, and h1
-    then reads every relator.
+    Each part is built on its first read and kept.  abelian_rows are the
+    relators after the commutators and pentagons, which abelianize to zero.
     """
 
     group: str
     strands: int
-    generators: tuple[Atom, ...]
-    relators: tuple[GenWord, ...]
-    zero_rows: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.zero_rows <= len(self.relators):
-            raise WordError(
-                f"zero_rows must lie in 0..{len(self.relators)}, got {self.zero_rows}"
-            )
-        # the set operations run in C; walk the relators only to name the
-        # first foreign atom
-        atoms = set(map(itemgetter(0), chain.from_iterable(self.relators)))
-        if foreign := atoms.difference(self.generators):
-            atom = next(a for a, _ in chain.from_iterable(self.relators) if a in foreign)
-            raise WordError(f"relator uses non-generator {atom}")
-
-    @cached_property
-    def abelian_rows(self) -> tuple[GenWord, ...]:
-        return self.relators[self.zero_rows :]
-
-
-class _Built(Presentation):
-    """A presentation from presentation(), whose parts are built on first read.
-
-    Reading relators refuses a table of more than MAX_RELATORS relators, and
-    reading generators or abelian_rows refuses more than MAX_GENERATORS
-    generators.  Every atom is a generator by construction, so none is checked.
-    """
-
-    def __init__(self, group: str, n: int):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "strands", n)
-        object.__setattr__(self, "zero_rows", _zero_sum_count(group, n))
 
     def _check_generators(self) -> None:
         count = comb(self.strands, 2) + {"pb": 0, "qb": 1, "pmod": -1}[self.group]
@@ -194,11 +160,15 @@ class _Built(Presentation):
         return (Atom.d(0),) + twists if self.group == "qb" else twists
 
     @cached_property
+    def _table(self) -> Syllables:
+        return _syllables(self.strands)
+
+    @cached_property
     def abelian_rows(self) -> tuple[GenWord, ...]:
         if self.group != "qb":
             return ()
         self._check_generators()
-        return tuple(_cyclic_relators(self.strands, _syllables(self.strands)))
+        return tuple(_cyclic_relators(self.strands, self._table))
 
     @cached_property
     def relators(self) -> tuple[GenWord, ...]:
@@ -209,7 +179,7 @@ class _Built(Presentation):
                 f"{self.group} on {n} strands has {count} relators, "
                 f"more than the limit of {MAX_RELATORS}"
             )
-        t = _syllables(n)
+        t = self._table
         pairs = _generator_spans(self.group, n)
         zero_sum = _commutation_relators(pairs, n, t) + _pentagonal_relators(n, t)
         return tuple(zero_sum) + self.abelian_rows
@@ -325,18 +295,15 @@ def _cyclic_relators(n: int, t: Syllables) -> list[GenWord]:
     return out
 
 
-def _zero_sum_count(group: str, n: int) -> int:
-    """Number of commutators and pentagons presentation(group, n) has."""
+def _relator_count(group: str, n: int) -> int:
+    """Number of relators presentation(group, n) has."""
     count = 2 * comb(n, 4) + 2 * comb(n, 3) + comb(n, 5)
     if group == "pmod":
         # every other span is nested in (1, n), so each loses one commutator
-        return count - (comb(n, 2) - 1)
+        count -= comb(n, 2) - 1
+    elif group == "qb":
+        count += 1 + comb(n, 2)
     return count
-
-
-def _relator_count(group: str, n: int) -> int:
-    """Number of relators presentation(group, n) has."""
-    return _zero_sum_count(group, n) + (1 + comb(n, 2) if group == "qb" else 0)
 
 
 def presentation(group: str, n: int) -> Presentation:
@@ -351,7 +318,7 @@ def presentation(group: str, n: int) -> Presentation:
         raise WordError(f"unknown group {group!r}; expected one of {GROUPS}")
     if n < 3:
         raise WordError(f"presentations need n >= 3, got {n}")
-    return _Built(group, n)
+    return Presentation(group, n)
 
 
 @dataclass(frozen=True)
@@ -380,9 +347,10 @@ def _relator_holds(rel: GenWord, n: int) -> bool:
 def verify(p: Presentation) -> VerifyReport:
     """Check every relator with the Garside oracle, by the normal forms of its two halves.
 
-    No relator is expanded to letters: each half's normal form is read from
-    cached syllable normal forms.  Raises WordError for a half that would
-    expand to more than MAX_LETTERS letters.
+    Reads p.group, p.strands and p.relators only.  No relator is expanded to
+    letters: each half's normal form is read from cached syllable normal
+    forms.  Raises WordError for a half that would expand to more than
+    MAX_LETTERS letters.
     """
     n = p.strands
     failures = tuple(idx for idx, rel in enumerate(p.relators) if not _relator_holds(rel, n))

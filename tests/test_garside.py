@@ -3,6 +3,7 @@ import operator
 import random
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from qtbraid import (
 )
 from qtbraid import garside, presentations
 from qtbraid.garside import _ctx, _normal_factors, gen_normal_factors, perm_braid_word
-from qtbraid.presentations import Presentation, presentation, verify
+from qtbraid.presentations import presentation, verify
 from qtbraid.words import STRAND_CACHE_SIZE
 
 from helpers import GOLDENS, WatchedMemo, compose, random_word, rewrite_equivalent
@@ -430,7 +431,7 @@ class TestGeneratorWords:
 
     def test_huge_power_refused_before_any_work(self):
         rel = ((Atom.t(1, 4), 1_000_000_000),)
-        p = Presentation("pb", 4, (Atom.t(1, 4),), (rel,))
+        p = SimpleNamespace(group="pb", strands=4, relators=(rel,))
         start = time.perf_counter()
         with pytest.raises(WordError, match="limit"):
             verify(p)
@@ -455,7 +456,8 @@ class TestGeneratorWords:
             bad = rel[:k] + ((atom, -e),) + rel[k + 1 :]
             assert not is_trivial(expand(bad, 5))
             relators = p.relators[:idx] + (bad,) + p.relators[idx + 1 :]
-            assert verify(Presentation(group, 5, p.generators, relators)).failures == (idx,)
+            bad_p = SimpleNamespace(group=group, strands=5, relators=relators)
+            assert verify(bad_p).failures == (idx,)
 
 
 class TestMemoBound:

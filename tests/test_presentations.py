@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import json
 import math
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -161,7 +163,7 @@ class TestRelatorEnumeration:
         for n in range(3, 17):
             p = presentation(group, n)
             assert all(rel == gen_reduce(rel) for rel in p.relators)
-            for rel in p.relators[: p.zero_rows]:
+            for rel in p.relators[: len(p.relators) - len(p.abelian_rows)]:
                 exponents = {}
                 for atom, e in rel:
                     exponents[atom] = exponents.get(atom, 0) + e
@@ -174,27 +176,14 @@ class TestRelatorEnumeration:
             commutators = 2 * math.comb(n, 4) + 2 * math.comb(n, 3)
             if group == "pmod":
                 commutators -= math.comb(n, 2) - 1
-            assert presentation(group, n).zero_rows == commutators + math.comb(n, 5)
-        assert presentation("pb", 6).zero_rows == brute_commutation_count(6) + 6
+            p = presentation(group, n)
+            assert len(p.relators) - len(p.abelian_rows) == commutators + math.comb(n, 5)
+        p = presentation("pb", 6)
+        assert len(p.relators) - len(p.abelian_rows) == brute_commutation_count(6) + 6
 
     def test_template_with_nonzero_slot_refused(self):
         with pytest.raises(ValueError, match="slot 1"):
             _template(((0, 1), (1, 1), (0, -1)))
-
-    def test_foreign_atom_named(self):
-        p = presentation("pb", 4)
-        stray = ((Atom.t(1, 2), 1), (Atom.d(0), 1), (Atom.s(1), 1))
-        relators = p.relators[:3] + (stray, ((Atom.s(2), 1),))
-        with pytest.raises(WordError, match=r"^relator uses non-generator d0$"):
-            Presentation(p.group, p.strands, p.generators, relators)
-
-    def test_bad_zero_rows_refused(self):
-        p = presentation("pb", 4)
-        for bad in (-1, len(p.relators) + 1):
-            with pytest.raises(WordError, match="zero_rows"):
-                Presentation(p.group, p.strands, p.generators, p.relators, bad)
-        full = Presentation(p.group, p.strands, p.generators, p.relators, len(p.relators))
-        assert h1(full).snf.rows == 0
 
     def test_qb_case_relators(self):
         rels = presentation("qb", 5).relators
@@ -223,6 +212,42 @@ class TestRelatorEnumeration:
         assert lantern in rels
 
 
+class TestIdentity:
+    # a presentation is its (group, n): repr, == and hash read nothing else,
+    # so they answer past both limits and build no table
+    def test_identity_reads_only_group_and_strands(self):
+        for group, n in (("qb", 40), ("pb", 2000)):
+            p = presentation(group, n)
+            assert repr(p) == f"Presentation(group={group!r}, strands={n})"
+            assert p == presentation(group, n) and hash(p) == hash(presentation(group, n))
+            assert p != presentation(group, n + 1)
+            assert vars(p) == {"group": group, "strands": n}
+        assert [f.name for f in dataclasses.fields(Presentation)] == ["group", "strands"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.group = "qb"
+
+    def test_equality_builds_no_table(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(presentations, "_syllables", calls.append)
+        p, q = presentation("pb", 20), presentation("pb", 20)
+        assert p == q and {p, q} == {p}
+        assert calls == [] and vars(p) == vars(q) == {"group": "pb", "strands": 20}
+
+    def test_one_syllable_table_per_presentation(self, monkeypatch):
+        calls = []
+        build = presentations._syllables
+
+        def counted(n):
+            calls.append(n)
+            return build(n)
+
+        monkeypatch.setattr(presentations, "_syllables", counted)
+        p = presentation("qb", 8)
+        rows = p.abelian_rows
+        assert p.relators[len(p.relators) - len(rows) :] == rows
+        assert calls == [8]
+
+
 class TestVerify:
     @pytest.mark.parametrize("group", ["pb", "qb"])
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -237,7 +262,8 @@ class TestVerify:
         for rel in p.relators:
             atom, e = rel[0]
             corrupted.append(((atom, -e),) + rel[1:])
-        bad = Presentation(p.group, p.strands, p.generators, tuple(corrupted))
+        # verify reads only the group, the strand count and the relators
+        bad = SimpleNamespace(group=p.group, strands=p.strands, relators=tuple(corrupted))
         report = verify(bad)
         # flipping one sign breaks all non-commutation relators
         assert report.failures
