@@ -68,7 +68,10 @@ gives the normal form of a left-weighted sequence times any permutation
 braid: each step leaves the pair to its right left-weighted, and the sweep
 stops at the first unchanged pair, as the pairs left of it are untouched.  A
 factor that becomes Delta is deleted and d raised by one (the Delta pull):
-the stored factors left of it stay, those right of it are flipped by tau.
+the stored factors left of it stay, those right of it are flipped by tau,
+read from the context's flips table (a words.Table with the pairs table's
+cap; up to 8 strands it holds all n! factors, so none is flipped twice).  The
+final flip of an odd d reads the same table.
 The sweep would only carry that Delta on to the front, flipping each factor
 it passes, as raising d already does, so the pull ends the sweep.  Only the
 appended factor can be absorbed into its left neighbour (any other right
@@ -100,8 +103,13 @@ factor iff value s+1 occurs before value s in B, and a suffix iff B[s] > B[s+1].
 A pair (a, b) becomes (a m, m^{-1} b) with m = (a^{-1} Delta) ^ b, by one of two
 routes behind one memo: the context's pairs table, a words.Table emptied at
 RENORM_MEMO_CELLS // n entries.  The bubble moves prefix letters of b into a
-one at a time, in passes over the n - 1 letters: about passes * n steps plus
-|m| swaps.
+one at a time, in one forward scan over the n - 1 letters.  A swap at s can
+only change the test at s - 1, s and s + 1, so the scan steps back to s - 1
+after it: at most n - 1 + 2|m| steps, |m| of them swaps.  Repeating whole
+passes until one swaps nothing would pay a last pass that only confirms: on
+the pairs that the sweeps of four random 1,500-letter words hand to the
+kernel at n = 4 / 5 / 6 / 12, passes cost 1.6 / 2.1 / 2.7 / 9.6 us a pair and
+the scan 1.3 / 1.7 / 2.3 / 7.9 us.
 The meet takes the strand pairs m leaves uncrossed as the transitive closure
 of those a crosses and b leaves uncrossed (the weak-order meet; Epstein et
 al., ch. 9), in bitmask rows: O(n) steps plus the closure work, which is small
@@ -110,13 +118,14 @@ near-Delta factor, so wide words are full of such pairs.  The meet takes a pair
 when n >= MEET_MIN_STRANDS, b has more than n/2 descents, and a has under half
 as many descents as b.  On the pairs that the sweeps of six random 250-letter
 words hand to the kernel at n = 20 / 32 / 64 (Python 3.11, 2-vCPU Xeon), those
-the gate takes cost the bubble 75 / 174 / 738 us and the meet 46 / 67 / 143 us,
-and the rest cost the bubble 23 / 30 / 42 us.  The bound on b came with the
-level order: without it the gate also took 150 / 119 / 89 pairs with a short a
-and a b of few descents, whose m is short, and these cost the bubble
-7 / 9 / 16 us and the meet 97 / 212 / 1,001 us.  With it, those words' normal
-forms took 111 / 114 / 100 ms instead of 123 / 141 / 192 ms.  Below 20 strands
-the gate cost about what the meet saved.
+the gate takes cost the bubble 41 / 101 / 449 us and the meet 25 / 39 / 81 us,
+and the rest cost the bubble 8.9 / 12.9 / 11.5 us and the meet
+51 / 113 / 543 us.  The bound on b came with the level order: without it the
+gate also took 150 / 119 / 89 pairs with a short a and a b of few descents,
+whose m is short, and these cost the bubble 7 / 9 / 16 us and the meet
+97 / 212 / 1,001 us.  With it, those words' normal forms took
+111 / 114 / 100 ms instead of 123 / 141 / 192 ms.  Below 20 strands the gate
+cost about what the meet saved.
 """
 
 from __future__ import annotations
@@ -220,25 +229,30 @@ def _left_weight(pair: tuple[Factor, Factor]) -> tuple[Factor, Factor] | None:
 
 
 def _bubble(a: Factor, b: Factor) -> tuple[Factor, Factor] | None:
-    """Move prefix letters of b that are not suffix letters of a, one at a time."""
-    n = len(a)
+    """Move prefix letters of b that are not suffix letters of a, one at a time.
+
+    One forward scan that steps back after each swap, as perm_braid_word does.
+    """
+    n1 = len(a) - 1
     A = list(a)
     B = list(b)
-    pos = [0] * n
+    pos = [0] * len(b)
     for q, v in enumerate(B):
         pos[v] = q
     changed = False
-    moving = True
-    while moving:
-        moving = False
-        for s in range(n - 1):
-            # s in starting set of B and not in finishing set of A
-            if pos[s + 1] < pos[s] and A[s] < A[s + 1]:
-                A[s], A[s + 1] = A[s + 1], A[s]
-                p1, p2 = pos[s], pos[s + 1]
-                B[p1], B[p2] = B[p2], B[p1]
-                pos[s], pos[s + 1] = p2, p1
-                changed = moving = True
+    s = 0
+    while s < n1:
+        # s in starting set of B and not in finishing set of A
+        if pos[s + 1] < pos[s] and A[s] < A[s + 1]:
+            A[s], A[s + 1] = A[s + 1], A[s]
+            p1, p2 = pos[s], pos[s + 1]
+            B[p1], B[p2] = B[p2], B[p1]
+            pos[s], pos[s + 1] = p2, p1
+            changed = True
+            if s:
+                s -= 1
+        else:
+            s += 1
     return (tuple(A), tuple(B)) if changed else None
 
 
@@ -278,7 +292,7 @@ def _meet(a: Factor, b: Factor) -> tuple[Factor, Factor] | None:
 
 
 class _Ctx:
-    """Per-strand-count tables: letter factors, syllable forms and the pair memo."""
+    """Per-strand-count tables: letter factors, syllable forms, the pair memo and flips."""
 
     def __init__(self, n: int):
         self.identity: Factor = tuple(range(n))
@@ -294,6 +308,8 @@ class _Ctx:
         self.syllables = Table(partial(_syllable_form, n))
         # (a, b) -> the left-weighted pair, or None if (a, b) already is one
         self.pairs = Table(_left_weight, RENORM_MEMO_CELLS // n)
+        # x -> tau(x), read by the Delta pull and the final flip
+        self.flips = Table(_tau, RENORM_MEMO_CELLS // n)
 
 
 @lru_cache(maxsize=STRAND_CACHE_SIZE)
@@ -315,8 +331,8 @@ def _sweep(ctx: _Ctx, fs: list[Factor], d: int) -> int:
             break
         a, b = res
         if a == ctx.w0:
-            identity = ctx.identity
-            fs[j - 1 :] = [_tau(f) for f in [b] + fs[j + 1 :] if f != identity]
+            identity, flips = ctx.identity, ctx.flips
+            fs[j - 1 :] = [flips[f] for f in [b] + fs[j + 1 :] if f != identity]
             return d + 1
         fs[j - 1] = a
         if b == ctx.identity:  # only the appended factor is ever absorbed
@@ -401,7 +417,7 @@ def _normal_factors(w: BraidWord) -> tuple[int, list[Factor]]:
             fs.append(f if x > 0 else tuple([n1 - v for v in f]))
         d = _sweep(ctx, fs, d)
     if d & 1:
-        fs = [_tau(f) for f in fs]
+        fs = list(map(ctx.flips.__getitem__, fs))
     return d, fs
 
 
@@ -428,7 +444,7 @@ def gen_normal_factors(gw: GenWord, n: int) -> tuple[int, list[Factor]]:
                 fs.append(f[d & 1])
                 d = _sweep(ctx, fs, d)
     if d & 1:
-        fs = [_tau(f) for f in fs]
+        fs = list(map(ctx.flips.__getitem__, fs))
     return d, fs
 
 

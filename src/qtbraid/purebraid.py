@@ -203,11 +203,18 @@ def comb(w: BraidWord) -> GenWord:
         ascends = image[i] < image[i + 1]
         if x > 0 and not ascends:
             image[i], image[i + 1] = image[i + 1], image[i]
-            _join(out, loops[tuple(image), p, 1])
+            piece = loops[tuple(image), p, 1]
+        elif x < 0 and ascends:
+            piece = loops[tuple(image), p, -1]
+            image[i], image[i + 1] = image[i + 1], image[i]
+        else:
+            image[i], image[i + 1] = image[i + 1], image[i]
             continue
-        if x < 0 and ascends:
-            _join(out, loops[tuple(image), p, -1])
-        image[i], image[i + 1] = image[i + 1], image[i]
+        # a loop word is reduced, so only a seam of equal atoms can merge
+        if out and piece and out[-1][0] == piece[0][0]:
+            _join(out, piece)
+        else:
+            out += piece
     return tuple(out)
 
 

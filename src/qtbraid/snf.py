@@ -36,6 +36,26 @@ class SmithNormalForm:
         return tuple(d for d in self.diag if d != 0)
 
 
+def _pivot(m: list[list[int]], t: int, r: int, g: int) -> tuple[int, int] | None:
+    """The pivot of step t: the nonzero m[i][j], t <= i < r and t <= j < g,
+    least by (|value|, i, j).
+
+    In row-major order the first +-1 met has the least key, so the scan stops there.
+    """
+    best = None
+    for i in range(t, r):
+        row = m[i]
+        for j in range(t, g):
+            val = row[j]
+            if val:
+                if val == 1 or val == -1:
+                    return i, j
+                key = (abs(val), i, j)
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+    return None if best is None else (best[1], best[2])
+
+
 def smith_normal_form(matrix: list[list[int]], cols: int | None = None) -> SmithNormalForm:
     """Compute the Smith normal form of an integer matrix.
 
@@ -68,22 +88,10 @@ def smith_normal_form(matrix: list[list[int]], cols: int | None = None) -> Smith
         for row in m:
             row[a] = -row[a]
 
-    def pivot_at(t: int) -> tuple[int, int] | None:
-        best = None
-        for i in range(t, r):
-            row = m[i]
-            for j in range(t, g):
-                val = row[j]
-                if val:
-                    key = (abs(val), i, j)
-                    if best is None or key < best[0]:
-                        best = (key, i, j)
-        return None if best is None else (best[1], best[2])
-
     def clear_at(t: int) -> None:
         """Make m[t][t] the only nonzero entry in its row and column."""
         while True:
-            piv = pivot_at(t)
+            piv = _pivot(m, t, r, g)
             if piv is None:
                 return
             i, j = piv

@@ -356,18 +356,24 @@ class ImageTable(Table):
         """The image of gw, freely reduced: image^e for each syllable atom^e.
 
         Each piece joined on (an image, its inverse, a fixed-atom syllable) is
-        reduced, so only its seam can merge.  That gives gen_reduce of the whole
-        concatenation, the unique reduced form, even for unreduced gw or 0 exponents.
+        reduced, so only its seam can merge, and _join runs only where the seam's
+        atoms are equal.  That gives gen_reduce of the whole concatenation, the
+        unique reduced form, even for unreduced gw or 0 exponents.
         """
-        out: list[tuple[Atom, int]] = []
         fixed = self.fixed
+        if len(gw) == 1 and gw[0][0] != fixed and gw[0][1] in (1, -1):
+            return self[gw[0][0]][gw[0][1] < 0]  # the stored image or its inverse
+        out: list[tuple[Atom, int]] = []
         for atom, e in gw:
             if atom == fixed:
                 _join(out, ((atom, e),) if e else ())
             else:
                 piece = self[atom][e < 0]  # the inverse image for e < 0
                 for _ in range(abs(e)):
-                    _join(out, piece)
+                    if out and piece and out[-1][0] == piece[0][0]:
+                        _join(out, piece)
+                    else:
+                        out += piece
         return tuple(out)
 
 

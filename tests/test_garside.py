@@ -481,11 +481,30 @@ class TestMemoBound:
             _ctx.cache_clear()
         assert _ctx.cache_parameters()["maxsize"] == STRAND_CACHE_SIZE
 
+    def test_flip_table_is_capped(self, monkeypatch):
+        cap, n = 16, 6
+        monkeypatch.setattr(garside, "RENORM_MEMO_CELLS", cap * n)
+        _ctx.cache_clear()  # the entry cap is fixed when a context is built
+        try:
+            ctx = _ctx(n)
+            assert ctx.flips.cap == cap
+            memo = WatchedMemo(ctx.flips.compute, cap)
+            monkeypatch.setattr(ctx, "flips", memo)
+            rng = random.Random(27)
+            for _ in range(40):
+                w = random_word(rng, n, 60)
+                assert _normal_factors(w) == fixpoint_normal_factors(w)
+            assert memo.clears >= 2 and memo.peak <= cap
+            assert memo and all(value == tau(key) for key, value in memo.items())
+        finally:
+            _ctx.cache_clear()
+
     def test_cells_not_entries_are_bounded(self):
         # an entry holds four n-tuples at most, so entries * n bounds its size
         for n in (3, 10, 64, 1000):
             ctx = garside._Ctx(n)
             assert ctx.pairs.cap * n <= garside.RENORM_MEMO_CELLS
+            assert ctx.flips.cap * n <= garside.RENORM_MEMO_CELLS
         # no benchmark-sized memo is cleared: ~6.5k entries at n=10, ~1.6k at n=32-64
         assert garside._Ctx(10).pairs.cap >= 50_000
         assert garside._Ctx(64).pairs.cap >= 8_000
@@ -599,8 +618,25 @@ def _sweep_pairs(ctx, words):
     return seen
 
 
+def _needs_back_step(a, b):
+    """True if one forward pass of swaps does not left-weight (a, b).
+
+    Then the library's scan must step back after some swap to finish.
+    """
+    n = len(a)
+    A, pos = list(a), [0] * n
+    for q, v in enumerate(b):
+        pos[v] = q
+    for s in range(n - 1):
+        if pos[s + 1] < pos[s] and A[s] < A[s + 1]:
+            A[s], A[s + 1] = A[s + 1], A[s]
+            pos[s], pos[s + 1] = pos[s + 1], pos[s]
+    return any(pos[s + 1] < pos[s] and A[s] < A[s + 1] for s in range(n - 1))
+
+
 class TestPairKernel:
-    """The meet left-weights every pair exactly as the bubble does."""
+    """The library's kernels, the meet and the resumed scan, left-weight every
+    pair exactly as the private multi-pass bubble does."""
 
     def test_every_pair_up_to_five_strands(self):
         count = 0
@@ -608,9 +644,43 @@ class TestPairKernel:
             perms = list(itertools.permutations(range(n)))
             for a in perms:
                 for b in perms:
-                    assert garside._meet(a, b) == _bubble(a, b), (a, b)
+                    want = _bubble(a, b)
+                    assert garside._meet(a, b) == want, (a, b)
+                    assert garside._bubble(a, b) == want, (a, b)
                     count += 1
         assert count == 15_016
+
+    def test_resumed_scan_on_pairs_from_sweeps(self):
+        rng = random.Random(25)
+        count = 0
+        for n in range(3, 65):
+            ctx = _ctx(n)
+            ctx.pairs.clear()
+            words = [random_word(rng, n, 60) for _ in range(2)]
+            for a, b in _sweep_pairs(ctx, words):
+                assert garside._bubble(a, b) == _bubble(a, b), (a, b)
+                count += 1
+        assert count > 2_000
+
+    def test_resumed_scan_on_pairs_that_need_a_back_step(self):
+        rng = random.Random(26)
+        pairs = []
+        for n in range(3, 65):
+            identity, w0 = tuple(range(n)), tuple(range(n - 1, -1, -1))
+            pairs.append((identity, w0))  # every swap at s > 0 enables one at s - 1
+            for _ in range(20):
+                swaps = rng.randint(1, n)
+                pairs.append((_short(rng, n, swaps, identity), _short(rng, n, swaps, w0)))
+                pairs.append((_random_perm(rng, n), _random_perm(rng, n)))
+        pairs = [pair for pair in pairs if _needs_back_step(*pair)]
+        assert len(pairs) > 1_000
+        for a, b in pairs:
+            assert garside._bubble(a, b) == _bubble(a, b), (a, b)
+        n = 9
+        assert garside._bubble(tuple(range(n)), tuple(range(n - 1, -1, -1))) == (
+            tuple(range(n - 1, -1, -1)),
+            tuple(range(n)),
+        )
 
     def test_random_wide_pairs(self):
         rng = random.Random(23)

@@ -2,15 +2,34 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
-from qtbraid.snf import smith_normal_form
+from qtbraid.snf import _pivot, smith_normal_form
 
 
 def brute_invariant_factors(matrix):
     if not matrix:
         return []
     return [int(x) for x in invariant_factors(sympy.Matrix(matrix)) if x != 0]
+
+
+@st.composite
+def _matrix_and_start(draw):
+    r, g = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entries = st.integers(-4, 4) | st.just(0)  # zeros and +-1s are common
+    m = draw(st.lists(st.lists(entries, min_size=g, max_size=g), min_size=r, max_size=r))
+    return m, draw(st.integers(0, min(r, g)))
+
+
+class TestPivot:
+    @given(_matrix_and_start())
+    def test_early_exit_equals_full_scan_minimum(self, case):
+        m, t = case
+        r, g = len(m), len(m[0])
+        keys = [(abs(m[i][j]), i, j) for i in range(t, r) for j in range(t, g) if m[i][j]]
+        assert _pivot(m, t, r, g) == (min(keys)[1:] if keys else None)
 
 
 class TestSmithNormalForm:

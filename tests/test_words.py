@@ -465,6 +465,9 @@ class TestImageTableSubstitute:
         table = ImageTable(lambda atom: ((_X, 1), (_Y, 1), (_X, -1)), fixed=_D0)
         for e in (1, -1, 2, -2, 3, -3):
             assert table.substitute(((_DOMAIN[0], e),)) == ((_X, 1), (_Y, e), (_X, -1))
+        # one syllable of exponent +-1 is the stored image or its inverse itself
+        assert table.substitute(((_DOMAIN[0], 1),)) is table[_DOMAIN[0]][0]
+        assert table.substitute(((_DOMAIN[0], -1),)) is table[_DOMAIN[0]][1]
 
     def test_fixed_atom_runs_and_unreduced_images(self):
         table = ImageTable(lambda atom: ((_D0, 1), (_X, 2), (_X, -2), (_D0, 2)), fixed=_D0)
