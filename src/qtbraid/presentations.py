@@ -48,64 +48,56 @@ h1 computes the abelianization by exact Smith normal form, together with the
 coordinates of each generator, so homology classes of concrete braids are
 computable (qt_class), not just the group shape.  The class of d0^k p is
 linear: k x(d0) + sum over i < j of lk(i,j)(p) x(a(i,j)).  Each a(i,j) combs
-into at most four twists, and each twist is a sign times one class column of
-h1 (below), so those terms are computed once per n, with H_1(QB_n), in O(n^2)
-space, and kept for at most words.STRAND_CACHE_SIZE strand counts.  A call
-adds up the terms of its nonzero linking numbers over the class columns and
-multiplies the sum by the transform once.
+into at most four twists, t(i,j-1)^-1 t(i,j) t(i+1,j)^-1 t(i+1,j-1), and a
+twist's class depends only on its width (below), so a(i,j) has the class of
+a(1,j-i+1).  Its terms are computed once per diagonal d = j - i, n - 1 of them
+with H_1(QB_n), and kept for at most words.STRAND_CACHE_SIZE strand counts.
+A call sums the linking numbers along each diagonal, adds up the terms of the
+nonzero sums over the class columns and multiplies the sum by the transform
+once.
 
-H_1 is Z^g modulo the span of the relators' exponent rows, and h1 shrinks that
-matrix exactly before the Smith normal form:
+H_1 is Z^g modulo the span of the relators' exponent rows:
 
 * The commutators and pentagons abelianize to zero: in both templates each
   slot's exponents sum to zero, checked once per template when the module
-  loads.  presentation puts those families first, and h1 reads only
-  abelian_rows, the relators after them; a zero row adds nothing to the
-  span.  So h1 reads the cyclic qb relators and nothing else, and no row at
-  all for pb and pmod.
-* A row with exactly two entries, both +-1, says x_a = +-x_b.  Replacing x_a
-  by x_a -+ x_b is a unimodular column operation that makes the row a unit
-  vector, so the row and the column of x_a drop out, and the other rows read
-  +-x_b for x_a.  h1 does that for every such row, in order, with a signed
-  union-find over the columns: each column is a sign times a root column, and
-  of two joined roots the smaller index stays root.  A row whose two columns
-  are already joined would close a cycle, so it stays, like every other row.
-  For qb, relation 4 gives such a row for every t(i,j) with j < n, which merges
-  each twist with its shifts: the roots are d0 and the t(1,j), and of the
-  C(n,2) + 1 cyclic rows only n - 1 stay (relation 3 and relation 4 at j = n,
-  i > 1); the central row is zero.
-* The rows that stay, rewritten over the roots, go to the dense Smith normal
-  form on the root columns they touch, at most n of them for qb.  Every other
-  root is a free coordinate of H_1 and has no column there, so pb and pmod,
-  whose generators are all roots, make no g x g identity.
+  loads.  So pb and pmod have no row, and H_1 is free on their generators.
+* For qb, relation 4 at j < n says x(t(i,j)) = x(t(i+1,j+1)).  The orbit map
+  sends x(d0) to root 0 and x(t(i,j)) to root j - i, the root of t(1,j-i+1),
+  from Z^g onto Z^n.  Its kernel has rank g - n = C(n-1,2), one less than the
+  number of generators on each diagonal, summed over the diagonals, and the
+  j < n rows are exactly the differences of neighbours on a diagonal, so they
+  generate that kernel.  Hence H_1(QB_n) = Z^n modulo the image of the n
+  remaining rows: relation 3 and relation 4 at j = n.  The central row
+  (i,j) = (1,n) maps to zero and is dropped.
+* h1 writes those rows over the roots, drops the zero ones and runs the dense
+  Smith normal form on the roots they touch, in ascending order; every other
+  root is a free coordinate of H_1, after those, and has no column there.
 
-A generator's coordinates are its sign times the transform row of its root,
-or the unit vector of a free root.  Row order, union-find roots and pivoting
-are deterministic, so the output is reproducible.
+A generator's coordinates are the transform row of its root, or the unit
+vector of a free root.  Row order, roots and pivoting are deterministic, so
+the output is reproducible.
 
 Building the relator table costs time and memory in proportion to its relator
-count, which grows like n^5 / 120, but h1 needs only the generators and the
-cyclic qb relators, C(n,2) + 1 of each at most.  So a presentation is its
-(group, n), which alone make its repr, equality and hash, and it builds
-nothing at once: the generators, the cyclic relators and the whole table are
-each built on their first read, from one syllable table.  Reading relators
-counts the relators from the closed forms (2 C(n,4) + 2 C(n,3) commutators,
-C(n,2) - 1 fewer for pmod, C(n,5) pentagons, and 1 + C(n,2) cyclic relators
-for qb) and refuses a table of more than MAX_RELATORS relators, which bounds
-relators and verify at n = 31.  Reading the generators or the cyclic relators
+count, which grows like n^5 / 120, but h1 needs only the generators and n
+cyclic qb relators.  So a presentation is its (group, n), which alone make its
+repr, equality and hash, and it builds nothing at once: the generators and the
+relators are each built on their first read.  Reading
+relators counts the relators from the closed forms (2 C(n,4) + 2 C(n,3)
+commutators, C(n,2) - 1 fewer for pmod, C(n,5) pentagons, and 1 + C(n,2)
+cyclic relators for qb) and refuses a table of more than MAX_RELATORS
+relators, which bounds relators and verify at n = 31.  Reading the generators
 refuses more than MAX_GENERATORS generators, which bounds h1 and qt_class at
-n = 707.  h1(qb) takes ~0.3 s at n = 200, most of it in the Smith normal form
-of the n - 1 rows that stay, and that dense form grows like n^3.
+n = 707.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations
+from itertools import combinations, zip_longest
 from math import comb
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Iterable
 
 from .garside import gen_normal_factors
 from .purebraid import a_to_t, linking
@@ -138,37 +130,22 @@ MAX_GENERATORS = 250_000
 class Presentation:
     """The presentation of group on strands strands; build it with presentation().
 
-    Each part is built on its first read and kept.  abelian_rows are the
-    relators after the commutators and pentagons, which abelianize to zero.
+    Each part is built on its first read and kept.
     """
 
     group: str
     strands: int
 
-    def _check_generators(self) -> None:
+    @cached_property
+    def generators(self) -> tuple[Atom, ...]:
         count = comb(self.strands, 2) + {"pb": 0, "qb": 1, "pmod": -1}[self.group]
         if count > MAX_GENERATORS:
             raise WordError(
                 f"{self.group} on {self.strands} strands has {count} generators, "
                 f"more than the limit of {MAX_GENERATORS}"
             )
-
-    @cached_property
-    def generators(self) -> tuple[Atom, ...]:
-        self._check_generators()
         twists = tuple(Atom.t(i, j) for i, j in _generator_spans(self.group, self.strands))
         return (Atom.d(0),) + twists if self.group == "qb" else twists
-
-    @cached_property
-    def _table(self) -> Syllables:
-        return _syllables(self.strands)
-
-    @cached_property
-    def abelian_rows(self) -> tuple[GenWord, ...]:
-        if self.group != "qb":
-            return ()
-        self._check_generators()
-        return tuple(_cyclic_relators(self.strands, self._table))
 
     @cached_property
     def relators(self) -> tuple[GenWord, ...]:
@@ -179,10 +156,12 @@ class Presentation:
                 f"{self.group} on {n} strands has {count} relators, "
                 f"more than the limit of {MAX_RELATORS}"
             )
-        t = self._table
+        t = _syllables(self.generators)
         pairs = _generator_spans(self.group, n)
-        zero_sum = _commutation_relators(pairs, n, t) + _pentagonal_relators(n, t)
-        return tuple(zero_sum) + self.abelian_rows
+        out = _commutation_relators(pairs, n, t) + _pentagonal_relators(n, t)
+        if self.group == "qb":
+            out += _cyclic_relators(n, t, pairs)
+        return tuple(out)
 
 
 def _template(slots: tuple[tuple[int, int], ...]) -> Callable[[GenWord], GenWord]:
@@ -215,12 +194,9 @@ Terms = tuple[tuple[int, int], ...]
 Syllables = dict[tuple[int, int], GenWord]
 
 
-def _syllables(n: int) -> Syllables:
-    table: Syllables = {}
-    for i, j in _span_pairs(n):
-        atom = Atom.t(i, j)
-        table[i, j] = ((atom, 1), (atom, -1))
-    return table
+def _syllables(generators: Iterable[Atom]) -> Syllables:
+    """The syllables of the twist generators; pmod's lack (1, n), which no pmod relator reads."""
+    return {(a.i, a.j): ((a, 1), (a, -1)) for a in generators if a.kind == "t"}
 
 
 def _span_pairs(n: int) -> list[tuple[int, int]]:
@@ -267,32 +243,33 @@ def _pentagonal_relators(n: int, t: Syllables) -> list[GenWord]:
     ]
 
 
-def _cyclic_relators(n: int, t: Syllables) -> list[GenWord]:
-    """The qb relators that involve d0: d0^n = t(1,n), then d0 t(i,j) d0^-1 for each span.
+def _cyclic_relator(n: int, t: Syllables, i: int, j: int) -> GenWord:
+    """Relation 4 at the span (i, j): d0 t(i,j) d0^-1 times the inverse of its right side.
 
     t[span][:1] and t[span][1:] are the one-syllable words t(span)^1 and
     t(span)^-1; a one-strand span (k, k) is not in t, and t.get gives the
     empty word for it.
     """
     d0 = Atom.d(0)
-    out = [((d0, n),) + t[1, n][1:]]
-    for i, j in _span_pairs(n):
-        conj = ((d0, 1),) + t[i, j][:1] + ((d0, -1),)
-        if j < n:
-            rhs_inverse = t[i + 1, j + 1][1:]
-        elif i == 1:
-            rhs_inverse = t[1, n][1:]
-        else:
-            # (t(2,n)^-1 t(1,i)^-1 t(2,i) t(i+1,n) t(1,n))^-1
-            rhs_inverse = (
-                t[1, n][1:]
-                + t.get((i + 1, n), ())[1:]
-                + t.get((2, i), ())[1:]
-                + t[1, i][:1]
-                + t[2, n][:1]
-            )
-        out.append(conj + rhs_inverse)
-    return out
+    conj = ((d0, 1),) + t[i, j][:1] + ((d0, -1),)
+    if j < n:
+        return conj + t[i + 1, j + 1][1:]
+    if i == 1:
+        return conj + t[1, n][1:]
+    # (t(2,n)^-1 t(1,i)^-1 t(2,i) t(i+1,n) t(1,n))^-1
+    return (
+        conj
+        + t[1, n][1:]
+        + t.get((i + 1, n), ())[1:]
+        + t.get((2, i), ())[1:]
+        + t[1, i][:1]
+        + t[2, n][:1]
+    )
+
+
+def _cyclic_relators(n: int, t: Syllables, spans: list[tuple[int, int]]) -> list[GenWord]:
+    """The qb relators that involve d0: relation 3, d0^n = t(1,n), then relation 4 at each span."""
+    return [((Atom.d(0), n),) + t[1, n][1:]] + [_cyclic_relator(n, t, i, j) for i, j in spans]
 
 
 def _relator_count(group: str, n: int) -> int:
@@ -311,8 +288,8 @@ def presentation(group: str, n: int) -> Presentation:
 
     pmod drops the generator t1,<n>, and with it the commutators it takes
     part in; qb adds d0 and the cyclic relators after the shared families.
-    Builds nothing yet: the generators, the cyclic relators and the whole
-    table are each built on their first read.
+    Builds nothing yet: the generators and the relators are each built on their
+    first read.
     """
     if group not in GROUPS:
         raise WordError(f"unknown group {group!r}; expected one of {GROUPS}")
@@ -385,9 +362,6 @@ class ClassVector:
             self.moduli,
         )
 
-    def is_zero(self) -> bool:
-        return not any(self.free) and not any(self.torsion)
-
 
 @dataclass(frozen=True)
 class AbelianStructure:
@@ -424,68 +398,44 @@ class AbelianStructure:
         return y + z[self.snf.cols :]
 
 
+def _root(atom: Atom) -> int:
+    """The orbit root of a qb generator: 0 for d0, and j - i for t(i,j), the root of t(1,j-i+1)."""
+    return 0 if atom.kind == "d" else atom.j - atom.i
+
+
 def h1(p: Presentation) -> AbelianStructure:
     """Abelianization of the presented group by exact Smith normal form.
 
-    Reads only p.abelian_rows, in order, as exponent rows; see the module
-    docstring for the merge of two-term unit rows and why it is exact.
+    Reads p.group, p.strands and p.generators.  For qb it writes relation 3
+    and relation 4 at j = n over the orbit roots; see the module docstring
+    for why that is exact.  pb and pmod have no row.
     """
-    index = {atom: c for c, atom in enumerate(p.generators)}
-    # column c is sign[c] times column parent[c]; a root is its own parent
-    parent = list(range(len(p.generators)))
-    sign = [1] * len(p.generators)
-
-    def find(c: int) -> tuple[int, int]:
-        """(root, s) with x_c = s x_root modulo the merged rows; compresses the path."""
-        path = []
-        while parent[c] != c:
-            path.append(c)
-            c = parent[c]
-        sg = 1
-        for node in reversed(path):
-            sg *= sign[node]
-            parent[node], sign[node] = c, sg
-        return c, sg
-
-    residue = []
-    for rel in p.abelian_rows:
+    generators = p.generators
+    if p.group == "qb":
+        n = p.strands
+        # relation 4 at j = n reads only spans that start at 1 or 2 or end at n
+        t = _syllables(a for a in generators if a.i <= 2 or a.j == n)
+        rels = _cyclic_relators(n, t, [(i, n) for i in range(1, n)])
+        roots, root_of = n, [_root(atom) for atom in generators]
+    else:
+        rels, roots, root_of = [], len(generators), range(len(generators))
+    rows = []
+    for rel in rels:
         row: dict[int, int] = {}
         for atom, e in rel:
-            c = index[atom]
-            row[c] = row.get(c, 0) + e
-        entries = [(c, e) for c, e in row.items() if e]
-        if len(entries) == 2 and all(e in (1, -1) for _, e in entries):
-            (a, ea), (b, eb) = entries
-            (ra, sa), (rb, sb) = find(a), find(b)
-            if ra != rb:
-                # ea x_a + eb x_b = 0 makes x_ra = -ea eb sa sb x_rb; the
-                # larger root joins the smaller
-                lo, hi = min(ra, rb), max(ra, rb)
-                parent[hi], sign[hi] = lo, -ea * eb * sa * sb
-                continue
-        if entries:
-            residue.append(entries)
-    # the rows that stay, over the roots, on the root columns they touch, in order
-    merged = []
-    for entries in residue:
-        row = {}
-        for c, e in entries:
-            root, sg = find(c)
-            row[root] = row.get(root, 0) + sg * e
-        if row := {c: e for c, e in row.items() if e}:
-            merged.append(row)
-    touched = sorted(set().union(*merged))
-    matrix = [[row.get(c, 0) for c in touched] for row in merged]
-    snf = smith_normal_form(matrix, cols=len(touched))
+            r = _root(atom)
+            row[r] = row.get(r, 0) + e
+        if row := {r: e for r, e in row.items() if e}:
+            rows.append(row)
+    touched = sorted(set().union(*rows))
+    snf = smith_normal_form([[row.get(r, 0) for r in touched] for row in rows], cols=len(touched))
     # the free roots follow the touched ones
-    column = {c: k for k, c in enumerate(touched)}
-    roots = [c for c in range(len(parent)) if parent[c] == c]
-    for c in roots:
-        column.setdefault(c, len(column))
-    classes = tuple((sg, column[root]) for root, sg in map(find, range(len(parent))))
+    column = {r: k for k, r in enumerate(touched)}
+    for r in range(roots):
+        column.setdefault(r, len(column))
+    classes = tuple((1, column[r]) for r in root_of)
     torsion = tuple(d for d in snf.invariant_factors if d > 1)
-    free_rank = len(roots) - snf.rank
-    return AbelianStructure(p.group, p.strands, p.generators, free_rank, torsion, snf, classes)
+    return AbelianStructure(p.group, p.strands, generators, roots - snf.rank, torsion, snf, classes)
 
 
 def min_generators(a: AbelianStructure) -> int:
@@ -495,42 +445,45 @@ def min_generators(a: AbelianStructure) -> int:
 
 @lru_cache(maxsize=STRAND_CACHE_SIZE)
 def _qb_h1(n: int) -> tuple[AbelianStructure, Terms, tuple[Terms, ...]]:
-    """H_1(QB_n), the terms of d0, and those of each a(i,j), i < j, in span order.
+    """H_1(QB_n), the terms of d0, and those of each diagonal d = j - i, d = 1 .. n - 1.
 
-    The terms of a generator are its class column and sign, and an a-atom's
-    terms are those of the twists in a_to_t(n, i, j), each times its exponent,
-    with the terms on one column added.  They take O(n^2) space in all, where
-    coordinate rows per a-atom would take O(n^3).
+    The terms of a generator are its class column and sign.  Diagonal d has
+    the terms of a(1, d+1): those of the twists in a_to_t(n, 1, d+1), each
+    times its exponent, with the terms on one column added.  Every a(i,j)
+    with j - i = d has the same terms, since each of its twists has the width
+    of the matching twist of a(1, d+1), and h1 gives twists of one width one
+    class column.
     """
     a = h1(presentation("qb", n))
     index = {atom: c for c, atom in enumerate(a.generators)}
-    pair_terms = []
-    for i, j in _span_pairs(n):
+    diagonal_terms = []
+    for d in range(1, n):
         z: dict[int, int] = {}
-        for atom, e in a_to_t(n, i, j):
+        for atom, e in a_to_t(n, 1, d + 1):
             sign, p = a.classes[index[atom]]
             z[p] = z.get(p, 0) + sign * e
-        pair_terms.append(tuple((p, e) for p, e in z.items() if e))
+        diagonal_terms.append(tuple((p, e) for p, e in z.items() if e))
     sign, p = a.classes[index[Atom.d(0)]]
-    return a, ((p, sign),), tuple(pair_terms)
+    return a, ((p, sign),), tuple(diagonal_terms)
 
 
 def qt_class(w: BraidWord) -> ClassVector:
     """Homology class of a quasitoric braid in canonical H_1(QB_n) coordinates.
 
-    Factors the braid as d0^k * p, adds k times the terms of d0 to lk(i,j)
-    times those of a(i,j) for each linking number of p, and reads the sum's
-    coordinates.  The entries of the linking matrix and the pair terms of
-    _qb_h1 are both row-major over i < j.  Coordinates past the rank are free;
-    the others are reduced modulo their invariant factor, and those of unit
-    factors dropped.
+    Factors the braid as d0^k * p, adds k times the terms of d0 to c_d times
+    those of diagonal d, where c_d sums the linking numbers lk(i, i+d) of p
+    (entries[i-1][d-1] of its linking matrix), and reads the sum's
+    coordinates.  Coordinates past the rank are free; the others are reduced
+    modulo their invariant factor, and those of unit factors dropped.
     """
     k, p = factor(w)
-    a, d0_terms, pair_terms = _qb_h1(w.strands)
+    a, d0_terms, diagonal_terms = _qb_h1(w.strands)
     z = [0] * (a.snf.rank + a.free_rank)
     for col, e in d0_terms:
         z[col] += k * e
-    for c, terms in zip(chain.from_iterable(linking(p).entries), pair_terms):
+    # column d - 1 of the rows, padded with zeros, is diagonal d
+    sums = map(sum, zip_longest(*linking(p).entries, fillvalue=0))
+    for c, terms in zip(sums, diagonal_terms):
         if c:
             for col, e in terms:
                 z[col] += c * e

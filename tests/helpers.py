@@ -7,8 +7,10 @@ import random
 from pathlib import Path
 
 from qtbraid import Atom, BraidWord, gen_concat, gen_inverse, is_pure
-from qtbraid import genset
+from qtbraid import genset, presentations
+from qtbraid.presentations import AbelianStructure, ClassVector, Presentation
 from qtbraid.quasitoric import QuasitoricForm, qt_to_word
+from qtbraid.snf import smith_normal_form
 from qtbraid.words import GenWord, Table
 
 # Outputs of comb, decompose and nf_word on fixed inputs at n=3-9, recorded
@@ -131,3 +133,82 @@ def rewrite_equivalent(rng: random.Random, w: BraidWord, moves: int = 30) -> Bra
             x = rng.choice([1, -1]) * rng.randint(1, n - 1)
             letters[k:k] = [x, -x]
     return BraidWord(n, tuple(letters))
+
+
+def is_zero_class(cv: ClassVector) -> bool:
+    """True iff cv is the zero class of its group."""
+    return cv == ClassVector((0,) * len(cv.free), (0,) * len(cv.torsion), cv.moduli)
+
+
+def union_find_h1(p: Presentation) -> AbelianStructure:
+    """H_1 as the library first computed it, from every exponent row that
+    involves d0, with no orbit map: a signed union-find merges the two-term
+    unit rows, and the rows that stay go to the Smith normal form over the
+    roots they touch, then the free roots.
+
+    A row with exactly two entries, both +-1, says x_a = +-x_b; replacing x_a
+    by x_a -+ x_b is a unimodular column operation that makes the row a unit
+    vector, so the row and the column of x_a drop out.  Each column is a sign
+    times a root column, and of two joined roots the smaller index stays
+    root.  A row whose two columns are already joined stays, like every
+    other row.
+    """
+    n = p.strands
+    rels = []
+    if p.group == "qb":
+        spans = presentations._span_pairs(n)
+        rels = presentations._cyclic_relators(n, presentations._syllables(p.generators), spans)
+    index = {atom: c for c, atom in enumerate(p.generators)}
+    # column c is sign[c] times column parent[c]; a root is its own parent
+    parent = list(range(len(p.generators)))
+    sign = [1] * len(p.generators)
+
+    def find(c: int) -> tuple[int, int]:
+        """(root, s) with x_c = s x_root modulo the merged rows; compresses the path."""
+        path = []
+        while parent[c] != c:
+            path.append(c)
+            c = parent[c]
+        sg = 1
+        for node in reversed(path):
+            sg *= sign[node]
+            parent[node], sign[node] = c, sg
+        return c, sg
+
+    residue = []
+    for rel in rels:
+        row: dict[int, int] = {}
+        for atom, e in rel:
+            c = index[atom]
+            row[c] = row.get(c, 0) + e
+        entries = [(c, e) for c, e in row.items() if e]
+        if len(entries) == 2 and all(e in (1, -1) for _, e in entries):
+            (a, ea), (b, eb) = entries
+            (ra, sa), (rb, sb) = find(a), find(b)
+            if ra != rb:
+                # ea x_a + eb x_b = 0 makes x_ra = -ea eb sa sb x_rb; the
+                # larger root joins the smaller
+                lo, hi = min(ra, rb), max(ra, rb)
+                parent[hi], sign[hi] = lo, -ea * eb * sa * sb
+                continue
+        if entries:
+            residue.append(entries)
+    merged = []
+    for entries in residue:
+        row = {}
+        for c, e in entries:
+            root, sg = find(c)
+            row[root] = row.get(root, 0) + sg * e
+        if row := {c: e for c, e in row.items() if e}:
+            merged.append(row)
+    touched = sorted(set().union(*merged))
+    matrix = [[row.get(c, 0) for c in touched] for row in merged]
+    snf = smith_normal_form(matrix, cols=len(touched))
+    column = {c: k for k, c in enumerate(touched)}
+    roots = [c for c in range(len(parent)) if parent[c] == c]
+    for c in roots:
+        column.setdefault(c, len(column))
+    classes = tuple((sg, column[root]) for root, sg in map(find, range(len(parent))))
+    torsion = tuple(d for d in snf.invariant_factors if d > 1)
+    free_rank = len(roots) - snf.rank
+    return AbelianStructure(p.group, p.strands, p.generators, free_rank, torsion, snf, classes)

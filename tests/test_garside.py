@@ -175,7 +175,9 @@ def _run_inputs(rng):
             # runs of (sigma_1...sigma_{n-1})^k stop inside the second power
             yield BraidWord(n, tuple(sign * x for x in range(1, n)) * (n // 2 + 2))
     for n in (6, 7, 8):
-        pentagons = presentations._pentagonal_relators(n, presentations._syllables(n))
+        pentagons = presentations._pentagonal_relators(
+            n, presentations._syllables(presentation("pb", n).generators)
+        )
         for rel in rng.sample(pentagons, 3):
             yield expand(rel, n)
     for n in (7, 12, 24, 40, 64):

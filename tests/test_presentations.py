@@ -34,11 +34,11 @@ from qtbraid.presentations import (
     verify,
 )
 from qtbraid.genset import GensetTarget, short_twist_bound
-from qtbraid.purebraid import t_decompose
+from qtbraid.purebraid import a_to_t, linking, t_decompose
 from qtbraid.quasitoric import factor
 from qtbraid.snf import smith_normal_form
 
-from helpers import random_qt_word, rewrite_equivalent
+from helpers import is_zero_class, random_qt_word, rewrite_equivalent, union_find_h1
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "relator_counts.json").read_text()
@@ -59,10 +59,15 @@ def brute_commutation_count(n):
     return len(pairwise_commutation_spans(pairs))
 
 
+def cyclic_count(group, n):
+    """The number of qb relators that involve d0, which presentation puts last."""
+    return 1 + math.comb(n, 2) if group == "qb" else 0
+
+
 class TestRelatorEnumeration:
     @pytest.mark.parametrize("n", range(3, 17))
     def test_commutators_match_pairwise_filter(self, n):
-        t = presentations._syllables(n)
+        t = presentations._syllables(presentation("pb", n).generators)
         pb = presentations._span_pairs(n)
         for pairs in (pb, [p for p in pb if p != (1, n)]):
             want = [
@@ -101,8 +106,8 @@ class TestRelatorEnumeration:
             presentation("pb", 40).relators
 
     def test_generator_count_refused(self, monkeypatch):
-        # h1 reads only the generators and the cyclic qb relators, C(n,2) + 1
-        # of each at most, so the generator count is what bounds it
+        # h1 reads only the generators, C(n,2) + 1 at most, and n cyclic qb
+        # relators, so the generator count is what bounds it
         monkeypatch.setattr(presentations, "MAX_GENERATORS", 43)
         for group, count in (("pb", 45), ("qb", 46), ("pmod", 44)):
             assert h1(presentation(group, 9)).free_rank > 0
@@ -112,8 +117,6 @@ class TestRelatorEnumeration:
                 h1(p)
             with pytest.raises(WordError, match=limit):
                 p.generators
-        with pytest.raises(WordError, match="has 46 generators"):
-            presentation("qb", 10).abelian_rows
 
     def test_each_limit_has_its_own_refusal(self):
         # past both limits, relators names the relator count and h1 the
@@ -163,7 +166,7 @@ class TestRelatorEnumeration:
         for n in range(3, 17):
             p = presentation(group, n)
             assert all(rel == gen_reduce(rel) for rel in p.relators)
-            for rel in p.relators[: len(p.relators) - len(p.abelian_rows)]:
+            for rel in p.relators[: len(p.relators) - cyclic_count(group, n)]:
                 exponents = {}
                 for atom, e in rel:
                     exponents[atom] = exponents.get(atom, 0) + e
@@ -177,9 +180,9 @@ class TestRelatorEnumeration:
             if group == "pmod":
                 commutators -= math.comb(n, 2) - 1
             p = presentation(group, n)
-            assert len(p.relators) - len(p.abelian_rows) == commutators + math.comb(n, 5)
+            assert len(p.relators) - cyclic_count(group, n) == commutators + math.comb(n, 5)
         p = presentation("pb", 6)
-        assert len(p.relators) - len(p.abelian_rows) == brute_commutation_count(6) + 6
+        assert len(p.relators) == brute_commutation_count(6) + 6
 
     def test_template_with_nonzero_slot_refused(self):
         with pytest.raises(ValueError, match="slot 1"):
@@ -234,18 +237,23 @@ class TestIdentity:
         assert calls == [] and vars(p) == vars(q) == {"group": "pb", "strands": 20}
 
     def test_one_syllable_table_per_presentation(self, monkeypatch):
+        # relators reads one table of every generator's syllables; h1 builds
+        # one of the 3n - 6 spans that start at 1 or 2 or end at n
         calls = []
         build = presentations._syllables
 
-        def counted(n):
-            calls.append(n)
-            return build(n)
+        def counted(generators):
+            calls.append(tuple(generators))
+            return build(calls[-1])
 
         monkeypatch.setattr(presentations, "_syllables", counted)
         p = presentation("qb", 8)
-        rows = p.abelian_rows
-        assert p.relators[len(p.relators) - len(rows) :] == rows
-        assert calls == [8]
+        assert h1(p).torsion == (4,)
+        relators = p.relators
+        assert len(calls) == 2 and calls[1] == p.generators
+        assert len(build(calls[0])) == 3 * 8 - 6
+        rows = presentations._cyclic_relators(8, build(p.generators), presentations._span_pairs(8))
+        assert relators[-len(rows) :] == tuple(rows)
 
 
 class TestVerify:
@@ -294,11 +302,38 @@ class TestH1:
             a = h1(presentation("pmod", n))
             assert a.free_rank == math.comb(n, 2) - 1 and a.torsion == ()
 
+    def test_orbit_form_matches_union_find(self):
+        # the reference reads every cyclic row and merges the shift rows one
+        # by one; h1 reads n rows over the orbit roots
+        for group in ("pb", "qb", "pmod"):
+            for n in range(3, 41):
+                p = presentation(group, n)
+                assert h1(p) == union_find_h1(p), (group, n)
+        for n in (100, 200):
+            p = presentation("qb", n)
+            assert h1(p) == union_find_h1(p), n
+
+    def test_shift_rows_map_to_zero(self):
+        # relation 4 at j < n and the central row (1, n) lie in the kernel of
+        # the orbit map, which sends every generator to one of the n roots;
+        # the other rows at j = n do not
+        for n in range(3, 41):
+            t = presentations._syllables(presentation("qb", n).generators)
+            for i, j in presentations._span_pairs(n):
+                rel = presentations._cyclic_relator(n, t, i, j)
+                row = {}
+                for atom, e in rel:
+                    r = presentations._root(atom)
+                    assert 0 <= r < n
+                    row[r] = row.get(r, 0) + e
+                assert any(row.values()) == (j == n and i > 1), (n, i, j)
+
     @pytest.mark.parametrize("group", ["pb", "qb", "pmod"])
     def test_zero_rows_dropped_exactly(self, group):
-        # h1 skips the zero-sum rows and merges the two-term unit rows before
-        # its Smith normal form; the dense Smith normal form of the full
-        # matrix is the reference for H_1 and for which classes are zero
+        # h1 skips the zero-sum rows and writes only the rows outside the
+        # orbit map's kernel before its Smith normal form; the dense Smith
+        # normal form of the full matrix is the reference for H_1 and for
+        # which classes are zero
         rng = random.Random(53)
         for n in range(3, 15):
             p = presentation(group, n)
@@ -314,8 +349,8 @@ class TestH1:
             a = h1(p)
             assert a.free_rank == g - s.rank
             assert a.torsion == tuple(d for d in s.invariant_factors if d > 1)
-            # at most the n - 1 qb rows that merge nothing reach the Smith
-            # normal form
+            # at most the n - 1 nonzero qb rows over the orbit roots reach
+            # the Smith normal form
             assert a.snf.rows <= max(0, n - 1)
             vectors = []
             rows = [row for row in full if any(row)]
@@ -406,7 +441,7 @@ class TestQtClass:
         for n in (3, 4):
             p = presentation("qb", n)
             for rel in p.relators:
-                assert qt_class(expand(rel, n)).is_zero()
+                assert is_zero_class(qt_class(expand(rel, n)))
 
     def test_shift_identity(self):
         for n in range(3, 7):
@@ -460,16 +495,52 @@ class TestQtClass:
                     y[c] % d for c, d in enumerate(a.snf.diag[:rank]) if d > 1
                 )
 
-    def test_pair_terms_are_quadratic(self):
+    def test_diagonal_terms_are_linear(self):
         # a(i,j) combs into at most four twists, so the cache keeps at most
-        # four (column, coefficient) pairs per pair, O(n^2) in all, and no
-        # coordinate row per pair; the terms are tuples, so no caller can
-        # change what later calls read
+        # four (column, coefficient) pairs per diagonal, O(n) in all, and no
+        # coordinate row; the terms are tuples, so no caller can change what
+        # later calls read
         for n in (3, 10, 40):
-            a, d0_terms, pair_terms = presentations._qb_h1(n)
-            assert len(d0_terms) == 1 and len(pair_terms) == math.comb(n, 2)
-            assert all(type(terms) is tuple and len(terms) <= 4 for terms in pair_terms)
-            assert all(0 <= col < a.snf.rank + a.free_rank for terms in pair_terms for col, _ in terms)
+            a, d0_terms, diagonal_terms = presentations._qb_h1(n)
+            assert len(d0_terms) == 1 and len(diagonal_terms) == n - 1
+            assert all(type(terms) is tuple and len(terms) <= 4 for terms in diagonal_terms)
+            assert all(
+                0 <= col < a.snf.rank + a.free_rank for terms in diagonal_terms for col, _ in terms
+            )
+
+    def test_matches_pair_terms(self):
+        # the terms as first kept, one tuple per pair i < j read from
+        # a_to_t(n, i, j), equal those of the pair's diagonal, and the sum of
+        # lk(i,j) times them, pair by pair, is the class qt_class reads
+        rng = random.Random(54)
+        for n in range(3, 41):
+            a, d0_terms, diagonal_terms = presentations._qb_h1(n)
+            index = {atom: c for c, atom in enumerate(a.generators)}
+            pair_terms = {}
+            for i, j in presentations._span_pairs(n):
+                z = {}
+                for atom, e in a_to_t(n, i, j):
+                    sign, p = a.classes[index[atom]]
+                    z[p] = z.get(p, 0) + sign * e
+                pair_terms[i, j] = tuple((p, e) for p, e in z.items() if e)
+                assert pair_terms[i, j] == diagonal_terms[j - i - 1], (n, i, j)
+            rank = a.snf.rank
+            for _ in range(4):
+                w = random_qt_word(rng, n, 3)
+                k, p = factor(w)
+                lk = linking(p)
+                z = [0] * (rank + a.free_rank)
+                for col, e in d0_terms:
+                    z[col] += k * e
+                for (i, j), terms in pair_terms.items():
+                    for col, e in terms:
+                        z[col] += lk.lk(i, j) * e
+                y = a.combination(z)
+                cv = qt_class(w)
+                assert cv.free == tuple(y[rank:])
+                assert cv.torsion == tuple(
+                    y[c] % d for c, d in enumerate(a.snf.diag[:rank]) if d > 1
+                )
 
     def test_garside_invariant(self):
         rng = random.Random(51)
