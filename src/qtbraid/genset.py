@@ -37,8 +37,10 @@ so none is a reference cycle; each holds at most C(n,2) entries, uncapped.
 decompose, for either target, is one substitution pass (ImageTable.substitute):
 image^e for each syllable t(i,j)^e, d0^e kept, reduced at the seams only.
 
-decompose factors its input with quasitoric.factor, which refuses a braid
-outside QB_n.
+decompose refuses a strand count whose long thm41 twists could hold more than
+words.MAX_LETTERS syllables (n > 2112), counted from lengths only before any
+table is built; then it factors its input with quasitoric.factor, which
+refuses a braid outside QB_n.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from functools import lru_cache, partial
 from .purebraid import t_decompose
 from .quasitoric import factor
 from .words import (
+    MAX_LETTERS,
     STRAND_CACHE_SIZE,
     Atom,
     BraidWord,
@@ -141,6 +144,21 @@ def _thm41_long_twists(n: int) -> dict[int, GenWord]:
     return twists
 
 
+def _long_twist_syllables(n: int) -> int:
+    """An upper bound on the syllables _thm41_long_twists(n) holds, from lengths only.
+
+    gen_concat only merges, so an image has at most as many syllables as its
+    parts.  Besides t(1,n-1) and t(1,j+1), each long line reads only short
+    twists, of one syllable, and a conjugation adds two d0 syllables: so
+    t(1,n) = d0^n has 1, t(1,n-1) has 4 + 6 = 10, t(1,n-2) has
+    10 + 3 + 10 + 2 = 25, and each lower long twist 18 more than the one
+    above it.
+    """
+    N = short_twist_bound(n)
+    m = max(0, n - 2 - N)  # long twists below t(1,n-1)
+    return N - 1 + (n > N) + 10 * (n - 1 > N) + 25 * m + 9 * m * (m - 1)
+
+
 def _thm41_image(n: int, twists: dict[int, GenWord], atom: Atom) -> GenWord:
     """t(i,j) over the thm41 alphabet: the index shift of t(1,j-i+1)."""
     if atom.kind != "t" or atom.j > n:
@@ -167,7 +185,17 @@ def _thm42_image(thm41: ImageTable, short: ImageTable, atom: Atom) -> GenWord:
 
 @lru_cache(maxsize=STRAND_CACHE_SIZE)
 def _twist_tables(n: int) -> dict[str, ImageTable]:
-    """The thm41 and thm42 twist tables on n strands, empty until first looked up."""
+    """The thm41 and thm42 twist tables on n strands, empty until first looked up.
+
+    Refuses, before building anything, an n whose long thm41 twists could
+    hold more than MAX_LETTERS syllables.
+    """
+    syllables = _long_twist_syllables(n)
+    if syllables > MAX_LETTERS:
+        raise WordError(
+            f"the twist tables on {n} strands would hold up to {syllables} syllables, "
+            f"more than the limit of {MAX_LETTERS}"
+        )
     thm41 = ImageTable(partial(_thm41_image, n, _thm41_long_twists(n)), fixed=_D0)
     short = ImageTable(partial(_short_thm42_image, n), fixed=_D0)
     return {"thm41": thm41, "thm42": ImageTable(partial(_thm42_image, thm41, short), fixed=_D0)}
@@ -176,14 +204,16 @@ def _twist_tables(n: int) -> dict[str, ImageTable]:
 def decompose(w: BraidWord, target: GensetTarget) -> GenWord:
     """Write a quasitoric braid over the target alphabet.
 
-    Pipeline: factor off the cyclic part d0^k, comb the pure part into full
-    twists, then one substitution pass through the target's twist table.  The
-    result expands to a braid Garside-equal to the input.
+    Pipeline: look up the target's twist table, which refuses too many
+    strands, factor off the cyclic part d0^k, comb the pure part into full
+    twists, then one substitution pass through the table.  The result expands
+    to a braid Garside-equal to the input.
     """
     if w.strands != target.strands:
         raise WordError(f"strand mismatch: {w.strands} vs {target.strands}")
+    table = _twist_tables(w.strands)[target.variant]
     k, p = factor(w)
-    out = _twist_tables(w.strands)[target.variant].substitute(_d0(k) + t_decompose(p))
+    out = table.substitute(_d0(k) + t_decompose(p))
     if not target.admits(out):
         raise AssertionError(f"decompose left atoms outside the {target.variant} alphabet")
     return out

@@ -45,16 +45,16 @@ is dropped, and the spans of adjacent syllables differ in every case, so they
 need no free reduction either (a test checks gen_reduce on every relator).
 
 h1 computes the abelianization by exact Smith normal form, together with the
-coordinates of each generator, so homology classes of concrete braids are
-computable (qt_class), not just the group shape.  The class of d0^k p is
-linear: k x(d0) + sum over i < j of lk(i,j)(p) x(a(i,j)).  Each a(i,j) combs
-into at most four twists, t(i,j-1)^-1 t(i,j) t(i+1,j)^-1 t(i+1,j-1), and a
-twist's class depends only on its width (below), so a(i,j) has the class of
-a(1,j-i+1).  Its terms are computed once per diagonal d = j - i, n - 1 of them
-with H_1(QB_n), and kept for at most words.STRAND_CACHE_SIZE strand counts.
-A call sums the linking numbers along each diagonal, adds up the terms of the
-nonzero sums over the class columns and multiplies the sum by the transform
-once.
+class column of each orbit root (below), so homology classes of concrete
+braids are computable (qt_class), not just the group shape.  The class of
+d0^k p is linear: k x(d0) + sum over i < j of lk(i,j)(p) x(a(i,j)).  Each
+a(i,j) combs into at most four twists, t(i,j-1)^-1 t(i,j) t(i+1,j)^-1
+t(i+1,j-1), and a twist's class is that of its root, its width less one, so
+a(i,j) has the class of a(1,j-i+1).  Its terms are computed once per diagonal
+d = j - i, n - 1 of them with H_1(QB_n), and kept for at most
+words.STRAND_CACHE_SIZE strand counts.  A call sums the linking numbers along
+each diagonal, adds up the terms of the nonzero sums over the class columns
+and multiplies the sum by the transform once.
 
 H_1 is Z^g modulo the span of the relators' exponent rows:
 
@@ -73,21 +73,24 @@ H_1 is Z^g modulo the span of the relators' exponent rows:
   Smith normal form on the roots they touch, in ascending order; every other
   root is a free coordinate of H_1, after those, and has no column there.
 
-A generator's coordinates are the transform row of its root, or the unit
-vector of a free root.  Row order, roots and pivoting are deterministic, so
-the output is reproducible.
+So H_1 is kept in root coordinates, never generator ones.  A root is
+_root(atom) for qb, and the generator's index in _generator_spans order for
+pb and pmod.  Root r is class column columns[r], touched roots first: at even
+n the free root n/2 - 1 breaks the identity.  A column's coordinates are its
+transform row, or its unit vector if it is free.  Row order, roots and
+pivoting are deterministic, so the output is reproducible.
 
 Building the relator table costs time and memory in proportion to its relator
-count, which grows like n^5 / 120, but h1 needs only the generators and n
-cyclic qb relators.  So a presentation is its (group, n), which alone make its
-repr, equality and hash, and it builds nothing at once: the generators and the
-relators are each built on their first read.  Reading
+count, which grows like n^5 / 120, but h1 needs only the group, n and, for qb,
+n cyclic relators over 3n - 6 spans.  So a presentation is its (group, n),
+which alone make its repr, equality and hash, and it builds nothing at once:
+the generators and the relators are each built on their first read.  Reading
 relators counts the relators from the closed forms (2 C(n,4) + 2 C(n,3)
 commutators, C(n,2) - 1 fewer for pmod, C(n,5) pentagons, and 1 + C(n,2)
 cyclic relators for qb) and refuses a table of more than MAX_RELATORS
-relators, which bounds relators and verify at n = 31.  Reading the generators
-refuses more than MAX_GENERATORS generators, which bounds h1 and qt_class at
-n = 707.
+relators, which bounds relators and verify at n = 31.  Reading the generators,
+and h1, count the generators (C(n,2), one more for qb, one fewer for pmod)
+and refuse more than MAX_GENERATORS, which bounds h1 and qt_class at n = 707.
 """
 
 from __future__ import annotations
@@ -119,10 +122,9 @@ GROUPS = ("pb", "qb", "pmod")
 # 30 strands has 205,872 relators; the tests and the benchmark build at most
 # 4,824 (n=14)
 MAX_RELATORS = 250_000
-# A presentation refuses more generators than this, before building any, on
-# the first read of its generators or its cyclic relators, one per generator.
-# That is all h1 reads of it, so this bounds h1, and with it qt_class: 250,000
-# generators is qb on 707 strands
+# Presentation.generators and h1 refuse a presentation with more generators
+# than this, counted from the closed form before anything is built.  That
+# bounds h1, and with it qt_class: 250,000 generators is qb on 707 strands
 MAX_GENERATORS = 250_000
 
 
@@ -138,12 +140,7 @@ class Presentation:
 
     @cached_property
     def generators(self) -> tuple[Atom, ...]:
-        count = comb(self.strands, 2) + {"pb": 0, "qb": 1, "pmod": -1}[self.group]
-        if count > MAX_GENERATORS:
-            raise WordError(
-                f"{self.group} on {self.strands} strands has {count} generators, "
-                f"more than the limit of {MAX_GENERATORS}"
-            )
+        _generator_count(self.group, self.strands)
         twists = tuple(Atom.t(i, j) for i, j in _generator_spans(self.group, self.strands))
         return (Atom.d(0),) + twists if self.group == "qb" else twists
 
@@ -156,8 +153,8 @@ class Presentation:
                 f"{self.group} on {n} strands has {count} relators, "
                 f"more than the limit of {MAX_RELATORS}"
             )
-        t = _syllables(self.generators)
         pairs = _generator_spans(self.group, n)
+        t = _syllables(pairs)
         out = _commutation_relators(pairs, n, t) + _pentagonal_relators(n, t)
         if self.group == "qb":
             out += _cyclic_relators(n, t, pairs)
@@ -187,16 +184,16 @@ PENTAGON = ((0, -1), (1, 1), (2, 1), (3, 1), (4, -1), (0, 1), (1, -1), (2, -1), 
 _commutator = _template(COMMUTATOR)
 _pentagon = _template(PENTAGON)
 
-# (class column, coefficient) pairs, as AbelianStructure.classes numbers the columns
+# (class column, coefficient) pairs, as AbelianStructure.columns numbers the columns
 Terms = tuple[tuple[int, int], ...]
 
 # span (i, j) -> the syllables (t(i,j), 1) and (t(i,j), -1), for i < j
 Syllables = dict[tuple[int, int], GenWord]
 
 
-def _syllables(generators: Iterable[Atom]) -> Syllables:
-    """The syllables of the twist generators; pmod's lack (1, n), which no pmod relator reads."""
-    return {(a.i, a.j): ((a, 1), (a, -1)) for a in generators if a.kind == "t"}
+def _syllables(spans: Iterable[tuple[int, int]]) -> Syllables:
+    """The syllables of the twists on spans."""
+    return {(i, j): ((t := Atom.t(i, j), 1), (t, -1)) for i, j in spans}
 
 
 def _span_pairs(n: int) -> list[tuple[int, int]]:
@@ -270,6 +267,17 @@ def _cyclic_relator(n: int, t: Syllables, i: int, j: int) -> GenWord:
 def _cyclic_relators(n: int, t: Syllables, spans: list[tuple[int, int]]) -> list[GenWord]:
     """The qb relators that involve d0: relation 3, d0^n = t(1,n), then relation 4 at each span."""
     return [((Atom.d(0), n),) + t[1, n][1:]] + [_cyclic_relator(n, t, i, j) for i, j in spans]
+
+
+def _generator_count(group: str, n: int) -> int:
+    """Number of generators presentation(group, n) has; refuses more than MAX_GENERATORS."""
+    count = comb(n, 2) + {"pb": 0, "qb": 1, "pmod": -1}[group]
+    if count > MAX_GENERATORS:
+        raise WordError(
+            f"{group} on {n} strands has {count} generators, "
+            f"more than the limit of {MAX_GENERATORS}"
+        )
+    return count
 
 
 def _relator_count(group: str, n: int) -> int:
@@ -365,29 +373,21 @@ class ClassVector:
 
 @dataclass(frozen=True)
 class AbelianStructure:
-    """Invariant-factor shape of H_1 plus the generator-to-coordinate map.
+    """Invariant-factor shape of H_1 plus the root-to-column map.
 
     A class has rank + free_rank coordinates, rank = snf.rank: coordinate t < rank
-    lives in Z / snf.diag[t], and the others are free.  Generator c is sign
-    times class column p, (sign, p) = classes[c].  Class column p has the
+    lives in Z / snf.diag[t], and the others are free.  Every generator with
+    root r has the class of column columns[r].  Class column p has the
     coordinates row p of snf.right (padded with zeros) if p < snf.cols, and
     else the unit vector at p.
     """
 
     group: str
     strands: int
-    generators: tuple[Atom, ...]
     free_rank: int
     torsion: tuple[int, ...]  # invariant factors > 1, ascending
-    snf: SmithNormalForm  # of the residue rows, over the columns they touch
-    classes: tuple[tuple[int, int], ...]
-
-    def coordinates(self, c: int) -> list[int]:
-        """The coordinates of generator c: the signed transform row of its class."""
-        sign, p = self.classes[c]
-        z = [0] * (self.snf.rank + self.free_rank)
-        z[p] = sign
-        return self.combination(z)
+    snf: SmithNormalForm  # of the residue rows, over the roots they touch
+    columns: tuple[int, ...]  # root -> class column
 
     def combination(self, z: list[int]) -> list[int]:
         """The coordinates of the sum over class columns p of z[p] times column p."""
@@ -403,39 +403,38 @@ def _root(atom: Atom) -> int:
     return 0 if atom.kind == "d" else atom.j - atom.i
 
 
+def _root_sums(word: GenWord) -> dict[int, int]:
+    """A qb word's nonzero exponent sums over the orbit roots, in order of first appearance."""
+    sums: dict[int, int] = {}
+    for atom, e in word:
+        r = _root(atom)
+        sums[r] = sums.get(r, 0) + e
+    return {r: e for r, e in sums.items() if e}
+
+
 def h1(p: Presentation) -> AbelianStructure:
     """Abelianization of the presented group by exact Smith normal form.
 
-    Reads p.group, p.strands and p.generators.  For qb it writes relation 3
-    and relation 4 at j = n over the orbit roots; see the module docstring
-    for why that is exact.  pb and pmod have no row.
+    Reads p.group and p.strands only.  For qb it writes relation 3 and
+    relation 4 at j = n over the orbit roots; see the module docstring for
+    why that is exact.  pb and pmod have no row.
     """
-    generators = p.generators
+    n = p.strands
+    roots, rels = _generator_count(p.group, n), []
     if p.group == "qb":
-        n = p.strands
-        # relation 4 at j = n reads only spans that start at 1 or 2 or end at n
-        t = _syllables(a for a in generators if a.i <= 2 or a.j == n)
-        rels = _cyclic_relators(n, t, [(i, n) for i in range(1, n)])
-        roots, root_of = n, [_root(atom) for atom in generators]
-    else:
-        rels, roots, root_of = [], len(generators), range(len(generators))
-    rows = []
-    for rel in rels:
-        row: dict[int, int] = {}
-        for atom, e in rel:
-            r = _root(atom)
-            row[r] = row.get(r, 0) + e
-        if row := {r: e for r, e in row.items() if e}:
-            rows.append(row)
+        # relation 4 at j = n reads the spans that end at n, or start at 1 or 2
+        ends = [(i, n) for i in range(1, n)]
+        t = _syllables(ends + [(i, j) for i in (1, 2) for j in range(i + 1, n)])
+        roots, rels = n, _cyclic_relators(n, t, ends)
+    rows = [row for row in map(_root_sums, rels) if row]
     touched = sorted(set().union(*rows))
     snf = smith_normal_form([[row.get(r, 0) for r in touched] for row in rows], cols=len(touched))
     # the free roots follow the touched ones
     column = {r: k for k, r in enumerate(touched)}
-    for r in range(roots):
-        column.setdefault(r, len(column))
-    classes = tuple((1, column[r]) for r in root_of)
+    free = iter(range(len(touched), roots))
+    columns = tuple(column[r] if r in column else next(free) for r in range(roots))
     torsion = tuple(d for d in snf.invariant_factors if d > 1)
-    return AbelianStructure(p.group, p.strands, generators, roots - snf.rank, torsion, snf, classes)
+    return AbelianStructure(p.group, n, roots - snf.rank, torsion, snf, columns)
 
 
 def min_generators(a: AbelianStructure) -> int:
@@ -444,43 +443,32 @@ def min_generators(a: AbelianStructure) -> int:
 
 
 @lru_cache(maxsize=STRAND_CACHE_SIZE)
-def _qb_h1(n: int) -> tuple[AbelianStructure, Terms, tuple[Terms, ...]]:
-    """H_1(QB_n), the terms of d0, and those of each diagonal d = j - i, d = 1 .. n - 1.
+def _qb_h1(n: int) -> tuple[AbelianStructure, tuple[Terms, ...]]:
+    """H_1(QB_n) and the terms of each diagonal d = j - i, d = 1 .. n - 1.
 
-    The terms of a generator are its class column and sign.  Diagonal d has
-    the terms of a(1, d+1): those of the twists in a_to_t(n, 1, d+1), each
-    times its exponent, with the terms on one column added.  Every a(i,j)
-    with j - i = d has the same terms, since each of its twists has the width
-    of the matching twist of a(1, d+1), and h1 gives twists of one width one
-    class column.
+    Diagonal d has the terms of a(1, d+1): the exponent sums of a_to_t(n, 1,
+    d+1) over the roots, each at its root's class column.  Every a(i,j) with
+    j - i = d has the same terms, since each of its twists has the root of
+    the matching twist of a(1, d+1).
     """
     a = h1(presentation("qb", n))
-    index = {atom: c for c, atom in enumerate(a.generators)}
-    diagonal_terms = []
-    for d in range(1, n):
-        z: dict[int, int] = {}
-        for atom, e in a_to_t(n, 1, d + 1):
-            sign, p = a.classes[index[atom]]
-            z[p] = z.get(p, 0) + sign * e
-        diagonal_terms.append(tuple((p, e) for p, e in z.items() if e))
-    sign, p = a.classes[index[Atom.d(0)]]
-    return a, ((p, sign),), tuple(diagonal_terms)
+    diagonal_terms = (_root_sums(a_to_t(n, 1, d + 1)).items() for d in range(1, n))
+    return a, tuple(tuple((a.columns[r], e) for r, e in terms) for terms in diagonal_terms)
 
 
 def qt_class(w: BraidWord) -> ClassVector:
     """Homology class of a quasitoric braid in canonical H_1(QB_n) coordinates.
 
-    Factors the braid as d0^k * p, adds k times the terms of d0 to c_d times
-    those of diagonal d, where c_d sums the linking numbers lk(i, i+d) of p
-    (entries[i-1][d-1] of its linking matrix), and reads the sum's
-    coordinates.  Coordinates past the rank are free; the others are reduced
-    modulo their invariant factor, and those of unit factors dropped.
+    Factors the braid as d0^k * p, puts k at the class column of d0 and adds
+    c_d times the terms of diagonal d, where c_d sums the linking numbers
+    lk(i, i+d) of p (entries[i-1][d-1] of its linking matrix), then reads the
+    sum's coordinates.  Coordinates past the rank are free; the others are
+    reduced modulo their invariant factor, and those of unit factors dropped.
     """
     k, p = factor(w)
-    a, d0_terms, diagonal_terms = _qb_h1(w.strands)
+    a, diagonal_terms = _qb_h1(w.strands)
     z = [0] * (a.snf.rank + a.free_rank)
-    for col, e in d0_terms:
-        z[col] += k * e
+    z[a.columns[0]] = k  # d0 is root 0
     # column d - 1 of the rows, padded with zeros, is diagonal d
     sums = map(sum, zip_longest(*linking(p).entries, fillvalue=0))
     for c, terms in zip(sums, diagonal_terms):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from qtbraid import Atom, BraidWord, gen_concat, gen_inverse, is_pure
 from qtbraid import genset, presentations
-from qtbraid.presentations import AbelianStructure, ClassVector, Presentation
+from qtbraid.presentations import ClassVector, Presentation
 from qtbraid.quasitoric import QuasitoricForm, qt_to_word
 from qtbraid.snf import smith_normal_form
 from qtbraid.words import GenWord, Table
@@ -140,11 +140,21 @@ def is_zero_class(cv: ClassVector) -> bool:
     return cv == ClassVector((0,) * len(cv.free), (0,) * len(cv.torsion), cv.moduli)
 
 
-def union_find_h1(p: Presentation) -> AbelianStructure:
+def generator_roots(p: Presentation) -> list[int]:
+    """The orbit root of each of p's generators, in order: presentations._root
+    for qb, and the generator's own index for pb and pmod."""
+    if p.group == "qb":
+        return [presentations._root(atom) for atom in p.generators]
+    return list(range(len(p.generators)))
+
+
+def union_find_h1(p: Presentation):
     """H_1 as the library first computed it, from every exponent row that
     involves d0, with no orbit map: a signed union-find merges the two-term
     unit rows, and the rows that stay go to the Smith normal form over the
-    roots they touch, then the free roots.
+    roots they touch, then the free roots.  Returns (free_rank, torsion, snf,
+    classes), where generator c is sign times class column k for
+    (sign, k) = classes[c].
 
     A row with exactly two entries, both +-1, says x_a = +-x_b; replacing x_a
     by x_a -+ x_b is a unimodular column operation that makes the row a unit
@@ -157,7 +167,7 @@ def union_find_h1(p: Presentation) -> AbelianStructure:
     rels = []
     if p.group == "qb":
         spans = presentations._span_pairs(n)
-        rels = presentations._cyclic_relators(n, presentations._syllables(p.generators), spans)
+        rels = presentations._cyclic_relators(n, presentations._syllables(spans), spans)
     index = {atom: c for c, atom in enumerate(p.generators)}
     # column c is sign[c] times column parent[c]; a root is its own parent
     parent = list(range(len(p.generators)))
@@ -211,4 +221,4 @@ def union_find_h1(p: Presentation) -> AbelianStructure:
     classes = tuple((sg, column[root]) for root, sg in map(find, range(len(parent))))
     torsion = tuple(d for d in snf.invariant_factors if d > 1)
     free_rank = len(roots) - snf.rank
-    return AbelianStructure(p.group, p.strands, p.generators, free_rank, torsion, snf, classes)
+    return free_rank, torsion, snf, classes

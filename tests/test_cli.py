@@ -240,6 +240,22 @@ class TestErrors:
             assert code == 2 and out == "" and reason in err
             assert peak < 1 << 20, f"peak allocation {peak} bytes"
 
+    def test_oversized_decompose(self):
+        # the twist tables on 100,000 strands would hold about 2.2e10
+        # syllables: refused from their length alone, before the word is
+        # factored or any table is built
+        for target in ("thm41", "thm42"):
+            tracemalloc.start()
+            start = time.perf_counter()
+            try:
+                code, out, err = go_all(["decompose", "-n", "100000", "--target", target, ""])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert time.perf_counter() - start < 1
+            assert code == 2 and out == "" and "more than the limit of 10000000" in err
+            assert peak < 1 << 20, f"peak allocation {peak} bytes"
+
     def test_h1_reach(self):
         # h1 builds no relator table, so it answers past the table's limit,
         # and refuses only from the generator count

@@ -28,7 +28,7 @@ from qtbraid.genset import (
 )
 from qtbraid.purebraid import t_decompose
 from qtbraid.quasitoric import QuasitoricForm, factor, qt_to_word
-from qtbraid.words import STRAND_CACHE_SIZE, ImageTable, gen_concat, gen_inverse
+from qtbraid.words import MAX_LETTERS, STRAND_CACHE_SIZE, ImageTable, gen_concat, gen_inverse
 
 from helpers import gen_pow, random_qt_word, rewrite
 
@@ -426,6 +426,25 @@ class TestTwistTables:
         finally:
             sys.setrecursionlimit(limit)
         assert out == _ref_thm41(((Atom.t(1, short_twist_bound(n) + 1), 1),), n)
+
+    def test_size_bound_covers_the_built_table(self):
+        # the count from lengths alone never undercounts, since gen_concat
+        # only merges at the seams; nor does it refuse a table of half the limit
+        for n in range(3, 201):
+            built = sum(map(len, genset._thm41_long_twists(n).values()))
+            assert built <= genset._long_twist_syllables(n) < 2 * built, n
+
+    def test_oversized_table_refused(self):
+        # n = 2112 is the last strand count whose bound fits MAX_LETTERS;
+        # past it the tables are refused before any is built, and a
+        # refused n is not cached
+        assert genset._long_twist_syllables(2112) <= MAX_LETTERS
+        assert genset._long_twist_syllables(2113) > MAX_LETTERS
+        genset._twist_tables.cache_clear()
+        for variant in VARIANTS:
+            with pytest.raises(WordError, match="on 2113 strands would hold up to"):
+                decompose(BraidWord(2113, ()), GensetTarget(variant, 2113))
+        assert genset._twist_tables.cache_info().currsize == 0
 
     def test_cache_of_one_keeps_output(self, monkeypatch):
         rng = random.Random(81)

@@ -38,7 +38,13 @@ from qtbraid.purebraid import a_to_t, linking, t_decompose
 from qtbraid.quasitoric import factor
 from qtbraid.snf import smith_normal_form
 
-from helpers import is_zero_class, random_qt_word, rewrite_equivalent, union_find_h1
+from helpers import (
+    generator_roots,
+    is_zero_class,
+    random_qt_word,
+    rewrite_equivalent,
+    union_find_h1,
+)
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "relator_counts.json").read_text()
@@ -67,8 +73,8 @@ def cyclic_count(group, n):
 class TestRelatorEnumeration:
     @pytest.mark.parametrize("n", range(3, 17))
     def test_commutators_match_pairwise_filter(self, n):
-        t = presentations._syllables(presentation("pb", n).generators)
         pb = presentations._span_pairs(n)
+        t = presentations._syllables(pb)
         for pairs in (pb, [p for p in pb if p != (1, n)]):
             want = [
                 presentations._commutator(t[a] + t[b]) for a, b in pairwise_commutation_spans(pairs)
@@ -242,17 +248,19 @@ class TestIdentity:
         calls = []
         build = presentations._syllables
 
-        def counted(generators):
-            calls.append(tuple(generators))
+        def counted(spans):
+            calls.append(tuple(spans))
             return build(calls[-1])
 
         monkeypatch.setattr(presentations, "_syllables", counted)
         p = presentation("qb", 8)
         assert h1(p).torsion == (4,)
         relators = p.relators
-        assert len(calls) == 2 and calls[1] == p.generators
-        assert len(build(calls[0])) == 3 * 8 - 6
-        rows = presentations._cyclic_relators(8, build(p.generators), presentations._span_pairs(8))
+        spans = presentations._span_pairs(8)
+        assert len(calls) == 2 and calls[1] == tuple(spans)
+        assert len(build(calls[0])) == len(set(calls[0])) == 3 * 8 - 6
+        assert all(i <= 2 or j == 8 for i, j in calls[0])
+        rows = presentations._cyclic_relators(8, build(spans), spans)
         assert relators[-len(rows) :] == tuple(rows)
 
 
@@ -304,21 +312,46 @@ class TestH1:
 
     def test_orbit_form_matches_union_find(self):
         # the reference reads every cyclic row and merges the shift rows one
-        # by one; h1 reads n rows over the orbit roots
+        # by one, and gives each generator a signed class column; h1 reads n
+        # rows over the orbit roots, and gives every generator the column of
+        # its root
+        def check(p):
+            a = h1(p)
+            free_rank, torsion, snf, classes = union_find_h1(p)
+            assert (a.free_rank, a.torsion, a.snf) == (free_rank, torsion, snf), p
+            assert classes == tuple((1, a.columns[r]) for r in generator_roots(p)), p
+
         for group in ("pb", "qb", "pmod"):
             for n in range(3, 41):
-                p = presentation(group, n)
-                assert h1(p) == union_find_h1(p), (group, n)
+                check(presentation(group, n))
         for n in (100, 200):
-            p = presentation("qb", n)
-            assert h1(p) == union_find_h1(p), n
+            check(presentation("qb", n))
+
+    def test_h1_reads_no_generator(self, monkeypatch):
+        # h1 reads only the group and the strand count: it answers with the
+        # generator tuple unreadable, up to the MAX_GENERATORS edge
+        def unreadable(p):
+            raise AssertionError(f"h1 read the generators of {p}")
+
+        monkeypatch.setattr(Presentation, "generators", property(unreadable))
+        for n in [*range(3, 41), 707]:
+            a = h1(presentation("pb", n))
+            assert (a.free_rank, a.torsion) == (math.comb(n, 2), ()), n
+            a = h1(presentation("pmod", n))
+            assert (a.free_rank, a.torsion) == (math.comb(n, 2) - 1, ()), n
+            a = h1(presentation("qb", n))
+            want = (n // 2, (n // 2,)) if n % 2 == 0 else ((n - 1) // 2, (n,))
+            assert (a.free_rank, a.torsion) == want, n
+            assert len(a.columns) == n and sorted(a.columns) == list(range(n))
+        with pytest.raises(AssertionError, match="read the generators"):
+            presentation("pb", 3).generators
 
     def test_shift_rows_map_to_zero(self):
         # relation 4 at j < n and the central row (1, n) lie in the kernel of
         # the orbit map, which sends every generator to one of the n roots;
         # the other rows at j = n do not
         for n in range(3, 41):
-            t = presentations._syllables(presentation("qb", n).generators)
+            t = presentations._syllables(presentations._span_pairs(n))
             for i, j in presentations._span_pairs(n):
                 rel = presentations._cyclic_relator(n, t, i, j)
                 row = {}
@@ -339,6 +372,7 @@ class TestH1:
             p = presentation(group, n)
             g = len(p.generators)
             index = {atom: c for c, atom in enumerate(p.generators)}
+            roots = generator_roots(p)
             full = []
             for rel in p.relators:
                 row = [0] * g
@@ -374,10 +408,11 @@ class TestH1:
             zeros = 0
             for x in vectors:
                 dense = [sum(u * v[c] for u, v in zip(x, s.right)) for c in range(g)]
-                merged = [0] * (a.snf.rank + a.free_rank)
+                # generator c has the class of its root's column
+                z = [0] * (a.snf.rank + a.free_rank)
                 for c, e in enumerate(x):
-                    if e:
-                        merged = [u + e * v for u, v in zip(merged, a.coordinates(c))]
+                    z[a.columns[roots[c]]] += e
+                merged = a.combination(z)
                 assert is_zero(dense, s.diag) == is_zero(merged, a.snf.diag), x
                 zeros += is_zero(merged, a.snf.diag)
             assert 0 < zeros < len(vectors)
@@ -385,10 +420,8 @@ class TestH1:
     def test_min_generators(self):
         assert min_generators(h1(presentation("qb", 3))) == 2
         assert min_generators(h1(presentation("qb", 4))) == 3
-        # one generator killed by one relator: the trivial group needs none
-        trivial = AbelianStructure(
-            "qb", 3, (Atom.t(1, 2),), 0, (), smith_normal_form([[1]]), ((1, 0),)
-        )
+        # one root killed by one relator: the trivial group needs none
+        trivial = AbelianStructure("qb", 3, 0, (), smith_normal_form([[1]]), (0,))
         assert min_generators(trivial) == 0
 
 
@@ -473,22 +506,22 @@ class TestQtClass:
 
     def test_matches_combing_route(self):
         # a second route to the class: the exponent vector of d0^k times the
-        # combed twist word of p, not p's linking numbers, summed over the
-        # generators' coordinate rows
+        # combed twist word of p, not p's linking numbers, over the
+        # generators' roots, summed over the class columns of the roots
         rng = random.Random(52)
         for n in range(3, 14):
             a = h1(presentation("qb", n))
-            index = {atom: c for c, atom in enumerate(a.generators)}
             rank = a.snf.rank
             for _ in range(15):
                 w = random_qt_word(rng, n, 3)
                 k, p = factor(w)
-                x = [0] * len(a.generators)
+                x = [0] * n
                 for atom, e in ((Atom.d(0), k),) + t_decompose(p):
-                    x[index[atom]] += e
-                y = [0] * (rank + a.free_rank)
-                for c, e in enumerate(x):
-                    y = [u + e * v for u, v in zip(y, a.coordinates(c))]
+                    x[presentations._root(atom)] += e
+                z = [0] * (rank + a.free_rank)
+                for r, e in enumerate(x):
+                    z[a.columns[r]] += e
+                y = a.combination(z)
                 cv = qt_class(w)
                 assert cv.free == tuple(y[rank:])
                 assert cv.torsion == tuple(
@@ -501,8 +534,8 @@ class TestQtClass:
         # coordinate row; the terms are tuples, so no caller can change what
         # later calls read
         for n in (3, 10, 40):
-            a, d0_terms, diagonal_terms = presentations._qb_h1(n)
-            assert len(d0_terms) == 1 and len(diagonal_terms) == n - 1
+            a, diagonal_terms = presentations._qb_h1(n)
+            assert len(a.columns) == n and len(diagonal_terms) == n - 1
             assert all(type(terms) is tuple and len(terms) <= 4 for terms in diagonal_terms)
             assert all(
                 0 <= col < a.snf.rank + a.free_rank for terms in diagonal_terms for col, _ in terms
@@ -514,14 +547,13 @@ class TestQtClass:
         # lk(i,j) times them, pair by pair, is the class qt_class reads
         rng = random.Random(54)
         for n in range(3, 41):
-            a, d0_terms, diagonal_terms = presentations._qb_h1(n)
-            index = {atom: c for c, atom in enumerate(a.generators)}
+            a, diagonal_terms = presentations._qb_h1(n)
             pair_terms = {}
             for i, j in presentations._span_pairs(n):
                 z = {}
                 for atom, e in a_to_t(n, i, j):
-                    sign, p = a.classes[index[atom]]
-                    z[p] = z.get(p, 0) + sign * e
+                    p = a.columns[presentations._root(atom)]
+                    z[p] = z.get(p, 0) + e
                 pair_terms[i, j] = tuple((p, e) for p, e in z.items() if e)
                 assert pair_terms[i, j] == diagonal_terms[j - i - 1], (n, i, j)
             rank = a.snf.rank
@@ -530,8 +562,7 @@ class TestQtClass:
                 k, p = factor(w)
                 lk = linking(p)
                 z = [0] * (rank + a.free_rank)
-                for col, e in d0_terms:
-                    z[col] += k * e
+                z[a.columns[0]] += k
                 for (i, j), terms in pair_terms.items():
                     for col, e in terms:
                         z[col] += lk.lk(i, j) * e
