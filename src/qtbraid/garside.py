@@ -150,8 +150,8 @@ Factor = tuple[int, ...]
 
 # The pair memo of n strands is emptied at RENORM_MEMO_CELLS // n entries of at
 # most four n-tuples, so its size does not grow with n.  One benchmark round
-# fills at most ~16,600 entries at n=6 (nf, eq), ~6,500 at n=10 (verify) and
-# ~1,600 at n=32-64.
+# fills at most ~16,600 entries at n=6 (nf, eq), ~1,900 at n=9 (verify, which
+# checks each relator shape on the strands it touches) and ~1,600 at n=32-64.
 RENORM_MEMO_CELLS = 1 << 19
 MEET_MIN_STRANDS = 20  # the narrowest pairs that may go to the meet
 LEVEL_MIN_STRANDS = 8  # the narrowest words read by levels

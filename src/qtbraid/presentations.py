@@ -33,6 +33,27 @@ each read from cached syllable normal forms (garside.gen_normal_factors).
 Every pmod relator is also a pb relator, so it holds in PB_n and hence in the
 quotient PB_n / Z(PB_n) that pmod presents.
 
+verify asks the oracle once per relator shape, not once per relator.  A
+relator of twists alone, on spans inside strands lo..hi, is a word in
+sigma_lo .. sigma_(hi-1), and t(i,j) expands to the same letters shifted by
+i - 1 as t(1, j-i+1).  So it is the image of its down-shift by lo - 1, a word
+on w = hi - lo + 1 strands, under the standard inclusion B_w -> B_n,
+sigma_k -> sigma_(k+lo-1).  That inclusion is injective: it is a standard
+parabolic subgroup of the Artin group B_n (van der Lek, thesis, Nijmegen 1983;
+Paris, "Parabolic subgroups of Artin groups", J. Algebra 196, 1997).  Hence the
+relator is trivial in B_n iff its down-shift is trivial in B_w, and verify
+keys it by (down-shift, w).  That covers every commutator and pentagon, of
+pb, qb and pmod alike.  A relator that holds another atom, as the cyclic qb
+relators hold d0, keys to itself at n and is checked in B_n.  Relators with
+one key share one verdict.  Almost every commutator and pentagon is a shift of
+another; the pb shapes on n strands are those with lo = 1, and they include
+every shape of pmod and of the shared qb families on n strands, and of pb on
+fewer.  The verdicts are kept across calls in one capped words.Table, so a
+process asks the oracle about each shape once.  A call finds all its keys
+first and then looks up their verdicts in order of width, so each strand
+count's Garside context is built once, even when the widths outnumber the
+contexts garside keeps (words.STRAND_CACHE_SIZE).
+
 Each of the two shared families is one signed-slot template (COMMUTATOR,
 PENTAGON): a relator is the syllables t(span)^+-1 of its instance's spans,
 joined by plain tuple concatenation in template order.  No free reduction is
@@ -111,6 +132,7 @@ from .words import (
     Atom,
     BraidWord,
     GenWord,
+    Table,
     WordError,
     gen_inverse,
 )
@@ -329,17 +351,60 @@ def _relator_holds(rel: GenWord, n: int) -> bool:
     return gen_normal_factors(rel[:h], n) == gen_normal_factors(gen_inverse(rel[h:]), n)
 
 
-def verify(p: Presentation) -> VerifyReport:
-    """Check every relator with the Garside oracle, by the normal forms of its two halves.
+# a relator's shape: a word and the strand count whose braid group it is checked in
+Shape = tuple[GenWord, int]
 
-    Reads p.group, p.strands and p.relators only.  No relator is expanded to
-    letters: each half's normal form is read from cached syllable normal
-    forms.  Raises WordError for a half that would expand to more than
-    MAX_LETTERS letters.
+
+def _down_shift(s: int) -> Table:
+    """Syllable t(i,j)^e -> t(i-s, j-s)^e, built on first lookup."""
+    return Table(lambda syllable: (Atom.t(syllable[0].i - s, syllable[0].j - s), syllable[1]))
+
+
+def _shape(rel: GenWord, n: int, shifts: Table) -> Shape:
+    """verify's key of relator rel on n strands; shifts maps s to _down_shift(s).
+
+    A relator of twists on strands lo..hi inside 1..n keys to its down-shift
+    by lo - 1, on hi - lo + 1 strands.  Any other relator, including an empty
+    one or one with a twist out of range, keys to itself on n strands.
+    """
+    if not rel:
+        return rel, n
+    kinds, lows, highs = zip(*next(zip(*rel)))
+    lo, hi = min(lows), max(highs)
+    if {*kinds} != {"t"} or lo < 1 or hi > n:
+        return rel, n
+    if lo > 1:
+        rel = tuple(map(shifts[lo - 1].__getitem__, rel))
+    return rel, hi - lo + 1
+
+
+# verify's verdicts, shape -> whether the shape is trivial, kept across calls.
+# pb on n strands has C(n-1,4) + 2 C(n-1,3) + 2 C(n-1,2) shapes, those with
+# lo = 1, and qb 1 + C(n,2) more.  So the cap keeps every shape of pb and qb
+# on up to 29 strands (31,869 entries), at about 200 bytes an entry.
+VERDICT_CACHE_SIZE = 1 << 15
+_verdicts = Table(lambda shape: _relator_holds(*shape), VERDICT_CACHE_SIZE)
+
+
+def verify(p: Presentation) -> VerifyReport:
+    """Check every relator with the Garside oracle, once per shape (see the module docstring).
+
+    Reads p.group, p.strands and p.relators only.  A shape's verdict compares
+    the normal forms of its two halves.  No relator is expanded to letters:
+    each half's normal form is read from cached syllable normal forms.  Raises
+    WordError for a half that would expand to more than MAX_LETTERS letters.
     """
     n = p.strands
-    failures = tuple(idx for idx, rel in enumerate(p.relators) if not _relator_holds(rel, n))
-    return VerifyReport(p.group, n, len(p.relators), failures)
+    shifts = Table(_down_shift)
+    shapes: dict[Shape, list[int]] = {}
+    for idx, rel in enumerate(p.relators):
+        shapes.setdefault(_shape(rel, n, shifts), []).append(idx)
+    failures: list[int] = []
+    # by width, so no strand count's Garside context is built twice in a call
+    for shape in sorted(shapes, key=itemgetter(1)):
+        if not _verdicts[shape]:
+            failures += shapes[shape]
+    return VerifyReport(p.group, n, len(p.relators), tuple(sorted(failures)))
 
 
 # ---------------------------------------------------------------------------

@@ -389,7 +389,14 @@ def test_goldens_cover_every_subcommand():
 
 
 class TestVerifyFailure:
+    @pytest.fixture
     def fail_second(self, monkeypatch):
+        """Make the oracle's second verdict false, on an empty verdict memo.
+
+        verify keeps its verdicts across calls, so the memo is emptied before
+        the test, to make the second oracle call this test's second shape, and
+        after it, so that the planted verdict does not outlive the test.
+        """
         from qtbraid import presentations
 
         real, calls = presentations._relator_holds, []
@@ -398,20 +405,20 @@ class TestVerifyFailure:
             calls.append(rel)
             return len(calls) != 2 and real(rel, n)
 
+        presentations._verdicts.clear()
         monkeypatch.setattr(presentations, "_relator_holds", holds)
-        return calls
+        yield calls
+        presentations._verdicts.clear()
 
-    def test_text(self, monkeypatch):
+    def test_text(self, fail_second):
         from qtbraid.presentations import presentation
         from qtbraid.words import format_generator_word
 
-        self.fail_second(monkeypatch)
         code, out = go("verify", "--group", "qb", "-n", "3")
         failed = format_generator_word(presentation("qb", 3).relators[1])
         assert code == 1 and out == f"checked=6 failures=1\nFAIL {failed}\n"
 
-    def test_json(self, monkeypatch):
-        self.fail_second(monkeypatch)
+    def test_json(self, fail_second):
         code, out = go("verify", "--group", "qb", "-n", "3", "--json")
         assert code == 1
         assert json.loads(out) == {"group": "qb", "n": 3, "checked": 6, "failures": [1]}

@@ -37,8 +37,10 @@ from qtbraid.genset import GensetTarget, short_twist_bound
 from qtbraid.purebraid import a_to_t, linking, t_decompose
 from qtbraid.quasitoric import factor
 from qtbraid.snf import smith_normal_form
+from qtbraid.words import Table
 
 from helpers import (
+    WatchedMemo,
     generator_roots,
     is_zero_class,
     random_qt_word,
@@ -292,6 +294,127 @@ class TestVerify:
             assert set(presentation("pmod", n).relators) <= pb, n
         for n in range(3, 10):
             assert verify(presentation("pmod", n)).ok, n
+
+
+@pytest.fixture
+def cold_verdicts():
+    """An empty verify verdict memo, emptied again after the test."""
+    presentations._verdicts.clear()
+    yield presentations._verdicts
+    presentations._verdicts.clear()
+
+
+def _up_shift(word, s):
+    """Each twist syllable t(i,j)^e of word as t(i+s, j+s)^e."""
+    return tuple((Atom.t(atom.i + s, atom.j + s), e) for atom, e in word)
+
+
+def _flip_slot(rel, slot):
+    """The pentagon relator rel with both syllables of one template slot inverted."""
+    return tuple(
+        (atom, -e if s == slot else e) for (atom, e), (s, _) in zip(rel, presentations.PENTAGON)
+    )
+
+
+class TestVerifyByShape:
+    @pytest.mark.parametrize("group", ["pb", "qb", "pmod"])
+    def test_shift_map_is_exact(self, group):
+        for n in range(3, 17):
+            shifts = Table(presentations._down_shift)
+            for rel in presentation(group, n).relators:
+                word, width = presentations._shape(rel, n, shifts)
+                if any(atom.kind == "d" for atom, _ in rel):
+                    assert (word, width) == (rel, n)
+                    continue
+                lo = min(atom.i for atom, _ in rel)
+                hi = max(atom.j for atom, _ in rel)
+                assert width == hi - lo + 1
+                assert _up_shift(word, lo - 1) == rel
+                assert min(atom.i for atom, _ in word) == 1 and max(atom.j for atom, _ in word) == width
+
+    def test_one_oracle_call_per_shape(self, cold_verdicts, monkeypatch):
+        real, calls = presentations._relator_holds, []
+
+        def holds(rel, n):
+            calls.append((rel, n))
+            return real(rel, n)
+
+        monkeypatch.setattr(presentations, "_relator_holds", holds)
+        cyclic = 0
+        for n in range(3, 11):
+            assert verify(presentation("pb", n)).ok
+            # the shapes so far are the pb relators on n strands with a span from strand 1
+            assert len(calls) - cyclic == _relator_count("pb", n) - _relator_count("pb", n - 1)
+            start = len(calls)
+            assert verify(presentation("qb", n)).ok and verify(presentation("pmod", n)).ok
+            # qb adds only its cyclic relators, checked on n strands, and pmod nothing
+            assert len(calls) - start == 1 + math.comb(n, 2)
+            assert all(width == n for _, width in calls[start:])
+            cyclic += len(calls) - start
+        assert len(set(calls)) == len(calls)
+
+    def test_agrees_with_one_call_per_relator(self, cold_verdicts):
+        # every third relator with its first syllable inverted, against the
+        # oracle asked about each relator on all n strands
+        failed = 0
+        for n in range(3, 8):
+            for group in ("pb", "qb", "pmod"):
+                relators = tuple(
+                    ((rel[0][0], -rel[0][1]),) + rel[1:] if k % 3 == 0 else rel
+                    for k, rel in enumerate(presentation(group, n).relators)
+                )
+                stand_in = SimpleNamespace(group=group, strands=n, relators=relators)
+                want = tuple(
+                    k for k, rel in enumerate(relators)
+                    if not presentations._relator_holds(rel, n)
+                )
+                assert verify(stand_in).failures == want
+                failed += len(want)
+        assert failed > 100
+
+    @pytest.mark.parametrize("slot", range(5))
+    def test_warm_memo_does_not_mask_a_flipped_slot(self, slot, cold_verdicts):
+        assert verify(presentation("pb", 8)).ok
+        relators = presentation("pb", 6).relators
+        # the pentagon on strands 2..6, keyed by its shift down to strands 1..5
+        idx = next(
+            k for k, rel in enumerate(relators)
+            if len(rel) == 10 and min(atom.i for atom, _ in rel) == 2
+        )
+        bad = _flip_slot(relators[idx], slot)
+        stand_in = SimpleNamespace(
+            group="pb", strands=6, relators=relators[:idx] + (bad,) + relators[idx + 1 :]
+        )
+        assert verify(stand_in).failures == (idx,)
+        assert not equal(expand(bad, 6), BraidWord(6))
+
+    def test_cold_and_warm_reports_are_equal(self, cold_verdicts):
+        cases = [(group, n) for n in range(3, 11) for group in ("pb", "qb", "pmod")]
+        cold = []
+        for group, n in cases:
+            cold_verdicts.clear()
+            cold.append(verify(presentation(group, n)))
+        warm = [verify(presentation(group, n)) for group, n in cases]
+        assert warm == cold
+        assert all(report.ok for report in cold)
+
+    def test_capped_memo_stays_correct(self, cold_verdicts, monkeypatch):
+        memo = WatchedMemo(cold_verdicts.compute, 8)
+        monkeypatch.setattr(presentations, "_verdicts", memo)
+        for n in range(3, 9):
+            for group in ("pb", "qb", "pmod"):
+                p = presentation(group, n)
+                assert verify(p) == presentations.VerifyReport(group, n, len(p.relators), ())
+        relators = presentation("qb", 7).relators
+        # one commutator, one pentagon and one cyclic relator, each with one syllable inverted
+        picks = [0, next(k for k, rel in enumerate(relators) if len(rel) == 10), len(relators) - 1]
+        corrupted = list(relators)
+        for k in picks:
+            atom, e = corrupted[k][0]
+            corrupted[k] = ((atom, -e),) + corrupted[k][1:]
+        stand_in = SimpleNamespace(group="qb", strands=7, relators=tuple(corrupted))
+        assert verify(stand_in).failures == tuple(picks)
+        assert memo.peak <= 8 and memo.clears > 0
 
 
 class TestH1:
