@@ -10,9 +10,11 @@ full-twist generators t<i>,<j>:
 
 Shared relator families:
 
-1. commutation  t(i,j) t(k,l) = t(k,l) t(i,j) whenever the index spans are
-   disjoint or nested (touching spans are excluded); each unordered pair is
-   emitted once, in lexicographic order;
+1. commutation  t(i,j) t(k,l) = t(k,l) t(i,j) for spans (i,j) < (k,l) in
+   lexicographic order with k = i, l <= j or k > j: (k,l) contains (i,j)
+   from the same left end, lies inside it, or lies right of it.  Those are
+   the disjoint and nested pairs; touching and crossing spans are excluded.
+   Each unordered pair is emitted once, in lexicographic order;
 2. pentagonal   t(j,m-1)^-1 t(k,m-1) t(j,l-1) t(i,k-1) t(i,l-1)^-1 =
                 t(i,l-1)^-1 t(i,k-1) t(j,l-1) t(k,m-1) t(j,m-1)^-1
    for every 5-subset i < j < k < l < m of 1..n.
@@ -177,7 +179,7 @@ class Presentation:
             )
         pairs = _generator_spans(self.group, n)
         t = _syllables(pairs)
-        out = _commutation_relators(pairs, n, t) + _pentagonal_relators(n, t)
+        out = _commutation_relators(pairs, t) + _pentagonal_relators(n, t)
         if self.group == "qb":
             out += _cyclic_relators(n, t, pairs)
         return tuple(out)
@@ -230,29 +232,19 @@ def _generator_spans(group: str, n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _commutation_relators(
-    pairs: list[tuple[int, int]], n: int, t: Syllables
-) -> list[GenWord]:
+def _commutation_relators(pairs: list[tuple[int, int]], t: Syllables) -> list[GenWord]:
     """One commutator per unordered pair of disjoint or nested spans, in lexicographic order.
 
-    pairs is in lexicographic order.  The partners (k, l) after a span (i, j)
-    are read directly from the rows of spans with first index k, in order: at
-    k = i the spans with l > j, which contain it; for i < k < j those with
-    l <= j, inside it; none at k = j, which touch it; all of them for k > j,
-    right of it.
+    pairs is in lexicographic order, so combinations gives each pair of spans
+    (i, j) < (k, l) once, in lexicographic order.  The pair is kept iff
+    (k, l) contains (i, j) from the same left end (k = i), lies inside it
+    (l <= j) or lies right of it (k > j).
     """
-    rows: dict[int, list[tuple[int, GenWord]]] = {}
-    for i, j in pairs:
-        rows.setdefault(i, []).append((j, t[i, j]))
-    out = []
-    for i, j in pairs:
-        u = t[i, j]
-        out += [_commutator(u + v) for l, v in rows[i] if l > j]
-        for k in range(i + 1, j):
-            out += [_commutator(u + v) for l, v in rows.get(k, ()) if l <= j]
-        for k in range(j + 1, n):
-            out += [_commutator(u + v) for _, v in rows.get(k, ())]
-    return out
+    return [
+        _commutator(t[i, j] + t[k, l])
+        for (i, j), (k, l) in combinations(pairs, 2)
+        if k == i or l <= j or k > j
+    ]
 
 
 def _pentagonal_relators(n: int, t: Syllables) -> list[GenWord]:

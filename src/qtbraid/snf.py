@@ -8,9 +8,11 @@ of M, starting from the identity, so every column operation acts on both at
 once, while row operations stop at row r.  Arithmetic is Python int, so there
 is no overflow to silence.
 
-Pivoting is deterministic (smallest absolute value, then lowest row, then
-lowest column), and invariant factors are normalized positive and ascending,
-so identical inputs give identical transforms.
+It is one elimination loop, which fixes divisibility at the step where it
+fails, by adding a row (Cohen, A Course in Computational Algebraic Number
+Theory, GTM 138, 2.4).  Pivoting is deterministic (smallest absolute value,
+then lowest row, then lowest column), and invariant factors are normalized
+positive and ascending, so identical inputs give identical transforms.
 """
 
 from __future__ import annotations
@@ -59,89 +61,60 @@ def _pivot(m: list[list[int]], t: int, r: int, g: int) -> tuple[int, int] | None
 def smith_normal_form(matrix: list[list[int]], cols: int | None = None) -> SmithNormalForm:
     """Compute the Smith normal form of an integer matrix.
 
-    `cols` must be given when the matrix has no rows.
+    `cols` must be given when the matrix has no rows.  Step t moves the pivot
+    to (t, t), reduces rows t+1.. by row t and columns t+1.. by column t, and
+    repeats while a remainder is left.  Then, if the pivot d is not +-1 and
+    does not divide some entry below and right of it, that entry's row is
+    added to row t and the step repeats: its next pivot is a remainder
+    smaller than |d|, so the fix ends, and every later pivot is a multiple of
+    d.  Column t is negated if d < 0; no later step reads it.  A matrix that
+    never needs the fix gets the plain elimination's transform.
     """
     r = len(matrix)
-    if r:
-        g = len(matrix[0])
-        if any(len(row) != g for row in matrix):
-            raise ValueError("ragged matrix")
-        if cols is not None and cols != g:
-            raise ValueError("cols disagrees with matrix width")
-    else:
-        if cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        g = cols
+    if not r and cols is None:
+        raise ValueError("empty matrix needs an explicit column count")
+    g = len(matrix[0]) if r else cols
+    if any(len(row) != g for row in matrix):
+        raise ValueError("ragged matrix")
+    if cols is not None and cols != g:
+        raise ValueError("cols disagrees with matrix width")
     m = [list(row) for row in matrix]
     m += ([1 if a == b else 0 for b in range(g)] for a in range(g))
-
-    def swap_cols(a: int, b: int) -> None:
-        for row in m:
-            row[a], row[b] = row[b], row[a]
-
-    def add_col(dst: int, src: int, q: int) -> None:
-        # column dst += q * column src
-        for row in m:
-            row[dst] += q * row[src]
-
-    def negate_col(a: int) -> None:
-        for row in m:
-            row[a] = -row[a]
-
-    def clear_at(t: int) -> None:
-        """Make m[t][t] the only nonzero entry in its row and column."""
-        while True:
-            piv = _pivot(m, t, r, g)
-            if piv is None:
-                return
-            i, j = piv
-            if i != t:
-                m[t], m[i] = m[i], m[t]
-            if j != t:
-                swap_cols(t, j)
-            dirty = False
-            for i in range(t + 1, r):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    if q:
-                        for c in range(g):
-                            m[i][c] -= q * m[t][c]
-                    if m[i][t]:
-                        dirty = True
-            for j in range(t + 1, g):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    if q:
-                        add_col(j, t, -q)
-                    if m[t][j]:
-                        dirty = True
-            if not dirty:
-                return
-
-    limit = min(r, g)
-
-    def diagonalize(start: int) -> None:
-        for t in range(start, limit):
-            clear_at(t)
-            if m[t][t] == 0:
-                break
-        for t in range(start, limit):
-            if m[t][t] < 0:
-                negate_col(t)
-
-    diagonalize(0)
-
-    # enforce the divisibility chain d_t | d_{t+1}; a repair can shrink d_t,
-    # so rescan from the top (these matrices are small)
     t = 0
-    while t + 1 < limit:
-        a, b = m[t][t], m[t + 1][t + 1]
-        if a and b % a != 0:
-            add_col(t, t + 1, 1)
-            diagonalize(t)
-            t = 0
+    while t < min(r, g):
+        piv = _pivot(m, t, r, g)
+        if piv is None:
+            break
+        i, j = piv
+        m[t], m[i] = m[i], m[t]
+        if j != t:
+            for row in m:
+                row[t], row[j] = row[j], row[t]
+        top, d = m[t], m[t][t]
+        dirty = False
+        for row in m[t + 1 : r]:
+            if row[t]:
+                q = row[t] // d
+                if q:
+                    row[:] = [a - q * b for a, b in zip(row, top)]
+                dirty = dirty or row[t] != 0
+        for j in range(t + 1, g):
+            if top[j]:
+                q = top[j] // d
+                if q:
+                    for row in m:
+                        row[j] -= q * row[t]
+                dirty = dirty or top[j] != 0
+        if dirty:
             continue
+        if d != 1 and d != -1:
+            bad = next((row for row in m[t + 1 : r] if any(x % d for x in row[t + 1 :])), None)
+            if bad is not None:
+                top[:] = [a + b for a, b in zip(top, bad)]
+                continue
+        if d < 0:
+            for row in m:
+                row[t] = -row[t]
         t += 1
-
-    diag = tuple(m[t][t] for t in range(limit))
+    diag = tuple(m[k][k] for k in range(min(r, g)))
     return SmithNormalForm(r, g, diag, tuple(tuple(row) for row in m[r:]))

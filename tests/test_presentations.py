@@ -81,7 +81,7 @@ class TestRelatorEnumeration:
             want = [
                 presentations._commutator(t[a] + t[b]) for a, b in pairwise_commutation_spans(pairs)
             ]
-            assert presentations._commutation_relators(pairs, n, t) == want
+            assert presentations._commutation_relators(pairs, t) == want
 
     def test_pentagonal_counts(self):
         for n, want in ((5, 1), (6, 6), (7, 21)):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -13,6 +14,21 @@ def brute_invariant_factors(matrix):
     if not matrix:
         return []
     return [int(x) for x in invariant_factors(sympy.Matrix(matrix)) if x != 0]
+
+
+def assert_smith_form_of(m, s):
+    """s is a Smith normal form of m: sympy's invariant factors, a unimodular
+    right transform, and every row of m in the lattice of the d_t."""
+    g = s.cols
+    assert list(s.invariant_factors) == brute_invariant_factors(m)
+    assert sympy.Matrix([list(row) for row in s.right]).det() in (1, -1)
+    for row in m:
+        y = [sum(x * v[c] for x, v in zip(row, s.right)) for c in range(g)]
+        for c, val in enumerate(y):
+            if c < len(s.diag) and s.diag[c]:
+                assert val % s.diag[c] == 0
+            else:
+                assert val == 0
 
 
 @st.composite
@@ -70,17 +86,17 @@ class TestSmithNormalForm:
         for _ in range(100):
             r, g = rng.randint(1, 5), rng.randint(1, 5)
             m = [[rng.randint(-9, 9) for _ in range(g)] for _ in range(r)]
-            s = smith_normal_form(m)
-            det = sympy.Matrix([list(row) for row in s.right]).det()
-            assert det in (1, -1)
-            # every relator row must land in the lattice spanned by d_i e_i
-            for row in m:
-                y = [sum(x * v[c] for x, v in zip(row, s.right)) for c in range(g)]
-                for c, val in enumerate(y):
-                    if c < len(s.diag) and s.diag[c]:
-                        assert val % s.diag[c] == 0
-                    else:
-                        assert val == 0
+            assert_smith_form_of(m, smith_normal_form(m))
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda g: st.lists(
+                st.lists(st.integers(-6, 6), min_size=g, max_size=g), min_size=1, max_size=6
+            )
+        )
+    )
+    def test_property_bounded_matrices(self, m):
+        assert_smith_form_of(m, smith_normal_form(m))
 
     def test_determinism(self):
         m = [[3, 1, -4], [2, -7, 1], [0, 5, 5]]
@@ -98,3 +114,30 @@ class TestSmithNormalForm:
         big = 10**30
         s = smith_normal_form([[big, big], [0, big]])
         assert s.diag == (big, big)
+
+
+class TestDivisibilityFix:
+    """Pivots that do not divide what is left below and right of them.
+
+    No matrix the library builds needs the fix; these pin cases that do.
+    """
+
+    def test_diagonal_chain(self):
+        m = [[4, 0, 0], [0, 6, 0], [0, 0, 10]]
+        s = smith_normal_form(m)
+        assert s.diag == (2, 2, 60)
+        assert_smith_form_of(m, s)
+
+    def test_diagonal_of_primes(self):
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+        m = [[p if a == b else 0 for b in range(12)] for a, p in enumerate(primes)]
+        s = smith_normal_form(m)
+        assert s.diag == (1,) * 11 + (math.prod(primes),)
+        assert_smith_form_of(m, s)
+
+    def test_offending_entry_off_the_diagonal(self):
+        # the pivot 2 clears its row and column at once, and 3 at (1, 2) is not a multiple of it
+        m = [[2, 0, 0], [0, 4, 3], [0, 6, 8]]
+        s = smith_normal_form(m)
+        assert s.diag == (1, 2, 14)
+        assert_smith_form_of(m, s)
