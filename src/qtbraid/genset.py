@@ -23,8 +23,20 @@ oracle-checked identity suite.  The thm42 alphabet is reached through
     t(n-1,n)^{-1} = d0^{-1} d1
     t(i,n)^{-1}   = d0^{-1} d<n-i> d0^{-1} t(i+1,n)^{-1} d0
 
-with every index d<k> staying below N.  Beyond merging adjacent equal atoms,
-no simplification is attempted; soundness, not brevity, is the contract.
+with every index d<k> staying below N.
+
+The output is in central form.  Relation 3 makes d0^n = t(1,n) the full
+twist, which generates the centre of B_n, so a word over either alphabet is
+d0^(nQ) times its reduced image in Z/n * F(alphabet without d0): freely
+reduced, every d0 exponent in (-n/2, n/2] (an even-n tie at +n/2), Q fixed
+by the total d0 exponent.  That form is unique for the word's free-group
+element, and exact, since a central power moves anywhere without changing
+the braid; writing d0^9 at n = 9 as the central unit lets t1,5^-1 d0^9 t1,5
+cancel.  d0^(nQ) is spread one d0^(+-n) onto each of the first |Q| d0
+syllables, the first taking what is left, or put in front of a word without
+d0: collected into one syllable it reaches d0^-2412 at n = 12 on a 36-row
+form, where spread only the first d0 syllable, and only when |Q| exceeds
+their number, strays more than n from (-n/2, n/2].
 
 Each strand count keeps one twist table per alphabet (_twist_tables, at most
 words.STRAND_CACHE_SIZE strand counts): an ImageTable (a words.Table) from
@@ -34,8 +46,11 @@ its table (_thm41_long_twists), top-down from t(1,n) = d0^n, and the table maps
 t(i,j) to the index shift of t(1,j-i+1); the thm42 table maps it to that image
 rewritten by a private table of the short twists.  No table looks itself up,
 so none is a reference cycle; each holds at most C(n,2) entries, uncapped.
-decompose, for either target, is one substitution pass (ImageTable.substitute):
-image^e for each syllable t(i,j)^e, d0^e kept, reduced at the seams only.
+The tables are central ImageTables: each stores an image reduced, with its
+central count (t(1,n) = d0^n is the empty word and one unit).  decompose, for
+either target, is one substitution pass (ImageTable.substitute): image^e for
+each syllable t(i,j)^e, d0^e kept, reduced at the seams only, with one
+counter for the central units.
 
 decompose refuses a strand count whose long thm41 twists could hold more than
 words.MAX_LETTERS syllables (n > 2112), counted from lengths only before any
@@ -47,6 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from operator import itemgetter
 
 from .purebraid import t_decompose
 from .quasitoric import factor
@@ -95,8 +111,7 @@ class GensetTarget:
         return tuple(Atom.d(k) for k in range(N))
 
     def admits(self, gw: GenWord) -> bool:
-        allowed = set(self.alphabet)
-        return all(atom in allowed for atom, _ in gw)
+        return set(self.alphabet).issuperset(map(itemgetter(0), gw))
 
 
 _D0 = Atom.d(0)
@@ -148,11 +163,11 @@ def _long_twist_syllables(n: int) -> int:
     """An upper bound on the syllables _thm41_long_twists(n) holds, from lengths only.
 
     gen_concat only merges, so an image has at most as many syllables as its
-    parts.  Besides t(1,n-1) and t(1,j+1), each long line reads only short
-    twists, of one syllable, and a conjugation adds two d0 syllables: so
-    t(1,n) = d0^n has 1, t(1,n-1) has 4 + 6 = 10, t(1,n-2) has
-    10 + 3 + 10 + 2 = 25, and each lower long twist 18 more than the one
-    above it.
+    parts, and the twist tables' central reduction only drops more.  Besides
+    t(1,n-1) and t(1,j+1), each long line reads only short twists, of one
+    syllable, and a conjugation adds two d0 syllables: so t(1,n) = d0^n has
+    1, t(1,n-1) has 4 + 6 = 10, t(1,n-2) has 10 + 3 + 10 + 2 = 25, and each
+    lower long twist 18 more than the one above it.
     """
     N = short_twist_bound(n)
     m = max(0, n - 2 - N)  # long twists below t(1,n-1)
@@ -180,7 +195,7 @@ def _short_thm42_image(n: int, atom: Atom) -> GenWord:
 
 def _thm42_image(thm41: ImageTable, short: ImageTable, atom: Atom) -> GenWord:
     """t(i,j) over the thm42 alphabet: its thm41 image, rewritten by the short-twist table."""
-    return short.substitute(thm41[atom][0])
+    return short.substitute(thm41.substitute(((atom, 1),)))
 
 
 @lru_cache(maxsize=STRAND_CACHE_SIZE)
@@ -196,9 +211,10 @@ def _twist_tables(n: int) -> dict[str, ImageTable]:
             f"the twist tables on {n} strands would hold up to {syllables} syllables, "
             f"more than the limit of {MAX_LETTERS}"
         )
-    thm41 = ImageTable(partial(_thm41_image, n, _thm41_long_twists(n)), fixed=_D0)
-    short = ImageTable(partial(_short_thm42_image, n), fixed=_D0)
-    return {"thm41": thm41, "thm42": ImageTable(partial(_thm42_image, thm41, short), fixed=_D0)}
+    thm41 = ImageTable(partial(_thm41_image, n, _thm41_long_twists(n)), _D0, central=n)
+    short = ImageTable(partial(_short_thm42_image, n), _D0, central=n)
+    thm42 = ImageTable(partial(_thm42_image, thm41, short), _D0, central=n)
+    return {"thm41": thm41, "thm42": thm42}
 
 
 def decompose(w: BraidWord, target: GensetTarget) -> GenWord:
@@ -206,8 +222,9 @@ def decompose(w: BraidWord, target: GensetTarget) -> GenWord:
 
     Pipeline: look up the target's twist table, which refuses too many
     strands, factor off the cyclic part d0^k, comb the pure part into full
-    twists, then one substitution pass through the table.  The result expands
-    to a braid Garside-equal to the input.
+    twists, then one substitution pass through the table.  The result is in
+    central form (see the module docstring) and expands to a braid
+    Garside-equal to the input.
     """
     if w.strands != target.strands:
         raise WordError(f"strand mismatch: {w.strands} vs {target.strands}")

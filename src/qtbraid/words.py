@@ -300,23 +300,54 @@ def gen_concat(*parts: GenWord) -> GenWord:
 
 def gen_reduce(gw: Iterable[tuple[Atom, int]]) -> GenWord:
     """Merge adjacent equal atoms and drop zero exponents (free reduction)."""
+    return _reduce(gw)[0]
+
+
+def _reduce(
+    gw: Iterable[tuple[Atom, int]], center: Atom | None = None, n: int = 0
+) -> tuple[GenWord, int]:
+    """(w, q): gw freely reduced to w, in one stack pass that merges each
+    syllable into the top.  With a center atom c whose n-th power is
+    central, c exponents are kept in (-n/2, n/2], which is -h..n-1-h, and
+    gw = c^(n q) w, w in the central form of ImageTable."""
+    h = (n - 1) // 2
     out: list[tuple[Atom, int]] = []
-    for syllable in gw:
-        if syllable[1]:
-            _join(out, (syllable,))
-    return tuple(out)
+    q = 0
+    for atom, e in gw:
+        if out and out[-1][0] == atom:
+            e += out.pop()[1]
+        if atom == center:
+            q, e = q + (e + h) // n, (e + h) % n - h
+        if e:
+            out.append((atom, e))
+    return tuple(out), q
 
 
-def _join(out: list[tuple[Atom, int]], piece: GenWord) -> None:
-    """Append the reduced word piece to the reduced list out; only the seam can merge."""
-    k = 0
-    while out and k < len(piece) and out[-1][0] == piece[k][0]:
+def _join(
+    out: list[tuple[Atom, int]], piece: GenWord, center: Atom | None = None, n: int = 0
+) -> int:
+    """Append the reduced word piece to the reduced list out; only the seam can merge.
+
+    With a center atom c whose n-th power is central, out and piece are
+    reduced with every c exponent in (-n/2, n/2]; two such exponents merged
+    at the seam are brought back into that range, and the number of c^n
+    taken out is returned.  A c syllable that drops to 0 lets the merging go on.
+    """
+    q = k = 0
+    m = len(piece)
+    while out and k < m and out[-1][0] == piece[k][0]:
         atom, e = out.pop()
         e, k = e + piece[k][1], k + 1
+        if atom == center:  # e is in (-n, n], at most one n out of range
+            if 2 * e > n:
+                e, q = e - n, q + 1
+            elif 2 * e <= -n:
+                e, q = e + n, q - 1
         if e:
             out.append((atom, e))
             break  # piece is reduced, so its next atom differs
     out.extend(piece[k:])
+    return q
 
 
 class Table(dict):
@@ -346,11 +377,27 @@ class ImageTable(Table):
     up, and raises WordError for an atom outside the map's domain, so a
     foreign atom is never stored.  Images are stored freely reduced.  The
     fixed atom, if any, maps to itself and is never looked up.
+
+    With central=n (a fixed atom given), fixed^n is central, and words are
+    kept in central form: fixed^(n q) times a reduced word with every fixed
+    exponent in (-n/2, n/2], its image in Z/n * F(other atoms).  That form is
+    unique: the reduced word of the image, with q fixed by the total fixed
+    exponent.  Each entry then holds, for the image and for its inverse, a
+    piece (head, body, tail, q): the word is fixed^(n q + head) body
+    fixed^tail, with body neither starting nor ending in the fixed atom.  The
+    inverse has a q of its own, since an even-n tie fixed^-(n/2) is kept as
+    fixed^(n/2) fixed^-n.  substitute spreads fixed^(n q) over its result's
+    fixed syllables (_spread).
     """
 
-    def __init__(self, image: Callable[[Atom], GenWord], fixed: Atom | None = None):
-        super().__init__(partial(_reduced_with_inverse, image))
-        self.fixed = fixed
+    def __init__(
+        self, image: Callable[[Atom], GenWord], fixed: Atom | None = None, central: int = 0
+    ):
+        if central:
+            super().__init__(partial(_central_pieces, image, fixed, central))
+        else:
+            super().__init__(partial(_reduced_with_inverse, image))
+        self.fixed, self.central = fixed, central
 
     def substitute(self, gw: GenWord) -> GenWord:
         """The image of gw, freely reduced: image^e for each syllable atom^e.
@@ -358,8 +405,12 @@ class ImageTable(Table):
         Each piece joined on (an image, its inverse, a fixed-atom syllable) is
         reduced, so only its seam can merge, and _join runs only where the seam's
         atoms are equal.  That gives gen_reduce of the whole concatenation, the
-        unique reduced form, even for unreduced gw or 0 exponents.
+        unique reduced form, even for unreduced gw or 0 exponents.  With
+        central=n the result is in central form, fixed^(n q) spread over it
+        (_substitute_central).
         """
+        if self.central:
+            return self._substitute_central(gw)
         fixed = self.fixed
         if len(gw) == 1 and gw[0][0] != fixed and gw[0][1] in (1, -1):
             return self[gw[0][0]][gw[0][1] < 0]  # the stored image or its inverse
@@ -376,10 +427,93 @@ class ImageTable(Table):
                         out += piece
         return tuple(out)
 
+    def _substitute_central(self, gw: GenWord) -> GenWord:
+        """substitute with central=n, in one pass with one central counter q.
+
+        pend is the fixed exponent owed at the end of out, which never ends in
+        the fixed atom: each piece's head and tail, and each fixed syllable of
+        gw, are added to it, and it is brought into (-n/2, n/2] and written
+        only before the next body.  Where it drops to 0 the seam's atoms may
+        merge, and _join cancels as far as they do.
+        """
+        fixed, n = self.fixed, self.central
+        h = (n - 1) // 2  # (-n/2, n/2] is -h..n-1-h
+        out: list[tuple[Atom, int]] = []
+        q = pend = 0
+        for atom, e in gw:
+            if atom == fixed:
+                pend += e
+                continue
+            head, body, tail, c = self[atom][e < 0]  # the inverse's piece for e < 0
+            q += c * abs(e)
+            for _ in range(abs(e)):
+                pend += head
+                if not body:
+                    continue
+                if pend:
+                    q, pend = q + (pend + h) // n, (pend + h) % n - h
+                if pend:
+                    out.append((fixed, pend))
+                    out += body
+                    pend = 0
+                elif out and out[-1][0] == body[0][0]:
+                    q += _join(out, body, fixed, n)
+                    if out and out[-1][0] == fixed:  # body cancelled down to a fixed syllable
+                        pend = out.pop()[1]
+                else:
+                    out += body
+                pend += tail
+        if pend:
+            q, pend = q + (pend + h) // n, (pend + h) % n - h
+        if pend:
+            out.append((fixed, pend))
+        if q:
+            _spread(out, q, fixed, n)
+        return tuple(out)
+
+
+def _spread(out: list[tuple[Atom, int]], q: int, fixed: Atom, n: int) -> None:
+    """Multiply the central-form list out by fixed^(n q), in place: one n (of
+    q's sign) onto each of the first |q| fixed syllables, and what is left
+    onto the first of them, or in front as fixed^(n q) if out has none."""
+    unit, left, first = (n if q > 0 else -n), abs(q), None
+    for k, (atom, e) in enumerate(out):
+        if atom == fixed:
+            first = k if first is None else first
+            out[k] = (fixed, e + unit)
+            left -= 1
+            if not left:
+                return
+    if first is None:
+        out.insert(0, (fixed, n * q))
+    else:
+        out[first] = (fixed, out[first][1] + unit * left)
+
 
 def _reduced_with_inverse(image: Callable, atom: Atom) -> tuple[GenWord, GenWord]:
     word = gen_reduce(image(atom))
     return word, gen_inverse(word)
+
+
+def _central_pieces(image: Callable, center: Atom, n: int, atom: Atom):
+    """The ImageTable pieces (head, body, tail, q) of atom's image and its inverse
+    for central=n, in place of the image word and its inverse."""
+    word, q = _reduce(image(atom), center, n)
+    inverse, inverse_q = gen_inverse(word), -q
+    tie = (center, -(n // 2))
+    if n % 2 == 0 and tie in inverse:  # fixed^-(n/2) is fixed^(n/2) fixed^-n
+        inverse_q -= inverse.count(tie)
+        inverse = tuple((center, n // 2) if syllable == tie else syllable for syllable in inverse)
+    return _piece(word, q, center), _piece(inverse, inverse_q, center)
+
+
+def _piece(word: GenWord, q: int, center: Atom) -> tuple[int, GenWord, int, int]:
+    head = tail = 0
+    if word and word[0][0] == center:
+        head, word = word[0][1], word[1:]
+    if word and word[-1][0] == center:
+        tail, word = word[-1][1], word[:-1]
+    return head, word, tail, q
 
 
 def _atom_length(atom: Atom, n: int) -> int:

@@ -13,10 +13,11 @@ from qtbraid.quasitoric import QuasitoricForm, qt_to_word
 from qtbraid.snf import smith_normal_form
 from qtbraid.words import GenWord, Table
 
-# Outputs of comb, decompose and nf_word on fixed inputs at n=3-9, recorded
-# before the backward-sweep normal form and the shared permutation-braid word
-# routine, to pin the rewritten paths byte for byte; and decompose at n=10-16
-# and 21, recorded before substitution joined its pieces at the seams.
+# Outputs of comb and nf_word on fixed inputs at n=3-9, recorded before the
+# backward-sweep normal form and the shared permutation-braid word routine, to
+# pin the rewritten paths byte for byte; and decompose at n=4-16 and 21,
+# re-recorded when decompose took to the central form, each new output
+# certified Garside-equal to its input and to the output it replaced.
 GOLDENS = json.loads((Path(__file__).parent / "data" / "rewrite_goldens.json").read_text())
 
 
@@ -63,6 +64,40 @@ def stack_reduce(gw) -> GenWord:
         else:
             out.append((atom, e))
     return tuple(out)
+
+
+def central_reduce(gw, n: int) -> GenWord:
+    """The central form of gw on n strands, sharing no code with the library's.
+
+    d0^n is central, so gw is d0^(n Q) times its reduced image in
+    Z/n * F(other atoms).  One stack pass reduces it there, keeping each d0
+    exponent as a residue 0..n-1 and dropping the residue 0; the residues
+    are then moved into (-n/2, n/2].  d0^(n Q), with Q read off the total d0
+    exponent, is spread one d0^(+-n) onto each of the first |Q| d0 syllables,
+    the first of them taking what is left; with no d0 syllable it goes in front.
+    """
+    d0 = Atom.d(0)
+    stack: list[tuple[Atom, int]] = []
+    for atom, e in gw:
+        if stack and stack[-1][0] == atom:
+            e += stack.pop()[1]
+        if atom == d0:
+            e %= n
+        if e:
+            stack.append((atom, e))
+    body = [(atom, e - n if atom == d0 and 2 * e > n else e) for atom, e in stack]
+    central = sum(e for atom, e in gw if atom == d0) - sum(e for atom, e in body if atom == d0)
+    assert central % n == 0, (gw, n)
+    units, unit = abs(central) // n, (n if central > 0 else -n)
+    at = [k for k, (atom, _) in enumerate(body) if atom == d0]
+    if units and not at:
+        body.insert(0, (d0, central))
+    elif units:
+        for k in at[:units]:
+            body[k] = (d0, body[k][1] + unit)
+        rest = units - len(at[:units])
+        body[at[0]] = (d0, body[at[0]][1] + rest * unit)
+    return tuple(body)
 
 
 def substitute_then_reduce(image, fixed: Atom | None, gw: GenWord) -> GenWord:

@@ -30,13 +30,14 @@ from qtbraid.purebraid import t_decompose
 from qtbraid.quasitoric import QuasitoricForm, factor, qt_to_word
 from qtbraid.words import MAX_LETTERS, STRAND_CACHE_SIZE, ImageTable, gen_concat, gen_inverse
 
-from helpers import gen_pow, random_qt_word, rewrite
+from helpers import central_reduce, gen_pow, random_qt_word, rewrite
 
 # ---------------------------------------------------------------------------
 # Reference rewriters: a private copy of the step-by-step expansion, which
 # free-reduces after every atom and builds each twist's image anew.  The
-# library rewrites from cached twist tables and reduces once; both must give
-# the same tuple, since free reduction of a homomorphic image is canonical.
+# library rewrites from cached twist tables and reduces once, in central form;
+# it must give central_reduce of the reference, since that form of a
+# homomorphic image is unique.
 
 
 def _ref_d0(e):
@@ -151,8 +152,22 @@ class TestRewriteThm41:
             for i in range(1, n):
                 for j in range(i + 1, n + 1):
                     out = rewrite(((Atom.t(i, j), 1),), n, "thm41")
+                    assert out == central_reduce(_ref_thm41(((Atom.t(i, j), 1),), n), n)
                     assert target.admits(out), (n, i, j)
                     assert equal(expand(out, n), atom_word(Atom.t(i, j), n)), (n, i, j)
+
+    def test_central_units_spread(self):
+        # t(1,5) = d0^5 is central: its units go one d0^+-5 onto each d0
+        # syllable from the front, the first taking what is left
+        n, d0, t12 = 5, Atom.d(0), Atom.t(1, 2)
+        cases = [
+            (((Atom.t(1, 5), 3),), ((d0, 15),)),
+            (((Atom.t(2, 3), 1), (Atom.t(1, 5), 3)), ((d0, 11), (t12, 1), (d0, 4))),
+            (((Atom.t(2, 3), 1), (Atom.t(1, 5), -1)), ((d0, -4), (t12, 1), (d0, -1))),
+        ]
+        for gw, want in cases:
+            assert rewrite(gw, n, "thm41") == want == central_reduce(_ref_thm41(gw, n), n)
+            assert equal(expand(want, n), expand(gw, n)), gw
 
     def test_inverse_exponents(self):
         n = 5
@@ -186,6 +201,7 @@ class TestRewriteThm42:
             N = short_twist_bound(n)
             for j in range(2, N + 1):
                 out = rewrite(((Atom.t(1, j), 1),), n, "thm42")
+                assert out == central_reduce(_ref_thm42(((Atom.t(1, j), 1),), n), n)
                 assert target.admits(out), (n, j)
                 assert equal(expand(out, n), atom_word(Atom.t(1, j), n)), (n, j)
 
@@ -337,13 +353,43 @@ def _forms(draw):
     return QuasitoricForm(n, tuple(rows))
 
 
+@st.composite
+def _small_forms(draw):
+    n = draw(st.integers(3, 9))
+    sign = st.sampled_from((1, -1))
+    rows = draw(st.lists(st.tuples(*[sign] * (n - 1)), max_size=4))
+    return QuasitoricForm(n, tuple(rows))
+
+
+class TestCentralForm:
+    @_PROPERTY
+    @given(_small_forms())
+    def test_decompose_output_contract(self, form):
+        # the output denotes its input, in the target alphabet, freely
+        # reduced, and every d0 exponent but the first d0 syllable's is within
+        # n of (-n/2, n/2]: the central form, which central_reduce keeps
+        w = qt_to_word(form)
+        n = w.strands
+        for variant in VARIANTS:
+            target = GensetTarget(variant, n)
+            out = decompose(w, target)
+            assert equal(expand(out, n), w), (variant, form)
+            assert target.admits(out)
+            assert all(a[0] != b[0] for a, b in zip(out, out[1:])), out
+            d0_exponents = [e for atom, e in out if atom == Atom.d(0)]
+            assert all(-3 * n < 2 * e <= 3 * n for e in d0_exponents[1:]), out
+            assert out == central_reduce(out, n)
+
+
 class TestAgainstReference:
     @_PROPERTY
     @given(_forms())
     def test_random_forms(self, form):
         w = qt_to_word(form)
+        n = w.strands
         for variant in VARIANTS:
-            assert decompose(w, GensetTarget(variant, w.strands)) == _ref_decompose(w, variant)
+            want = central_reduce(_ref_decompose(w, variant), n)
+            assert decompose(w, GensetTarget(variant, n)) == want
 
     def test_every_twist_power(self):
         for n in range(3, 17):
@@ -352,8 +398,9 @@ class TestAgainstReference:
                     for e in (1, -1, 2, -2):
                         gw = ((Atom.t(i, j), e),)
                         thm41 = rewrite(gw, n, "thm41")
-                        assert thm41 == _ref_thm41(gw, n), (n, i, j, e)
-                        assert rewrite(thm41, n, "thm42") == _ref_thm42(thm41, n), (n, i, j, e)
+                        assert thm41 == central_reduce(_ref_thm41(gw, n), n), (n, i, j, e)
+                        thm42 = central_reduce(_ref_thm42(thm41, n), n)
+                        assert rewrite(thm41, n, "thm42") == thm42, (n, i, j, e)
 
 
 def _short_table(tables):
@@ -368,8 +415,9 @@ class TestComposedThm42Table:
             table = genset._twist_tables(n)["thm42"]
             for i in range(1, n):
                 for j in range(i + 1, n + 1):
-                    want = [_ref_thm42(_ref_thm41(((Atom.t(i, j), e),), n), n) for e in (1, -1)]
-                    assert list(table[Atom.t(i, j)]) == want, (n, i, j)
+                    for e in (1, -1):
+                        want = central_reduce(_ref_thm42(_ref_thm41(((Atom.t(i, j), e),), n), n), n)
+                        assert table.substitute(((Atom.t(i, j), e),)) == want, (n, i, j, e)
 
     def test_every_twist_sound(self):
         for n in range(3, 9):
@@ -377,7 +425,7 @@ class TestComposedThm42Table:
             table = genset._twist_tables(n)["thm42"]
             for i in range(1, n):
                 for j in range(i + 1, n + 1):
-                    image, _ = table[Atom.t(i, j)]
+                    image = table.substitute(((Atom.t(i, j), 1),))
                     assert target.admits(image), (n, i, j)
                     assert equal(expand(image, n), atom_word(Atom.t(i, j), n)), (n, i, j)
 
@@ -422,10 +470,11 @@ class TestTwistTables:
         sys.setrecursionlimit(len(inspect.stack()) + 60)
         try:
             genset._twist_tables.cache_clear()
-            out = rewrite(((Atom.t(1, short_twist_bound(n) + 1), 1),), n, "thm41")
+            gw = ((Atom.t(1, short_twist_bound(n) + 1), 1),)
+            out = rewrite(gw, n, "thm41")
         finally:
             sys.setrecursionlimit(limit)
-        assert out == _ref_thm41(((Atom.t(1, short_twist_bound(n) + 1), 1),), n)
+        assert out == central_reduce(_ref_thm41(gw, n), n)
 
     def test_size_bound_covers_the_built_table(self):
         # the count from lengths alone never undercounts, since gen_concat

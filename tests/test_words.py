@@ -30,7 +30,14 @@ from qtbraid import words
 from qtbraid.purebraid import linking
 from qtbraid.words import ImageTable, Table
 
-from helpers import WatchedMemo, compose, random_word, stack_reduce, substitute_then_reduce
+from helpers import (
+    WatchedMemo,
+    central_reduce,
+    compose,
+    random_word,
+    stack_reduce,
+    substitute_then_reduce,
+)
 
 
 def sig(n, *letters):
@@ -445,6 +452,16 @@ class TestImageTableSubstitute:
         want = substitute_then_reduce(lambda atom: tuple(images[atom]), _D0, gw)
         assert table.substitute(gw) == want
         assert gen_reduce(want) == want
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(_maps_and_words(), st.integers(2, 6))
+    def test_central_equals_concatenate_then_central_reduce(self, case, n):
+        # with central=n the pass keeps the central form as it goes, even-n
+        # ties included; it must equal central_reduce of the plain image
+        images, gw = case
+        table = ImageTable(lambda atom: tuple(images[atom]), fixed=_D0, central=n)
+        plain = substitute_then_reduce(lambda atom: tuple(images[atom]), _D0, gw)
+        assert table.substitute(gw) == central_reduce(plain, n)
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=200)
     @given(st.lists(st.tuples(st.sampled_from((_X, _Y, _D0)), st.integers(-3, 3)), max_size=16))
