@@ -8,8 +8,9 @@ group is generated by either
 
 and N matches the abelianization lower bound, so both sets are minimal.
 `decompose` factors a quasitoric braid as d0^k * pure, combs the pure part
-into full twists, and rewrites everything over the chosen alphabet; every
-output is certified Garside-equal to the input.
+into the looping generators a<i>,<j>, and rewrites each of them, through its
+full twists, over the chosen alphabet; every output is certified
+Garside-equal to the input.
 """
 
 import random

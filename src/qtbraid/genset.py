@@ -38,19 +38,18 @@ d0: collected into one syllable it reaches d0^-2412 at n = 12 on a 36-row
 form, where spread only the first d0 syllable, and only when |Q| exceeds
 their number, strays more than n from (-n/2, n/2].
 
-Each strand count keeps one twist table per alphabet (_twist_tables, at most
-words.STRAND_CACHE_SIZE strand counts): an ImageTable (a words.Table) from
-t(i,j) to its image under the lines above and that image's inverse, filled on
-first lookup.  The thm41 images t(1,j) are built once per strand count with
-its table (_thm41_long_twists), top-down from t(1,n) = d0^n, and the table maps
-t(i,j) to the index shift of t(1,j-i+1); the thm42 table maps it to that image
-rewritten by a private table of the short twists.  No table looks itself up,
-so none is a reference cycle; each holds at most C(n,2) entries, uncapped.
-The tables are central ImageTables: each stores an image reduced, with its
-central count (t(1,n) = d0^n is the empty word and one unit).  decompose, for
-either target, is one substitution pass (ImageTable.substitute): image^e for
-each syllable t(i,j)^e, d0^e kept, reduced at the seams only, with one
-counter for the central units.
+Each strand count keeps four central ImageTables (_tables, at most
+words.STRAND_CACHE_SIZE strand counts), filled on first lookup and keyed by
+width: the index shift holds for a(i,j) as for t(i,j), so each stores only the
+images of x(1,l), l = 2..n, reduced with their central counts (t(1,n) = d0^n
+is the empty word and one unit).  The thm41 twist table reads the t(1,j) of
+_thm41_long_twists, built top-down from t(1,n) = d0^n; a private table
+rewrites the short twists into the thm42 alphabet.  The thm41 a-atom table
+maps a(1,l) to the twist table's image of purebraid.a_to_t(n, 1, l), the
+thm42 one to that image rewritten by the short-twist table.  No table looks
+itself up, so none is a reference cycle.  decompose is one pass
+(ImageTable.substitute) of the combed word through its target's a-atom
+table: image^e per syllable a(i,j)^e, d0^e kept, reduced at the seams only.
 
 decompose refuses a strand count whose long thm41 twists could hold more than
 words.MAX_LETTERS syllables (n > 2112), counted from lengths only before any
@@ -64,7 +63,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from operator import itemgetter
 
-from .purebraid import t_decompose
+from .purebraid import a_to_t, comb
 from .quasitoric import factor
 from .words import (
     MAX_LETTERS,
@@ -122,8 +121,6 @@ def _d0(e: int) -> GenWord:
 
 
 def _conj_d0(k: int, inner: GenWord) -> GenWord:
-    if k == 0:
-        return inner
     return gen_concat(_d0(k), inner, _d0(-k))
 
 
@@ -174,11 +171,11 @@ def _long_twist_syllables(n: int) -> int:
     return N - 1 + (n > N) + 10 * (n - 1 > N) + 25 * m + 9 * m * (m - 1)
 
 
-def _thm41_image(n: int, twists: dict[int, GenWord], atom: Atom) -> GenWord:
-    """t(i,j) over the thm41 alphabet: the index shift of t(1,j-i+1)."""
-    if atom.kind != "t" or atom.j > n:
+def _thm41_image(twists: dict[int, GenWord], atom: Atom) -> GenWord:
+    """t(1,j) over the thm41 alphabet, read from _thm41_long_twists."""
+    if atom.kind != "t" or atom.i != 1 or atom.j not in twists:
         raise WordError(f"foreign atom {atom} in thm41 rewriting")
-    return _conj_d0(atom.i - 1, twists[atom.j - atom.i + 1])
+    return twists[atom.j]
 
 
 def _short_thm42_image(n: int, atom: Atom) -> GenWord:
@@ -194,43 +191,46 @@ def _short_thm42_image(n: int, atom: Atom) -> GenWord:
 
 
 def _thm42_image(thm41: ImageTable, short: ImageTable, atom: Atom) -> GenWord:
-    """t(i,j) over the thm42 alphabet: its thm41 image, rewritten by the short-twist table."""
+    """An atom's thm41 image, rewritten into the thm42 alphabet by the short-twist table."""
     return short.substitute(thm41.substitute(((atom, 1),)))
 
 
-@lru_cache(maxsize=STRAND_CACHE_SIZE)
-def _twist_tables(n: int) -> dict[str, ImageTable]:
-    """The thm41 and thm42 twist tables on n strands, empty until first looked up.
+def _a_image(n: int, twists: ImageTable, atom: Atom) -> GenWord:
+    """a(1,j) over the thm41 alphabet: the image of its full-twist word a_to_t."""
+    if atom.kind != "a" or atom.i != 1:
+        raise WordError(f"foreign atom {atom} in a-atom rewriting")
+    return twists.substitute(a_to_t(n, 1, atom.j))
 
-    Refuses, before building anything, an n whose long thm41 twists could
-    hold more than MAX_LETTERS syllables.
-    """
+
+@lru_cache(maxsize=STRAND_CACHE_SIZE)
+def _tables(n: int) -> dict[str, ImageTable]:
+    """The a-atom tables "thm41" and "thm42", the thm41 "twists" and the "short" twist
+    table on n strands, empty until first looked up.  Refuses, before building any,
+    an n whose long thm41 twists could hold more than MAX_LETTERS syllables."""
     syllables = _long_twist_syllables(n)
     if syllables > MAX_LETTERS:
         raise WordError(
             f"the twist tables on {n} strands would hold up to {syllables} syllables, "
             f"more than the limit of {MAX_LETTERS}"
         )
-    thm41 = ImageTable(partial(_thm41_image, n, _thm41_long_twists(n)), _D0, central=n)
-    short = ImageTable(partial(_short_thm42_image, n), _D0, central=n)
-    thm42 = ImageTable(partial(_thm42_image, thm41, short), _D0, central=n)
-    return {"thm41": thm41, "thm42": thm42}
+    twists = ImageTable(partial(_thm41_image, _thm41_long_twists(n)), (_D0, n))
+    short = ImageTable(partial(_short_thm42_image, n), (_D0, n))
+    thm41 = ImageTable(partial(_a_image, n, twists), (_D0, n))
+    thm42 = ImageTable(partial(_thm42_image, thm41, short), (_D0, n))
+    return {"thm41": thm41, "thm42": thm42, "twists": twists, "short": short}
 
 
 def decompose(w: BraidWord, target: GensetTarget) -> GenWord:
-    """Write a quasitoric braid over the target alphabet.
+    """Write a quasitoric braid over the target alphabet, in central form.
 
-    Pipeline: look up the target's twist table, which refuses too many
-    strands, factor off the cyclic part d0^k, comb the pure part into full
-    twists, then one substitution pass through the table.  The result is in
-    central form (see the module docstring) and expands to a braid
-    Garside-equal to the input.
-    """
+    Look up the target's a-atom table, which refuses too many strands, factor
+    off the cyclic part d0^k, comb the pure part into a-atoms, and make one
+    substitution pass; the output expands to a braid Garside-equal to the input."""
     if w.strands != target.strands:
         raise WordError(f"strand mismatch: {w.strands} vs {target.strands}")
-    table = _twist_tables(w.strands)[target.variant]
+    table = _tables(w.strands)[target.variant]
     k, p = factor(w)
-    out = table.substitute(_d0(k) + t_decompose(p))
+    out = table.substitute(_d0(k) + comb(p))
     if not target.admits(out):
         raise AssertionError(f"decompose left atoms outside the {target.variant} alphabet")
     return out

@@ -375,60 +375,55 @@ class ImageTable(Table):
 
     image(atom) returns the image word of one atom, without looking the table
     up, and raises WordError for an atom outside the map's domain, so a
-    foreign atom is never stored.  Images are stored freely reduced.  The
-    fixed atom, if any, maps to itself and is never looked up.
+    foreign atom is never stored.  Images are stored freely reduced.
 
-    With central=n (a fixed atom given), fixed^n is central, and words are
-    kept in central form: fixed^(n q) times a reduced word with every fixed
-    exponent in (-n/2, n/2], its image in Z/n * F(other atoms).  That form is
-    unique: the reduced word of the image, with q fixed by the total fixed
-    exponent.  Each entry then holds, for the image and for its inverse, a
-    piece (head, body, tail, q): the word is fixed^(n q + head) body
-    fixed^tail, with body neither starting nor ending in the fixed atom.  The
-    inverse has a q of its own, since an even-n tie fixed^-(n/2) is kept as
-    fixed^(n/2) fixed^-n.  substitute spreads fixed^(n q) over its result's
-    fixed syllables (_spread).
+    With central=(fixed, n), the fixed atom maps to itself and is never looked
+    up, fixed^n is central, and words are kept in central form: fixed^(n q)
+    times a reduced word with every fixed exponent in (-n/2, n/2], its image
+    in Z/n * F(other atoms).  That form is unique: the reduced word of the
+    image, with q fixed by the total fixed exponent.  Each entry then holds,
+    for the image and for its inverse, a piece (head, body, tail, q): the word
+    is fixed^(n q + head) body fixed^tail, with body neither starting nor
+    ending in the fixed atom.  The inverse has a q of its own, since an even-n
+    tie fixed^-(n/2) is kept as fixed^(n/2) fixed^-n.  substitute spreads
+    fixed^(n q) over its result's fixed syllables (_spread).  By the paper's
+    relation 4 it maps x(i,j), j <= n, to fixed^(i-1) image(x(1,j-i+1))
+    fixed^-(i-1), so image is never given an x(i,j) with 1 < i < j <= n.
     """
 
-    def __init__(
-        self, image: Callable[[Atom], GenWord], fixed: Atom | None = None, central: int = 0
-    ):
+    def __init__(self, image: Callable[[Atom], GenWord], central: tuple[Atom, int] | None = None):
         if central:
-            super().__init__(partial(_central_pieces, image, fixed, central))
+            super().__init__(partial(_central_pieces, image, *central))
         else:
             super().__init__(partial(_reduced_with_inverse, image))
-        self.fixed, self.central = fixed, central
+        self.fixed, self.central = central or (None, 0)
 
     def substitute(self, gw: GenWord) -> GenWord:
         """The image of gw, freely reduced: image^e for each syllable atom^e.
 
-        Each piece joined on (an image, its inverse, a fixed-atom syllable) is
-        reduced, so only its seam can merge, and _join runs only where the seam's
-        atoms are equal.  That gives gen_reduce of the whole concatenation, the
-        unique reduced form, even for unreduced gw or 0 exponents.  With
-        central=n the result is in central form, fixed^(n q) spread over it
+        Each piece joined on (an image or its inverse) is reduced, so only its
+        seam can merge, and _join runs only where the seam's atoms are equal.
+        That gives gen_reduce of the whole concatenation, the unique reduced
+        form, even for unreduced gw or 0 exponents.  With central=(fixed, n)
+        the result is in central form, fixed^(n q) spread over it
         (_substitute_central).
         """
         if self.central:
             return self._substitute_central(gw)
-        fixed = self.fixed
-        if len(gw) == 1 and gw[0][0] != fixed and gw[0][1] in (1, -1):
+        if len(gw) == 1 and gw[0][1] in (1, -1):
             return self[gw[0][0]][gw[0][1] < 0]  # the stored image or its inverse
         out: list[tuple[Atom, int]] = []
         for atom, e in gw:
-            if atom == fixed:
-                _join(out, ((atom, e),) if e else ())
-            else:
-                piece = self[atom][e < 0]  # the inverse image for e < 0
-                for _ in range(abs(e)):
-                    if out and piece and out[-1][0] == piece[0][0]:
-                        _join(out, piece)
-                    else:
-                        out += piece
+            piece = self[atom][e < 0]  # the inverse image for e < 0
+            for _ in range(abs(e)):
+                if out and piece and out[-1][0] == piece[0][0]:
+                    _join(out, piece)
+                else:
+                    out += piece
         return tuple(out)
 
     def _substitute_central(self, gw: GenWord) -> GenWord:
-        """substitute with central=n, in one pass with one central counter q.
+        """substitute with central=(fixed, n), in one pass with one central counter q.
 
         pend is the fixed exponent owed at the end of out, which never ends in
         the fixed atom: each piece's head and tail, and each fixed syllable of
@@ -439,12 +434,17 @@ class ImageTable(Table):
         fixed, n = self.fixed, self.central
         h = (n - 1) // 2  # (-n/2, n/2] is -h..n-1-h
         out: list[tuple[Atom, int]] = []
-        q = pend = 0
+        q, pend, get = 0, 0, self.get
         for atom, e in gw:
             if atom == fixed:
                 pend += e
                 continue
-            head, body, tail, c = self[atom][e < 0]  # the inverse's piece for e < 0
+            kind, i, j = atom  # x(i,j) with j > n is looked up as it is, and refused
+            key = (kind, 1, j - i + 1) if 1 < i and 0 < j <= n else atom
+            # a stored piece is read by its plain key; only a miss builds the Atom
+            head, body, tail, c = (get(key) or self[Atom(*key)])[e < 0]
+            if body and key is not atom:
+                head, tail = head + i - 1, tail - i + 1
             q += c * abs(e)
             for _ in range(abs(e)):
                 pend += head

@@ -42,12 +42,15 @@ def compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def rewrite(gw: GenWord, n: int, variant: str) -> GenWord:
-    """gw rewritten by the library's twist table for variant ("thm41" or "thm42").
+    """gw, a word in full twists and d0, rewritten by the library's thm41 twist
+    table, and for variant "thm42" then by its short-twist table.
 
-    On the thm41 alphabet the "thm42" table gives the thm42 rewriting, since
-    thm41 fixes d0 and t1,j for j <= N.
+    The thm41 table fixes d0 and t1,j for j <= N, so on the thm41 alphabet
+    "thm42" is the thm42 rewriting.
     """
-    return genset._twist_tables(n)[variant].substitute(gw)
+    tables = genset._tables(n)
+    out = tables["twists"].substitute(gw)
+    return tables["short"].substitute(out) if variant == "thm42" else out
 
 
 def stack_reduce(gw) -> GenWord:

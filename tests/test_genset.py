@@ -26,7 +26,7 @@ from qtbraid.genset import (
     decompose,
     short_twist_bound,
 )
-from qtbraid.purebraid import t_decompose
+from qtbraid.purebraid import a_to_t, t_decompose
 from qtbraid.quasitoric import QuasitoricForm, factor, qt_to_word
 from qtbraid.words import MAX_LETTERS, STRAND_CACHE_SIZE, ImageTable, gen_concat, gen_inverse
 
@@ -206,19 +206,20 @@ class TestRewriteThm42:
                 assert equal(expand(out, n), atom_word(Atom.t(1, j), n)), (n, j)
 
     def test_foreign_atom_rejected(self):
-        # the short-twist table maps t(1,j) for j <= N only; the composed
-        # table refuses what the thm41 one does, and stores neither
+        # the short-twist table maps t(1,j) for j <= N only, and reads t(2,3)
+        # as t(1,2) shifted; the thm42 rewriting refuses what the thm41 one
+        # does, and no table stores a foreign atom
         n = 7
-        tables = genset._twist_tables(n)
-        short = _short_table(tables)
-        foreign = (Atom.t(1, short_twist_bound(n) + 1), Atom.t(2, 3), Atom.d(1))
+        tables = genset._tables(n)
+        short = tables["short"]
+        foreign = (Atom.t(1, short_twist_bound(n) + 1), Atom.d(1))
         for atom in foreign:
             with pytest.raises(WordError, match=f"foreign atom {atom} in thm42 rewriting"):
                 short.substitute(((atom, 1),))
         with pytest.raises(WordError, match="foreign atom d1 in thm41 rewriting"):
             rewrite(((Atom.t(1, 2), 1), (Atom.d(1), 1)), n, "thm42")
         assert not set(foreign) & short.keys()
-        assert Atom.d(1) not in tables["thm42"] and Atom.d(1) not in tables["thm41"]
+        assert all(Atom.d(1) not in table for table in tables.values())
 
 
 class TestDecompose:
@@ -251,10 +252,10 @@ class TestDecompose:
             decompose(toric(4, 1), GensetTarget("thm41", 5))
 
     def test_one_substitution_pass(self, monkeypatch):
-        # either target is one pass through its own twist table, thm42 included
+        # either target is one pass through its own a-atom table, thm42 included
         n = 9
         w = random_qt_word(random.Random(15), n)
-        tables = genset._twist_tables(n)
+        tables = genset._tables(n)
         substitute, seen = ImageTable.substitute, []
 
         def recorded(table, gw):
@@ -266,7 +267,7 @@ class TestDecompose:
             want = decompose(w, GensetTarget(variant, n))
             seen.clear()
             assert decompose(w, GensetTarget(variant, n)) == want
-            assert [name for t in seen for name, u in tables.items() if t is u] == [variant]
+            assert [key for t in seen for key, u in tables.items() if t is u] == [variant]
 
     def test_alphabet_postcondition_raises(self, monkeypatch):
         monkeypatch.setattr(GensetTarget, "admits", lambda self, gw: False)
@@ -403,62 +404,140 @@ class TestAgainstReference:
                         assert rewrite(thm41, n, "thm42") == thm42, (n, i, j, e)
 
 
-def _short_table(tables):
-    """The private short-twist thm42 table, reached through the thm42 image partial."""
-    return tables["thm42"].compute.args[0].args[1]
-
-
 class TestComposedThm42Table:
     def test_every_twist_matches_reference(self):
-        # t(i,j) maps straight to the thm42 alphabet: thm42 after thm41
+        # t(i,j) maps to the thm42 alphabet: thm42 after thm41
         for n in range(3, 21):
-            table = genset._twist_tables(n)["thm42"]
             for i in range(1, n):
                 for j in range(i + 1, n + 1):
                     for e in (1, -1):
                         want = central_reduce(_ref_thm42(_ref_thm41(((Atom.t(i, j), e),), n), n), n)
-                        assert table.substitute(((Atom.t(i, j), e),)) == want, (n, i, j, e)
+                        assert rewrite(((Atom.t(i, j), e),), n, "thm42") == want, (n, i, j, e)
 
     def test_every_twist_sound(self):
         for n in range(3, 9):
             target = GensetTarget("thm42", n)
-            table = genset._twist_tables(n)["thm42"]
             for i in range(1, n):
                 for j in range(i + 1, n + 1):
-                    image = table.substitute(((Atom.t(i, j), 1),))
+                    image = rewrite(((Atom.t(i, j), 1),), n, "thm42")
                     assert target.admits(image), (n, i, j)
                     assert equal(expand(image, n), atom_word(Atom.t(i, j), n)), (n, i, j)
 
 
+class TestATables:
+    def test_every_a_atom_matches_two_pass_reference(self):
+        # a(i,j)^e maps straight to the target alphabet: the central form of
+        # its full-twist word a_to_t rewritten by the reference twist images
+        for n in range(3, 17):
+            tables = genset._tables(n)
+            for i in range(1, n):
+                for j in range(i + 1, n + 1):
+                    for e in (1, -1):
+                        thm41 = _ref_thm41(gen_pow(a_to_t(n, i, j), e), n)
+                        want = {"thm41": thm41, "thm42": _ref_thm42(thm41, n)}
+                        for variant in VARIANTS:
+                            out = tables[variant].substitute(((Atom.a(i, j), e),))
+                            assert out == central_reduce(want[variant], n), (n, i, j, e, variant)
+
+    def test_every_a_atom_sound(self):
+        for n in range(3, 9):
+            tables = genset._tables(n)
+            for variant in VARIANTS:
+                target = GensetTarget(variant, n)
+                for i in range(1, n):
+                    for j in range(i + 1, n + 1):
+                        for e in (1, -1):
+                            gw = ((Atom.a(i, j), e),)
+                            image = tables[variant].substitute(gw)
+                            assert target.admits(image), (n, i, j, e, variant)
+                            assert equal(expand(image, n), expand(gw, n)), (n, i, j, e, variant)
+
+    @_PROPERTY
+    @given(_forms())
+    def test_decompose_is_the_two_pass_rewrite(self, form):
+        # one pass from the combed word gives what the twist word rewritten
+        # by the twist table gives
+        w = qt_to_word(form)
+        n = w.strands
+        k, p = factor(w)
+        for variant in VARIANTS:
+            want = rewrite(((Atom.d(0), k),) + t_decompose(p), n, variant)
+            assert decompose(w, GensetTarget(variant, n)) == want
+
+
+class TestWidthKeys:
+    """Each central table stores the pieces of x(1,l) only, l = 2..n, and reads
+    x(i,j) as x(1,j-i+1) conjugated by d0^(i-1) (relation 4)."""
+
+    def test_atom_past_the_last_strand_refused(self):
+        # x(3,8) at n = 7 would read the width-6 piece, which is in range; it
+        # is looked up as it is, and refused, and the width-6 piece not filled
+        n = 7
+        genset._tables.cache_clear()
+        tables = genset._tables(n)
+        for name, kind in (("twists", "t"), ("short", "t"), ("thm41", "a"), ("thm42", "a")):
+            atom = Atom(kind, 3, n + 1)
+            with pytest.raises(WordError, match=f"foreign atom {atom} in "):
+                tables[name].substitute(((Atom(kind, 1, 2), 1), (atom, 1)))
+            assert Atom(kind, 1, n - 1) not in tables[name], name
+
+    def test_t_atom_refused_by_a_table(self):
+        for variant in VARIANTS:
+            table = genset._tables(7)[variant]
+            for atom, key in ((Atom.t(1, 7), Atom.t(1, 7)), (Atom.t(2, 5), Atom.t(1, 4))):
+                with pytest.raises(WordError, match=f"foreign atom {key} in a-atom rewriting"):
+                    table.substitute(((atom, 1),))
+            assert not any(key.kind == "t" for key in table)
+
+    def test_a_atom_refused_by_twist_table(self):
+        for name, variant in (("twists", "thm41"), ("short", "thm42")):
+            table = genset._tables(7)[name]
+            for atom, key in ((Atom.a(1, 7), Atom.a(1, 7)), (Atom.a(2, 5), Atom.a(1, 4))):
+                with pytest.raises(WordError, match=f"foreign atom {key} in {variant} rewriting"):
+                    table.substitute(((atom, 1),))
+            assert not any(key.kind == "a" for key in table)
+
+    def test_tables_hold_one_entry_per_width(self):
+        genset._tables.cache_clear()
+        rng = random.Random(26)
+        for n in range(3, 14):
+            for _ in range(6):
+                w = random_qt_word(rng, n)
+                for variant in VARIANTS:
+                    decompose(w, GensetTarget(variant, n))
+            tables = genset._tables(n)
+            for table in tables.values():
+                assert len(table) <= n - 1 and all(key.i == 1 for key in table), n
+
+
 class TestTwistTables:
     def test_bounded_by_strand_counts(self):
-        genset._twist_tables.cache_clear()
+        genset._tables.cache_clear()
         for n in range(3, 3 + STRAND_CACHE_SIZE + 4):
             decompose(atom_word(Atom.t(1, n - 1), n), GensetTarget("thm42", n))
-        assert genset._twist_tables.cache_info().currsize == STRAND_CACHE_SIZE
+        assert genset._tables.cache_info().currsize == STRAND_CACHE_SIZE
 
     def test_warmup_fills_nothing(self):
-        genset._twist_tables.cache_clear()
+        genset._tables.cache_clear()
         for n in range(5, 14):
             for variant in VARIANTS:
                 assert decompose(toric(n, 1), GensetTarget(variant, n)) == ((Atom.d(0), 1),)
-            assert all(not table for table in genset._twist_tables(n).values())
+            assert all(not table for table in genset._tables(n).values())
 
     def test_freed_by_refcount_alone(self):
-        # no table reaches itself, so dropping the cache frees all three
-        # tables, the private short-twist one too, without the cyclic collector
-        genset._twist_tables.cache_clear()
+        # no table reaches itself, so dropping the cache frees all four
+        # tables without the cyclic collector
+        genset._tables.cache_clear()
         gc.disable()
         try:
-            tables = genset._twist_tables(9)
-            thm41 = rewrite(((Atom.t(2, 9), 1), (Atom.t(1, 7), -1)), 9, "thm41")
-            rewrite(thm41, 9, "thm42")
-            short = _short_table(tables)
-            assert all(tables.values()) and short
-            refs = [weakref.ref(table) for table in (*tables.values(), short)]
-            del tables, short
-            genset._twist_tables.cache_clear()
-            assert [ref() for ref in refs] == [None, None, None]
+            tables = genset._tables(9)
+            for variant in VARIANTS:
+                decompose(random_qt_word(random.Random(9), 9), GensetTarget(variant, 9))
+            assert all(tables.values())
+            refs = [weakref.ref(table) for table in tables.values()]
+            del tables
+            genset._tables.cache_clear()
+            assert [ref() for ref in refs] == [None] * 4
         finally:
             gc.enable()
 
@@ -469,7 +548,7 @@ class TestTwistTables:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack()) + 60)
         try:
-            genset._twist_tables.cache_clear()
+            genset._tables.cache_clear()
             gw = ((Atom.t(1, short_twist_bound(n) + 1), 1),)
             out = rewrite(gw, n, "thm41")
         finally:
@@ -489,19 +568,17 @@ class TestTwistTables:
         # refused n is not cached
         assert genset._long_twist_syllables(2112) <= MAX_LETTERS
         assert genset._long_twist_syllables(2113) > MAX_LETTERS
-        genset._twist_tables.cache_clear()
+        genset._tables.cache_clear()
         for variant in VARIANTS:
             with pytest.raises(WordError, match="on 2113 strands would hold up to"):
                 decompose(BraidWord(2113, ()), GensetTarget(variant, 2113))
-        assert genset._twist_tables.cache_info().currsize == 0
+        assert genset._tables.cache_info().currsize == 0
 
     def test_cache_of_one_keeps_output(self, monkeypatch):
         rng = random.Random(81)
         cases = [(n, random_qt_word(rng, n, max_rows=4)) for n in (7, 9) * 4]
         want = [decompose(w, GensetTarget("thm42", n)) for n, w in cases]
-        monkeypatch.setattr(
-            genset, "_twist_tables", lru_cache(maxsize=1)(genset._twist_tables.__wrapped__)
-        )
+        monkeypatch.setattr(genset, "_tables", lru_cache(maxsize=1)(genset._tables.__wrapped__))
         # n alternates, so every call rebuilds its strand count's tables
         assert [decompose(w, GensetTarget("thm42", n)) for n, w in cases] == want
-        assert genset._twist_tables.cache_info().misses == len(cases)
+        assert genset._tables.cache_info().misses == len(cases)

@@ -285,14 +285,14 @@ class TestOnePassMatchesReference:
             table[Atom.a(2, 5)]
         assert not table
 
-    def test_decompose_calls_t_decompose_through_its_module_global(self, monkeypatch):
+    def test_decompose_combs_through_its_module_global(self, monkeypatch):
         calls = []
 
         def counted(w):
             calls.append(w)
-            return t_decompose(w)
+            return comb(w)
 
-        monkeypatch.setattr(genset, "t_decompose", counted)
+        monkeypatch.setattr(genset, "comb", counted)
         w = expand(((Atom.t(1, 5), 1), (Atom.d(0), 2)), 5)
         decompose(w, GensetTarget("thm42", 5))
         assert len(calls) == 1

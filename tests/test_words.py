@@ -421,8 +421,9 @@ class TestTable:
 
 _X, _Y, _Z = Atom.s(1), Atom.s(2), Atom.s(3)
 _D0 = Atom.d(0)
-# the domain of the test maps; _D0 is their fixed atom and may occur in images
+# the domain of the plain test maps, which also map _D0 to itself; _D0 may occur in images
 _DOMAIN = (Atom.t(1, 2), Atom.t(1, 3), Atom.t(2, 3))
+_D0_FIXED = {_D0: ((_D0, 1),)}
 
 _exponents = st.sampled_from((1, -1, 2, -2, 3, -3))
 # unreduced words: adjacent syllables may share an atom or cancel outright
@@ -431,13 +432,33 @@ _image_words = st.lists(st.tuples(st.sampled_from((_X, _Y, _D0)), _exponents), m
 
 @st.composite
 def _maps_and_words(draw):
-    images = dict(zip(_DOMAIN, draw(st.tuples(*[_image_words] * 3))))
+    images = {**dict(zip(_DOMAIN, draw(st.tuples(*[_image_words] * 3)))), **_D0_FIXED}
     if draw(st.booleans()):
         # an image that cancels completely against its neighbour's
         images[_DOMAIN[1]] = gen_inverse(tuple(images[_DOMAIN[0]]))
     atoms = st.sampled_from(_DOMAIN + (_D0,))
     gw = draw(st.lists(st.tuples(atoms, _exponents), max_size=12))
     return images, tuple(gw)
+
+
+@st.composite
+def _width_maps_and_words(draw):
+    """(n, images, gw): an image word for each width l = 2..n, and a word in
+    the twists t(i,j), j <= n, and _D0."""
+    n = draw(st.integers(2, 6))
+    images = {width: tuple(draw(_image_words)) for width in range(2, n + 1)}
+    if n > 2 and draw(st.booleans()):
+        # an image that cancels completely against its neighbour's
+        images[3] = gen_inverse(images[2])
+    atoms = [Atom.t(i, j) for i in range(1, n) for j in range(i + 1, n + 1)] + [_D0]
+    gw = draw(st.lists(st.tuples(st.sampled_from(atoms), _exponents), max_size=12))
+    return n, images, tuple(gw)
+
+
+def _shifted_image(images, atom):
+    """The image of t(i,j) under a map given on widths: d0^(i-1) images[j-i+1] d0^-(i-1)."""
+    shift = atom.i - 1
+    return ((_D0, shift),) + images[atom.j - shift] + ((_D0, -shift),)
 
 
 class TestImageTableSubstitute:
@@ -448,20 +469,23 @@ class TestImageTableSubstitute:
     @given(_maps_and_words())
     def test_equals_concatenate_then_reduce(self, case):
         images, gw = case
-        table = ImageTable(lambda atom: tuple(images[atom]), fixed=_D0)
-        want = substitute_then_reduce(lambda atom: tuple(images[atom]), _D0, gw)
+        table = ImageTable(lambda atom: tuple(images[atom]))
+        want = substitute_then_reduce(lambda atom: tuple(images[atom]), None, gw)
         assert table.substitute(gw) == want
         assert gen_reduce(want) == want
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=200)
-    @given(_maps_and_words(), st.integers(2, 6))
-    def test_central_equals_concatenate_then_central_reduce(self, case, n):
-        # with central=n the pass keeps the central form as it goes, even-n
-        # ties included; it must equal central_reduce of the plain image
-        images, gw = case
-        table = ImageTable(lambda atom: tuple(images[atom]), fixed=_D0, central=n)
-        plain = substitute_then_reduce(lambda atom: tuple(images[atom]), _D0, gw)
+    @given(_width_maps_and_words())
+    def test_central_equals_concatenate_then_central_reduce(self, case):
+        # with central=(d0, n) the pass keeps the central form as it goes,
+        # even-n ties included, and reads t(i,j) as t(1,j-i+1) shifted by
+        # d0^(i-1); it must equal central_reduce of the plain image, the
+        # shift written out
+        n, images, gw = case
+        table = ImageTable(lambda atom: images[atom.j], central=(_D0, n))
+        plain = substitute_then_reduce(lambda atom: _shifted_image(images, atom), _D0, gw)
         assert table.substitute(gw) == central_reduce(plain, n)
+        assert all(key.i == 1 for key in table)
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=200)
     @given(st.lists(st.tuples(st.sampled_from((_X, _Y, _D0)), st.integers(-3, 3)), max_size=16))
@@ -471,15 +495,15 @@ class TestImageTableSubstitute:
 
     def test_neighbours_cancel_completely(self):
         word = ((_X, 1), (_Y, -2), (_Z, 1))
-        images = {_DOMAIN[0]: word, _DOMAIN[1]: gen_inverse(word)}
-        table = ImageTable(images.__getitem__, fixed=_D0)
+        images = {_DOMAIN[0]: word, _DOMAIN[1]: gen_inverse(word), **_D0_FIXED}
+        table = ImageTable(images.__getitem__)
         gw = ((_DOMAIN[0], 2), (_DOMAIN[1], 1), (_D0, 1), (_DOMAIN[1], 1), (_DOMAIN[0], 1))
         # A^2 B = w w w^-1 = w, and B A = w^-1 w is empty
         assert table.substitute(gw) == word + ((_D0, 1),)
         assert table.substitute(((_DOMAIN[0], 1), (_DOMAIN[1], 1))) == ()
 
     def test_powers_merge_between_copies(self):
-        table = ImageTable(lambda atom: ((_X, 1), (_Y, 1), (_X, -1)), fixed=_D0)
+        table = ImageTable(lambda atom: ((_X, 1), (_Y, 1), (_X, -1)))
         for e in (1, -1, 2, -2, 3, -3):
             assert table.substitute(((_DOMAIN[0], e),)) == ((_X, 1), (_Y, e), (_X, -1))
         # one syllable of exponent +-1 is the stored image or its inverse itself
@@ -487,7 +511,9 @@ class TestImageTableSubstitute:
         assert table.substitute(((_DOMAIN[0], -1),)) is table[_DOMAIN[0]][1]
 
     def test_fixed_atom_runs_and_unreduced_images(self):
-        table = ImageTable(lambda atom: ((_D0, 1), (_X, 2), (_X, -2), (_D0, 2)), fixed=_D0)
+        # _D0 maps to itself; the other image is unreduced
+        images = {_DOMAIN[0]: ((_D0, 1), (_X, 2), (_X, -2), (_D0, 2)), **_D0_FIXED}
+        table = ImageTable(images.__getitem__)
         gw = ((_D0, 2), (_D0, -1), (_DOMAIN[0], 1), (_D0, -3), (_D0, 0))
         assert table.substitute(gw) == ((_D0, 1),)
         assert table[_DOMAIN[0]] == (((_D0, 3),), ((_D0, -3),))  # stored reduced
