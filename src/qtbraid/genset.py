@@ -50,6 +50,10 @@ thm42 one to that image rewritten by the short-twist table.  No table looks
 itself up, so none is a reference cycle.  decompose is one pass
 (ImageTable.substitute) of the combed word through its target's a-atom
 table: image^e per syllable a(i,j)^e, d0^e kept, reduced at the seams only.
+Each a-atom table checks an image against its target's alphabet once, as it
+stores it, and raises AssertionError (kept under python -O) if it strays;
+every output syllable is d0 or comes from an entry, so the output is not
+scanned again.
 
 decompose refuses a strand count whose long thm41 twists could hold more than
 words.MAX_LETTERS syllables (n > 2112), counted from lengths only before any
@@ -62,6 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from operator import itemgetter
+from typing import Callable
 
 from .purebraid import a_to_t, comb
 from .quasitoric import factor
@@ -202,6 +207,14 @@ def _a_image(n: int, twists: ImageTable, atom: Atom) -> GenWord:
     return twists.substitute(a_to_t(n, 1, atom.j))
 
 
+def _admitted(variant: str, n: int, image: Callable[[Atom], GenWord], atom: Atom) -> GenWord:
+    """image(atom), refused unless it lies in the variant's alphabet on n strands."""
+    word = image(atom)
+    if not GensetTarget(variant, n).admits(word):
+        raise AssertionError(f"the {variant} image of {atom} leaves its alphabet")
+    return word
+
+
 @lru_cache(maxsize=STRAND_CACHE_SIZE)
 def _tables(n: int) -> dict[str, ImageTable]:
     """The a-atom tables "thm41" and "thm42", the thm41 "twists" and the "short" twist
@@ -215,8 +228,10 @@ def _tables(n: int) -> dict[str, ImageTable]:
         )
     twists = ImageTable(partial(_thm41_image, _thm41_long_twists(n)), (_D0, n))
     short = ImageTable(partial(_short_thm42_image, n), (_D0, n))
-    thm41 = ImageTable(partial(_a_image, n, twists), (_D0, n))
-    thm42 = ImageTable(partial(_thm42_image, thm41, short), (_D0, n))
+    thm41 = ImageTable(partial(_admitted, "thm41", n, partial(_a_image, n, twists)), (_D0, n))
+    thm42 = ImageTable(
+        partial(_admitted, "thm42", n, partial(_thm42_image, thm41, short)), (_D0, n)
+    )
     return {"thm41": thm41, "thm42": thm42, "twists": twists, "short": short}
 
 
@@ -225,12 +240,10 @@ def decompose(w: BraidWord, target: GensetTarget) -> GenWord:
 
     Look up the target's a-atom table, which refuses too many strands, factor
     off the cyclic part d0^k, comb the pure part into a-atoms, and make one
-    substitution pass; the output expands to a braid Garside-equal to the input."""
+    substitution pass; the output expands to a braid Garside-equal to the input,
+    and lies in the target alphabet, as does every entry of the table."""
     if w.strands != target.strands:
         raise WordError(f"strand mismatch: {w.strands} vs {target.strands}")
     table = _tables(w.strands)[target.variant]
     k, p = factor(w)
-    out = table.substitute(_d0(k) + comb(p))
-    if not target.admits(out):
-        raise AssertionError(f"decompose left atoms outside the {target.variant} alphabet")
-    return out
+    return table.substitute(_d0(k) + comb(p))

@@ -9,17 +9,17 @@ a<i>,<j>.
 Combing writes a pure braid word as a product of a<i>,<j> atoms.  The word is
 split letter by letter through the Schreier transversal of canonical positive
 permutation lifts: a letter sigma_p^e either reduces against the lift (no
-contribution) or contributes a conjugate lift(pi) sigma_p^{+-2} lift(pi)^{-1},
-which is folded into a-atoms by the conjugation rules
+contribution) or contributes a conjugate lift(pi) sigma_p^{+-2} lift(pi)^{-1}.
+That Schreier generator has the closed form
 
-    sigma_q a(r,s) sigma_q^{-1} =
-        a(r,s)                          q+1 < r, q > s, r < q < s-1, or (q,q+1) == (r,s)
-        a(q,r) a(q,s) a(q,r)^{-1}       q+1 == r
-        a(r+1,s)                        q == r < s-1
-        a(r,s)^{-1} a(r,s-1) a(r,s)     q == s-1 > r
-        a(r,s+1)                        q == s
+    u a(i,j)^{+-1} u^{-1},    u = a(i,k1) a(i,k2) ...,    i < k1 < k2 < ... < j
 
-machine-verified against the Garside oracle for all cases (see the tests).
+where i < j are the strands pi puts at positions p and p+1 and the k are the
+strands between them that pi puts left of position p.  It is freely reduced,
+and costs O(n) with no table.  The conjugation rules sigma_q a(r,s)
+sigma_q^{-1} that derive it one letter of lift(pi) at a time live in the
+tests, where each rule is checked against the Garside oracle and the closed
+form against the rules.
 
 Full twists t<i>,<j> also generate the pure braid group; the change of basis
 
@@ -27,21 +27,20 @@ Full twists t<i>,<j> also generate the pure braid group; the change of basis
 
 (degenerate one-strand twists dropped) converts combed words into twist words.
 
-Both conjugation by sigma_q and the change of basis are free-group
-homomorphisms on the atoms, so each runs as one substitution pass through an
-ImageTable (image^e per syllable, reduced at the seams only, as comb joins its
-loop words).  The tables live on the per-strand-count _Comb context, of which
-words.STRAND_CACHE_SIZE are kept, and fill on first lookup (words.Table).  So
-does the loop-word table, which is emptied at COMB_MEMO_CAP entries.
+The change of basis is a free-group homomorphism on the atoms, so it runs as
+one substitution pass through an ImageTable (image^e per syllable, reduced at
+the seams only, as comb joins its loop words).  That table and the loop-word
+memo, emptied at COMB_MEMO_CAP entries, live on the per-strand-count _Comb
+context, of which words.STRAND_CACHE_SIZE are kept, and fill on first lookup
+(words.Table).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
-from .garside import perm_braid_word
 from .words import (
     STRAND_CACHE_SIZE,
     Atom,
@@ -138,44 +137,29 @@ def a_to_t(n: int, i: int, j: int) -> GenWord:
     )
 
 
-def _conj_atom(q: int, r: int, s: int) -> GenWord:
-    """sigma_q a(r,s) sigma_q^{-1} as an a-atom word (table in module docstring)."""
-    if q + 1 < r or q > s or r < q < s - 1 or (q == r and s == q + 1):
-        return ((Atom.a(r, s), 1),)
-    if q + 1 == r:
-        return ((Atom.a(q, r), 1), (Atom.a(q, s), 1), (Atom.a(q, r), -1))
-    if q == r:
-        return ((Atom.a(r + 1, s), 1),)
-    if q == s - 1:
-        return ((Atom.a(r, s), -1), (Atom.a(r, s - 1), 1), (Atom.a(r, s), 1))
-    if q == s:
-        return ((Atom.a(r, s + 1), 1),)
-    raise AssertionError(f"unhandled conjugation case q={q} r={r} s={s}")
-
-
-def _loop_word(conj: Table, key: tuple[tuple[int, ...], int, int]) -> GenWord:
+def _loop_word(key: tuple[tuple[int, ...], int, int]) -> GenWord:
     """lift(pi) * sigma_p^{2*sign} * lift(pi)^{-1} as an a-atom word, for key (pi, p, sign).
 
-    lift(pi) is spelled by perm_braid_word, and the double crossing is
-    conjugated by its letters from the last to the first.
+    The closed form of the module docstring: u a(i,j)^sign u^{-1}, with i < j
+    the strands pi[p-1] + 1 and pi[p] + 1, and u the a(i,k) over the strands
+    i < k < j that pi puts before position p-1 (0-based), in increasing k.
     """
     pi, p, sign = key
-    result: GenWord = ((Atom.a(p, p + 1), sign),)
-    for q in reversed(perm_braid_word(pi)):
-        result = conj[q].substitute(result)
-    return result
+    i, j = sorted((pi[p - 1] + 1, pi[p] + 1))
+    left = set(pi[: p - 1])
+    u = tuple((Atom.a(i, k), 1) for k in range(i + 1, j) if k - 1 in left)
+    return u + ((Atom.a(i, j), sign),) + tuple((atom, -1) for atom, _ in reversed(u))
 
 
 class _Comb:
-    """Per-strand-count tables of Schreier-conjugate expressions and atom images.
+    """Per-strand-count memo of loop words and table of atom images.
 
-    conj[q] maps a(r,s) to sigma_q a(r,s) sigma_q^{-1}; loops maps (pi, p, sign)
-    to its loop word; twists maps a(i,j) to its full-twist word.
+    loops maps (pi, p, sign) to its loop word; twists maps a(i,j) to its
+    full-twist word.
     """
 
     def __init__(self, n: int):
-        self.conj = Table(lambda q: ImageTable(lambda atom: _conj_atom(q, atom.i, atom.j)))
-        self.loops = Table(partial(_loop_word, self.conj), COMB_MEMO_CAP)
+        self.loops = Table(_loop_word, COMB_MEMO_CAP)
         self.twists = ImageTable(lambda atom: a_to_t(n, atom.i, atom.j))
 
 

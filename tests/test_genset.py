@@ -270,9 +270,15 @@ class TestDecompose:
             assert [key for t in seen for key, u in tables.items() if t is u] == [variant]
 
     def test_alphabet_postcondition_raises(self, monkeypatch):
-        monkeypatch.setattr(GensetTarget, "admits", lambda self, gw: False)
-        with pytest.raises(AssertionError, match="alphabet"):
-            decompose(toric(5, 1), GensetTarget("thm41", 5))
+        # an image function that strays from its alphabet is refused as its entry is stored
+        monkeypatch.setattr(genset, "_tables", lru_cache(maxsize=1)(genset._tables.__wrapped__))
+        monkeypatch.setattr(genset, "_a_image", lambda n, twists, atom: ((Atom.t(1, 4), 1),))
+        monkeypatch.setattr(genset, "_thm42_image", lambda thm41, short, atom: ((Atom.t(1, 2), 1),))
+        w = concat(toric(5, 1), BraidWord(5, (2, 2)))  # d0 a(2,3)
+        for variant in VARIANTS:
+            with pytest.raises(AssertionError, match="alphabet"):
+                decompose(w, GensetTarget(variant, 5))
+            assert not genset._tables(5)[variant]
 
 
 class TestProofIdentities:

@@ -18,7 +18,7 @@ from qtbraid import (
 from qtbraid import genset, purebraid
 from qtbraid.genset import GensetTarget, decompose
 from qtbraid.garside import perm_braid_word
-from qtbraid.purebraid import _conj_atom, a_to_t, comb, linking, t_decompose
+from qtbraid.purebraid import a_to_t, comb, linking, t_decompose
 from qtbraid.quasitoric import factor
 from qtbraid.words import STRAND_CACHE_SIZE, gen_concat
 
@@ -35,6 +35,30 @@ from helpers import (
 
 def atom_word(atom, n):
     return expand(((atom, 1),), n)
+
+
+def _conj_atom(q, r, s):
+    """sigma_q a(r,s) sigma_q^{-1} as an a-atom word, by the conjugation rules
+
+        a(r,s)                          q+1 < r, q > s, r < q < s-1, or (q,q+1) == (r,s)
+        a(q,r) a(q,s) a(q,r)^{-1}       q+1 == r
+        a(r+1,s)                        q == r < s-1
+        a(r,s)^{-1} a(r,s-1) a(r,s)     q == s-1 > r
+        a(r,s+1)                        q == s
+
+    which comb once applied one letter of a permutation lift at a time, and
+    which now certify its closed-form loop words (_ref_loop_word)."""
+    if q + 1 < r or q > s or r < q < s - 1 or (q == r and s == q + 1):
+        return ((Atom.a(r, s), 1),)
+    if q + 1 == r:
+        return ((Atom.a(q, r), 1), (Atom.a(q, s), 1), (Atom.a(q, r), -1))
+    if q == r:
+        return ((Atom.a(r + 1, s), 1),)
+    if q == s - 1:
+        return ((Atom.a(r, s), -1), (Atom.a(r, s - 1), 1), (Atom.a(r, s), 1))
+    if q == s:
+        return ((Atom.a(r, s + 1), 1),)
+    raise AssertionError(f"unhandled conjugation case q={q} r={r} s={s}")
 
 
 class TestLinking:
@@ -242,10 +266,19 @@ def _ref_t_decompose(w):
 
 
 def _ref_loop_word(pi, p, sign):
+    """The loop word of (pi, p, sign) by the conjugation rules, conjugating the
+    double crossing by the letters of lift(pi) from the last to the first."""
     result = ((Atom.a(p, p + 1), sign),)
     for q in reversed(perm_braid_word(pi)):
         result = gen_concat(*(gen_pow(_conj_atom(q, atom.i, atom.j), e) for atom, e in result))
     return result
+
+
+def _every_key(n):
+    for pi in itertools.permutations(range(n)):
+        for p in range(1, n):
+            for sign in (1, -1):
+                yield pi, p, sign
 
 
 class TestOnePassMatchesReference:
@@ -263,12 +296,29 @@ class TestOnePassMatchesReference:
             assert t_decompose(p) == _ref_t_decompose(p), p
 
     def test_loop_words_at_small_n(self):
+        # every key at n <= 6, against the conjugation rules
+        for n in range(2, 7):
+            ctx = purebraid._Comb(n)
+            for key in _every_key(n):
+                assert ctx.loops[key] == _ref_loop_word(*key), key
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_loop_words_at_random_keys(self, n):
+        rng = random.Random(2700 + n)
+        ctx = purebraid._Comb(n)
+        for _ in range(960 // n):  # the reference conjugates by up to C(n,2) letters
+            pi = tuple(rng.sample(range(n), n))
+            key = (pi, rng.randint(1, n - 1), rng.choice((1, -1)))
+            assert ctx.loops[key] == _ref_loop_word(*key), key
+
+    def test_loop_words_against_the_oracle(self):
+        # every key at n <= 5 expands to lift(pi) sigma_p^(2 sign) lift(pi)^{-1}
         for n in range(2, 6):
             ctx = purebraid._Comb(n)
-            for pi in itertools.permutations(range(n)):
-                for p in range(1, n):
-                    for sign in (1, -1):
-                        assert ctx.loops[pi, p, sign] == _ref_loop_word(pi, p, sign)
+            for pi, p, sign in _every_key(n):
+                lift = BraidWord(n, tuple(perm_braid_word(pi)))
+                loop = concat(concat(lift, BraidWord(n, (p * sign,) * 2)), inverse(lift))
+                assert equal(expand(ctx.loops[pi, p, sign], n), loop), (pi, p, sign)
 
     def test_twist_table_lives_on_the_comb_context(self):
         purebraid._comb_ctx.cache_clear()
