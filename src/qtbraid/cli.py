@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .garside import equal, normal_form
-from .genset import GensetTarget, decompose
+from .genset import VARIANTS, GensetTarget, decompose
 from .presentations import GROUPS, h1, presentation, qt_class, verify
 from .purebraid import comb, linking
 from .quasitoric import factor, is_quasitoric, parse_form_text, qt_to_word
@@ -168,7 +168,7 @@ def _components(args, as_json):
 WORD = ("word", {})
 OPTIONAL_WORD = ("word", {"nargs": "?"})
 FORM = ("--form", {})
-TARGET = ("--target", {"choices": ["thm41", "thm42"], "default": "thm41"})
+TARGET = ("--target", {"choices": list(VARIANTS), "default": "thm41"})
 ANY_GROUP = ("--group", {"choices": list(GROUPS), "required": True})
 
 # name -> (help text, arguments, handler), in the order --help lists them

@@ -38,7 +38,7 @@ d0: collected into one syllable it reaches d0^-2412 at n = 12 on a 36-row
 form, where spread only the first d0 syllable, and only when |Q| exceeds
 their number, strays more than n from (-n/2, n/2].
 
-Each strand count keeps four central ImageTables (_tables, at most
+Each strand count keeps four ImageTables (_tables, at most
 words.STRAND_CACHE_SIZE strand counts), filled on first lookup and keyed by
 width: the index shift holds for a(i,j) as for t(i,j), so each stores only the
 images of x(1,l), l = 2..n, reduced with their central counts (t(1,n) = d0^n
@@ -226,12 +226,10 @@ def _tables(n: int) -> dict[str, ImageTable]:
             f"the twist tables on {n} strands would hold up to {syllables} syllables, "
             f"more than the limit of {MAX_LETTERS}"
         )
-    twists = ImageTable(partial(_thm41_image, _thm41_long_twists(n)), (_D0, n))
-    short = ImageTable(partial(_short_thm42_image, n), (_D0, n))
-    thm41 = ImageTable(partial(_admitted, "thm41", n, partial(_a_image, n, twists)), (_D0, n))
-    thm42 = ImageTable(
-        partial(_admitted, "thm42", n, partial(_thm42_image, thm41, short)), (_D0, n)
-    )
+    twists = ImageTable(partial(_thm41_image, _thm41_long_twists(n)), n)
+    short = ImageTable(partial(_short_thm42_image, n), n)
+    thm41 = ImageTable(partial(_admitted, "thm41", n, partial(_a_image, n, twists)), n)
+    thm42 = ImageTable(partial(_admitted, "thm42", n, partial(_thm42_image, thm41, short)), n)
     return {"thm41": thm41, "thm42": thm42, "twists": twists, "short": short}
 
 

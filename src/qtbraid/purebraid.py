@@ -27,35 +27,32 @@ Full twists t<i>,<j> also generate the pure braid group; the change of basis
 
 (degenerate one-strand twists dropped) converts combed words into twist words.
 
-The change of basis is a free-group homomorphism on the atoms, so it runs as
-one substitution pass through an ImageTable (image^e per syllable, reduced at
-the seams only, as comb joins its loop words).  That table and the loop-word
-memo, emptied at COMB_MEMO_CAP entries, live on the per-strand-count _Comb
-context, of which words.STRAND_CACHE_SIZE are kept, and fill on first lookup
-(words.Table).
+The change of basis is a free-group homomorphism on the atoms: t_decompose
+writes a_to_t(i,j)^e for each combed syllable a(i,j)^e and free-reduces once.
+Loop words are memoised in one words.Table, emptied at COMB_MEMO_CAP entries,
+whose keys carry the strand count as the length of pi.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .words import (
-    STRAND_CACHE_SIZE,
     Atom,
     BraidWord,
     GenWord,
-    ImageTable,
     Table,
     WordError,
     _join,
     gen_concat,
+    gen_inverse,
+    gen_reduce,
     is_pure,
 )
 
-# the size at which the loop-word table of one strand count is emptied
-# (benchmark rounds fill at most 234 entries, at n=13)
+# the size at which the loop-word table is emptied; one cap across strand
+# counts (a benchmark round fills about 1,030 keys over n = 5-13)
 COMB_MEMO_CAP = 1 << 12
 
 
@@ -151,21 +148,7 @@ def _loop_word(key: tuple[tuple[int, ...], int, int]) -> GenWord:
     return u + ((Atom.a(i, j), sign),) + tuple((atom, -1) for atom, _ in reversed(u))
 
 
-class _Comb:
-    """Per-strand-count memo of loop words and table of atom images.
-
-    loops maps (pi, p, sign) to its loop word; twists maps a(i,j) to its
-    full-twist word.
-    """
-
-    def __init__(self, n: int):
-        self.loops = Table(_loop_word, COMB_MEMO_CAP)
-        self.twists = ImageTable(lambda atom: a_to_t(n, atom.i, atom.j))
-
-
-@lru_cache(maxsize=STRAND_CACHE_SIZE)
-def _comb_ctx(n: int) -> _Comb:
-    return _Comb(n)
+_LOOPS = Table(_loop_word, COMB_MEMO_CAP)
 
 
 def comb(w: BraidWord) -> GenWord:
@@ -178,7 +161,7 @@ def comb(w: BraidWord) -> GenWord:
     """
     if not is_pure(w):
         raise WordError("combing needs a pure braid")
-    loops = _comb_ctx(w.strands).loops
+    loops = _LOOPS
     image = list(range(w.strands))
     out: list[tuple[Atom, int]] = []
     for x in w.letters:
@@ -203,5 +186,12 @@ def comb(w: BraidWord) -> GenWord:
 
 
 def t_decompose(w: BraidWord) -> GenWord:
-    """Write a pure braid as a word in full-twist atoms t<i>,<j>."""
-    return _comb_ctx(w.strands).twists.substitute(comb(w))
+    """Write a pure braid as a word in full-twist atoms t<i>,<j>: a_to_t(i,j)^e
+    for each syllable a(i,j)^e of comb(w), freely reduced."""
+    n = w.strands
+
+    def power(atom: Atom, e: int) -> GenWord:
+        word = a_to_t(n, atom.i, atom.j)
+        return (word if e > 0 else gen_inverse(word)) * abs(e)
+
+    return gen_reduce(syllable for atom, e in comb(w) for syllable in power(atom, e))

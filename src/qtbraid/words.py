@@ -37,9 +37,10 @@ syllables many thousand times.
 
 Every memo in the package is a Table: a dict that computes a missing value on
 first lookup and, given a cap, empties itself before storing past it.  The
-syllable text table is capped at SYLLABLE_CACHE_SIZE entries.  The per-strand-
-count contexts of garside, purebraid, genset and presentations are kept for at
-most STRAND_CACHE_SIZE strand counts each, so a long-lived process stays bounded.
+syllable text table is capped at SYLLABLE_CACHE_SIZE entries, comb's loop
+words (keyed across strand counts) at purebraid.COMB_MEMO_CAP, and the per-n
+contexts of garside, genset and presentations at STRAND_CACHE_SIZE strand
+counts each, so a long-lived process stays bounded.
 
 In both grammars an integer is written in ASCII decimal digits with an
 optional sign; '_' separators and other Unicode digits are refused.
@@ -289,6 +290,9 @@ class Atom(NamedTuple):
 # a generator word is a tuple of (atom, nonzero exponent) pairs
 GenWord = tuple[tuple[Atom, int], ...]
 
+# the cyclic braid d0, whose n-th power is central: the fixed atom of every ImageTable
+_D0 = Atom.d(0)
+
 
 def gen_inverse(gw: GenWord) -> GenWord:
     return tuple((atom, -e) for atom, e in reversed(gw))
@@ -303,14 +307,12 @@ def gen_reduce(gw: Iterable[tuple[Atom, int]]) -> GenWord:
     return _reduce(gw)[0]
 
 
-def _reduce(
-    gw: Iterable[tuple[Atom, int]], center: Atom | None = None, n: int = 0
-) -> tuple[GenWord, int]:
+def _reduce(gw: Iterable[tuple[Atom, int]], n: int = 0) -> tuple[GenWord, int]:
     """(w, q): gw freely reduced to w, in one stack pass that merges each
-    syllable into the top.  With a center atom c whose n-th power is
-    central, c exponents are kept in (-n/2, n/2], which is -h..n-1-h, and
-    gw = c^(n q) w, w in the central form of ImageTable."""
-    h = (n - 1) // 2
+    syllable into the top.  With n, whose d0^n is central, d0 exponents are
+    kept in (-n/2, n/2], which is -h..n-1-h, and gw = d0^(n q) w, w in the
+    central form of ImageTable."""
+    center, h = (_D0 if n else None), (n - 1) // 2
     out: list[tuple[Atom, int]] = []
     q = 0
     for atom, e in gw:
@@ -323,17 +325,15 @@ def _reduce(
     return tuple(out), q
 
 
-def _join(
-    out: list[tuple[Atom, int]], piece: GenWord, center: Atom | None = None, n: int = 0
-) -> int:
+def _join(out: list[tuple[Atom, int]], piece: GenWord, n: int = 0) -> int:
     """Append the reduced word piece to the reduced list out; only the seam can merge.
 
-    With a center atom c whose n-th power is central, out and piece are
-    reduced with every c exponent in (-n/2, n/2]; two such exponents merged
-    at the seam are brought back into that range, and the number of c^n
-    taken out is returned.  A c syllable that drops to 0 lets the merging go on.
+    With n, whose d0^n is central, out and piece are reduced with every d0
+    exponent in (-n/2, n/2]; two such exponents merged at the seam are
+    brought back into that range, and the number of d0^n taken out is
+    returned.  A d0 syllable that drops to 0 lets the merging go on.
     """
-    q = k = 0
+    center, q, k = (_D0 if n else None), 0, 0
     m = len(piece)
     while out and k < m and out[-1][0] == piece[k][0]:
         atom, e = out.pop()
@@ -371,72 +371,46 @@ class Table(dict):
 
 
 class ImageTable(Table):
-    """atom -> (image, inverse image) under a free-group homomorphism, built on first lookup.
+    """atom -> pieces of its image under a free-group homomorphism, built on first lookup.
 
-    image(atom) returns the image word of one atom, without looking the table
-    up, and raises WordError for an atom outside the map's domain, so a
-    foreign atom is never stored.  Images are stored freely reduced.
+    d0 maps to itself and is never looked up; d0^n is central (the paper's
+    relation 3).  image(atom) returns the image word of one other atom,
+    without looking the table up, and raises WordError for an atom outside
+    the map's domain, so a foreign atom is never stored.
 
-    With central=(fixed, n), the fixed atom maps to itself and is never looked
-    up, fixed^n is central, and words are kept in central form: fixed^(n q)
-    times a reduced word with every fixed exponent in (-n/2, n/2], its image
-    in Z/n * F(other atoms).  That form is unique: the reduced word of the
-    image, with q fixed by the total fixed exponent.  Each entry then holds,
-    for the image and for its inverse, a piece (head, body, tail, q): the word
-    is fixed^(n q + head) body fixed^tail, with body neither starting nor
-    ending in the fixed atom.  The inverse has a q of its own, since an even-n
-    tie fixed^-(n/2) is kept as fixed^(n/2) fixed^-n.  substitute spreads
-    fixed^(n q) over its result's fixed syllables (_spread).  By the paper's
-    relation 4 it maps x(i,j), j <= n, to fixed^(i-1) image(x(1,j-i+1))
-    fixed^-(i-1), so image is never given an x(i,j) with 1 < i < j <= n.
+    Words are kept in central form: d0^(n q) times a reduced word with every
+    d0 exponent in (-n/2, n/2], its image in Z/n * F(other atoms).  That form
+    is unique: the reduced word of the image, with q fixed by the total d0
+    exponent.  Each entry holds, for the image and for its inverse, a piece
+    (head, body, tail, q): the word is d0^(n q + head) body d0^tail, with
+    body neither starting nor ending in d0.  The inverse has a q of its own,
+    since an even-n tie d0^-(n/2) is kept as d0^(n/2) d0^-n.  By the paper's
+    relation 4, d0 x(i,j) d0^-1 = x(i+1,j+1), the table reads x(i,j), j <= n,
+    as d0^(i-1) x(1,j-i+1) d0^-(i-1), so image is never given an x(i,j) with
+    1 < i < j <= n.
     """
 
-    def __init__(self, image: Callable[[Atom], GenWord], central: tuple[Atom, int] | None = None):
-        if central:
-            super().__init__(partial(_central_pieces, image, *central))
-        else:
-            super().__init__(partial(_reduced_with_inverse, image))
-        self.fixed, self.central = central or (None, 0)
+    def __init__(self, image: Callable[[Atom], GenWord], n: int):
+        super().__init__(partial(_central_pieces, image, n))
+        self.n = n
 
     def substitute(self, gw: GenWord) -> GenWord:
-        """The image of gw, freely reduced: image^e for each syllable atom^e.
+        """The image of gw in central form: image^e for each syllable atom^e,
+        d0^e kept, even for unreduced gw or 0 exponents.
 
-        Each piece joined on (an image or its inverse) is reduced, so only its
-        seam can merge, and _join runs only where the seam's atoms are equal.
-        That gives gen_reduce of the whole concatenation, the unique reduced
-        form, even for unreduced gw or 0 exponents.  With central=(fixed, n)
-        the result is in central form, fixed^(n q) spread over it
-        (_substitute_central).
+        One pass with one central counter q, spread over the result (_spread).
+        pend is the d0 exponent owed at the end of out, which never ends in d0:
+        each piece's head and tail, and each d0 syllable of gw, are added to it,
+        and it is brought into (-n/2, n/2] and written only before the next
+        body.  Bodies are reduced, so where pend is 0 only the seam can merge,
+        and _join cancels as far as it does.
         """
-        if self.central:
-            return self._substitute_central(gw)
-        if len(gw) == 1 and gw[0][1] in (1, -1):
-            return self[gw[0][0]][gw[0][1] < 0]  # the stored image or its inverse
-        out: list[tuple[Atom, int]] = []
-        for atom, e in gw:
-            piece = self[atom][e < 0]  # the inverse image for e < 0
-            for _ in range(abs(e)):
-                if out and piece and out[-1][0] == piece[0][0]:
-                    _join(out, piece)
-                else:
-                    out += piece
-        return tuple(out)
-
-    def _substitute_central(self, gw: GenWord) -> GenWord:
-        """substitute with central=(fixed, n), in one pass with one central counter q.
-
-        pend is the fixed exponent owed at the end of out, which never ends in
-        the fixed atom: each piece's head and tail, and each fixed syllable of
-        gw, are added to it, and it is brought into (-n/2, n/2] and written
-        only before the next body.  Where it drops to 0 the seam's atoms may
-        merge, and _join cancels as far as they do.
-        """
-        fixed, n = self.fixed, self.central
+        n, d0 = self.n, _D0
         h = (n - 1) // 2  # (-n/2, n/2] is -h..n-1-h
         out: list[tuple[Atom, int]] = []
         q, pend, get = 0, 0, self.get
         for atom, e in gw:
-            if atom == fixed:
+            if atom == d0:
                 pend += e
                 continue
             kind, i, j = atom  # x(i,j) with j > n is looked up as it is, and refused
@@ -453,12 +427,12 @@ class ImageTable(Table):
                 if pend:
                     q, pend = q + (pend + h) // n, (pend + h) % n - h
                 if pend:
-                    out.append((fixed, pend))
+                    out.append((d0, pend))
                     out += body
                     pend = 0
                 elif out and out[-1][0] == body[0][0]:
-                    q += _join(out, body, fixed, n)
-                    if out and out[-1][0] == fixed:  # body cancelled down to a fixed syllable
+                    q += _join(out, body, n)
+                    if out and out[-1][0] == d0:  # body cancelled down to a d0 syllable
                         pend = out.pop()[1]
                 else:
                     out += body
@@ -466,52 +440,47 @@ class ImageTable(Table):
         if pend:
             q, pend = q + (pend + h) // n, (pend + h) % n - h
         if pend:
-            out.append((fixed, pend))
+            out.append((d0, pend))
         if q:
-            _spread(out, q, fixed, n)
+            _spread(out, q, n)
         return tuple(out)
 
 
-def _spread(out: list[tuple[Atom, int]], q: int, fixed: Atom, n: int) -> None:
-    """Multiply the central-form list out by fixed^(n q), in place: one n (of
-    q's sign) onto each of the first |q| fixed syllables, and what is left
-    onto the first of them, or in front as fixed^(n q) if out has none."""
+def _spread(out: list[tuple[Atom, int]], q: int, n: int) -> None:
+    """Multiply the central-form list out by d0^(n q), in place: one n (of
+    q's sign) onto each of the first |q| d0 syllables, and what is left
+    onto the first of them, or in front as d0^(n q) if out has none."""
     unit, left, first = (n if q > 0 else -n), abs(q), None
     for k, (atom, e) in enumerate(out):
-        if atom == fixed:
+        if atom == _D0:
             first = k if first is None else first
-            out[k] = (fixed, e + unit)
+            out[k] = (_D0, e + unit)
             left -= 1
             if not left:
                 return
     if first is None:
-        out.insert(0, (fixed, n * q))
+        out.insert(0, (_D0, n * q))
     else:
-        out[first] = (fixed, out[first][1] + unit * left)
+        out[first] = (_D0, out[first][1] + unit * left)
 
 
-def _reduced_with_inverse(image: Callable, atom: Atom) -> tuple[GenWord, GenWord]:
-    word = gen_reduce(image(atom))
-    return word, gen_inverse(word)
-
-
-def _central_pieces(image: Callable, center: Atom, n: int, atom: Atom):
+def _central_pieces(image: Callable, n: int, atom: Atom):
     """The ImageTable pieces (head, body, tail, q) of atom's image and its inverse
-    for central=n, in place of the image word and its inverse."""
-    word, q = _reduce(image(atom), center, n)
+    on n strands, in place of the image word and its inverse."""
+    word, q = _reduce(image(atom), n)
     inverse, inverse_q = gen_inverse(word), -q
-    tie = (center, -(n // 2))
-    if n % 2 == 0 and tie in inverse:  # fixed^-(n/2) is fixed^(n/2) fixed^-n
+    tie = (_D0, -(n // 2))
+    if n % 2 == 0 and tie in inverse:  # d0^-(n/2) is d0^(n/2) d0^-n
         inverse_q -= inverse.count(tie)
-        inverse = tuple((center, n // 2) if syllable == tie else syllable for syllable in inverse)
-    return _piece(word, q, center), _piece(inverse, inverse_q, center)
+        inverse = tuple((_D0, n // 2) if syllable == tie else syllable for syllable in inverse)
+    return _piece(word, q), _piece(inverse, inverse_q)
 
 
-def _piece(word: GenWord, q: int, center: Atom) -> tuple[int, GenWord, int, int]:
+def _piece(word: GenWord, q: int) -> tuple[int, GenWord, int, int]:
     head = tail = 0
-    if word and word[0][0] == center:
+    if word and word[0][0] == _D0:
         head, word = word[0][1], word[1:]
-    if word and word[-1][0] == center:
+    if word and word[-1][0] == _D0:
         tail, word = word[-1][1], word[:-1]
     return head, word, tail, q
 

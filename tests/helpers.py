@@ -103,12 +103,13 @@ def central_reduce(gw, n: int) -> GenWord:
     return tuple(body)
 
 
-def substitute_then_reduce(image, fixed: Atom | None, gw: GenWord) -> GenWord:
-    """The image of gw under atom -> image(atom), fixed -> fixed, as first defined:
+def substitute_then_reduce(image, gw: GenWord) -> GenWord:
+    """The image of gw under atom -> image(atom), d0 -> d0, as first defined:
     concatenate image(atom)^e for every syllable, then free-reduce once."""
+    d0 = Atom.d(0)
     out: list[tuple[Atom, int]] = []
     for atom, e in gw:
-        if atom == fixed:
+        if atom == d0:
             out.append((atom, e))
         else:
             word = image(atom)

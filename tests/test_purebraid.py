@@ -20,7 +20,7 @@ from qtbraid.genset import GensetTarget, decompose
 from qtbraid.garside import perm_braid_word
 from qtbraid.purebraid import a_to_t, comb, linking, t_decompose
 from qtbraid.quasitoric import factor
-from qtbraid.words import STRAND_CACHE_SIZE, gen_concat
+from qtbraid.words import gen_concat
 
 from helpers import (
     GOLDENS,
@@ -176,21 +176,21 @@ class TestComb:
 
 class TestCombMemoBound:
     def test_loop_memo_is_capped(self, monkeypatch):
+        # one memo across strand counts: its keys carry n as the length of pi
         rng = random.Random(45)
         words = []
-        for _ in range(40):
-            u = random_word(rng, 7, 12)
-            back = BraidWord(7, tuple(abs(x) for x in reversed(u.letters)))
-            words.append(concat(u, back))  # pure: sigma and its inverse agree on perm
+        for n in range(3, 9):
+            for _ in range(8):
+                u = random_word(rng, n, 12)
+                back = BraidWord(n, tuple(abs(x) for x in reversed(u.letters)))
+                words.append(concat(u, back))  # pure: sigma and its inverse agree on perm
         expected = [comb(w) for w in words]
-        ctx = purebraid._comb_ctx(7)
-        assert ctx.loops.cap == purebraid.COMB_MEMO_CAP
+        assert purebraid._LOOPS.cap == purebraid.COMB_MEMO_CAP
         cap = 30
-        memo = WatchedMemo(ctx.loops.compute, cap)
-        monkeypatch.setattr(ctx, "loops", memo)
+        memo = WatchedMemo(purebraid._loop_word, cap)
+        monkeypatch.setattr(purebraid, "_LOOPS", memo)
         assert [comb(w) for w in words] == expected
         assert memo.clears >= 2 and memo.peak <= cap
-        assert purebraid._comb_ctx.cache_parameters()["maxsize"] == STRAND_CACHE_SIZE
 
 
 class TestAToT:
@@ -255,9 +255,9 @@ class TestTDecompose:
             t_decompose(BraidWord(3, (2,)))
 
 
-# Reference copies of the step-by-step substitutions the library used before
-# its one-pass ImageTable: every atom's image is raised to its exponent and
-# free-reduced on its own, then reduced again as the pieces are joined.
+# Reference copies of the step-by-step substitutions: every atom's image is
+# raised to its exponent and free-reduced on its own, then reduced again as
+# the pieces are joined, where the library reduces the whole word once.
 
 
 def _ref_t_decompose(w):
@@ -298,42 +298,24 @@ class TestOnePassMatchesReference:
     def test_loop_words_at_small_n(self):
         # every key at n <= 6, against the conjugation rules
         for n in range(2, 7):
-            ctx = purebraid._Comb(n)
             for key in _every_key(n):
-                assert ctx.loops[key] == _ref_loop_word(*key), key
+                assert purebraid._loop_word(key) == _ref_loop_word(*key), key
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_loop_words_at_random_keys(self, n):
         rng = random.Random(2700 + n)
-        ctx = purebraid._Comb(n)
         for _ in range(960 // n):  # the reference conjugates by up to C(n,2) letters
             pi = tuple(rng.sample(range(n), n))
             key = (pi, rng.randint(1, n - 1), rng.choice((1, -1)))
-            assert ctx.loops[key] == _ref_loop_word(*key), key
+            assert purebraid._loop_word(key) == _ref_loop_word(*key), key
 
     def test_loop_words_against_the_oracle(self):
         # every key at n <= 5 expands to lift(pi) sigma_p^(2 sign) lift(pi)^{-1}
         for n in range(2, 6):
-            ctx = purebraid._Comb(n)
             for pi, p, sign in _every_key(n):
                 lift = BraidWord(n, tuple(perm_braid_word(pi)))
                 loop = concat(concat(lift, BraidWord(n, (p * sign,) * 2)), inverse(lift))
-                assert equal(expand(ctx.loops[pi, p, sign], n), loop), (pi, p, sign)
-
-    def test_twist_table_lives_on_the_comb_context(self):
-        purebraid._comb_ctx.cache_clear()
-        w = atom_word(Atom.t(2, 6), 6)
-        gw = t_decompose(w)
-        table = purebraid._comb_ctx(6).twists
-        assert table and all(atom.kind == "a" for atom in table)
-        assert t_decompose(w) == gw
-        assert purebraid._comb_ctx.cache_info().currsize == 1
-
-    def test_foreign_atom_is_not_stored(self):
-        table = purebraid._Comb(4).twists
-        with pytest.raises(WordError):
-            table[Atom.a(2, 5)]
-        assert not table
+                assert equal(expand(purebraid._loop_word((pi, p, sign)), n), loop), (pi, p, sign)
 
     def test_decompose_combs_through_its_module_global(self, monkeypatch):
         calls = []

@@ -421,24 +421,12 @@ class TestTable:
 
 _X, _Y, _Z = Atom.s(1), Atom.s(2), Atom.s(3)
 _D0 = Atom.d(0)
-# the domain of the plain test maps, which also map _D0 to itself; _D0 may occur in images
-_DOMAIN = (Atom.t(1, 2), Atom.t(1, 3), Atom.t(2, 3))
-_D0_FIXED = {_D0: ((_D0, 1),)}
+# two atoms a table looks up by their own key; _D0 may occur in images
+_A, _B = Atom.t(1, 2), Atom.t(1, 3)
 
 _exponents = st.sampled_from((1, -1, 2, -2, 3, -3))
 # unreduced words: adjacent syllables may share an atom or cancel outright
 _image_words = st.lists(st.tuples(st.sampled_from((_X, _Y, _D0)), _exponents), max_size=5)
-
-
-@st.composite
-def _maps_and_words(draw):
-    images = {**dict(zip(_DOMAIN, draw(st.tuples(*[_image_words] * 3)))), **_D0_FIXED}
-    if draw(st.booleans()):
-        # an image that cancels completely against its neighbour's
-        images[_DOMAIN[1]] = gen_inverse(tuple(images[_DOMAIN[0]]))
-    atoms = st.sampled_from(_DOMAIN + (_D0,))
-    gw = draw(st.lists(st.tuples(atoms, _exponents), max_size=12))
-    return images, tuple(gw)
 
 
 @st.composite
@@ -462,28 +450,20 @@ def _shifted_image(images, atom):
 
 
 class TestImageTableSubstitute:
-    """substitute joins reduced pieces at their seams; it must equal the
-    concatenate-then-reduce definition on every input, reduced or not."""
+    """substitute joins reduced pieces at their seams and keeps the central
+    form as it goes; it must equal the concatenate-then-reduce definition,
+    brought into central form, on every input, reduced or not."""
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=400)
-    @given(_maps_and_words())
-    def test_equals_concatenate_then_reduce(self, case):
-        images, gw = case
-        table = ImageTable(lambda atom: tuple(images[atom]))
-        want = substitute_then_reduce(lambda atom: tuple(images[atom]), None, gw)
-        assert table.substitute(gw) == want
-        assert gen_reduce(want) == want
-
-    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
     @given(_width_maps_and_words())
     def test_central_equals_concatenate_then_central_reduce(self, case):
-        # with central=(d0, n) the pass keeps the central form as it goes,
-        # even-n ties included, and reads t(i,j) as t(1,j-i+1) shifted by
+        # even-n ties included, and t(i,j) read as t(1,j-i+1) shifted by
         # d0^(i-1); it must equal central_reduce of the plain image, the
         # shift written out
         n, images, gw = case
-        table = ImageTable(lambda atom: images[atom.j], central=(_D0, n))
-        plain = substitute_then_reduce(lambda atom: _shifted_image(images, atom), _D0, gw)
+        table = ImageTable(lambda atom: images[atom.j], n)
+        plain = substitute_then_reduce(lambda atom: _shifted_image(images, atom), gw)
+        assert gen_reduce(plain) == plain
         assert table.substitute(gw) == central_reduce(plain, n)
         assert all(key.i == 1 for key in table)
 
@@ -495,28 +475,24 @@ class TestImageTableSubstitute:
 
     def test_neighbours_cancel_completely(self):
         word = ((_X, 1), (_Y, -2), (_Z, 1))
-        images = {_DOMAIN[0]: word, _DOMAIN[1]: gen_inverse(word), **_D0_FIXED}
-        table = ImageTable(images.__getitem__)
-        gw = ((_DOMAIN[0], 2), (_DOMAIN[1], 1), (_D0, 1), (_DOMAIN[1], 1), (_DOMAIN[0], 1))
+        table = ImageTable({_A: word, _B: gen_inverse(word)}.__getitem__, 7)
+        gw = ((_A, 2), (_B, 1), (_D0, 1), (_B, 1), (_A, 1))
         # A^2 B = w w w^-1 = w, and B A = w^-1 w is empty
         assert table.substitute(gw) == word + ((_D0, 1),)
-        assert table.substitute(((_DOMAIN[0], 1), (_DOMAIN[1], 1))) == ()
+        assert table.substitute(((_A, 1), (_B, 1))) == ()
 
     def test_powers_merge_between_copies(self):
-        table = ImageTable(lambda atom: ((_X, 1), (_Y, 1), (_X, -1)))
+        table = ImageTable(lambda atom: ((_X, 1), (_Y, 1), (_X, -1)), 7)
         for e in (1, -1, 2, -2, 3, -3):
-            assert table.substitute(((_DOMAIN[0], e),)) == ((_X, 1), (_Y, e), (_X, -1))
-        # one syllable of exponent +-1 is the stored image or its inverse itself
-        assert table.substitute(((_DOMAIN[0], 1),)) is table[_DOMAIN[0]][0]
-        assert table.substitute(((_DOMAIN[0], -1),)) is table[_DOMAIN[0]][1]
+            assert table.substitute(((_A, e),)) == ((_X, 1), (_Y, e), (_X, -1))
 
     def test_fixed_atom_runs_and_unreduced_images(self):
-        # _D0 maps to itself; the other image is unreduced
-        images = {_DOMAIN[0]: ((_D0, 1), (_X, 2), (_X, -2), (_D0, 2)), **_D0_FIXED}
-        table = ImageTable(images.__getitem__)
-        gw = ((_D0, 2), (_D0, -1), (_DOMAIN[0], 1), (_D0, -3), (_D0, 0))
+        # _D0 maps to itself; the image of _A is unreduced
+        table = ImageTable(lambda atom: ((_D0, 1), (_X, 2), (_X, -2), (_D0, 2)), 7)
+        gw = ((_D0, 2), (_D0, -1), (_A, 1), (_D0, -3), (_D0, 0))
         assert table.substitute(gw) == ((_D0, 1),)
-        assert table[_DOMAIN[0]] == (((_D0, 3),), ((_D0, -3),))  # stored reduced
+        # stored reduced: the pieces (head, body, tail, q) of d0^3 and d0^-3
+        assert table[_A] == ((3, (), 0, 0), (-3, (), 0, 0))
 
 
 class TestSyllableText:
