@@ -443,6 +443,23 @@ def _width_maps_and_words(draw):
     return n, images, tuple(gw)
 
 
+# the domain of the plain test maps: t(1,j) is looked up by its own key
+_DOMAIN = (Atom.t(1, 2), Atom.t(1, 3), Atom.t(1, 4))
+# so many strands that no d0 exponent a test word reaches is ever wrapped
+_WIDE = 1 << 20
+
+
+@st.composite
+def _maps_and_words(draw):
+    images = dict(zip(_DOMAIN, draw(st.tuples(*[_image_words] * 3))))
+    if draw(st.booleans()):
+        # an image that cancels completely against its neighbour's
+        images[_DOMAIN[1]] = gen_inverse(tuple(images[_DOMAIN[0]]))
+    atoms = st.sampled_from(_DOMAIN + (_D0,))
+    gw = draw(st.lists(st.tuples(atoms, _exponents), max_size=12))
+    return images, tuple(gw)
+
+
 def _shifted_image(images, atom):
     """The image of t(i,j) under a map given on widths: d0^(i-1) images[j-i+1] d0^-(i-1)."""
     shift = atom.i - 1
@@ -453,6 +470,17 @@ class TestImageTableSubstitute:
     """substitute joins reduced pieces at their seams and keeps the central
     form as it goes; it must equal the concatenate-then-reduce definition,
     brought into central form, on every input, reduced or not."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @given(_maps_and_words())
+    def test_equals_concatenate_then_reduce(self, case):
+        # on so many strands that no d0 residue wraps, the central form is
+        # the freely reduced word itself
+        images, gw = case
+        table = ImageTable(lambda atom: tuple(images[atom]), _WIDE)
+        want = substitute_then_reduce(lambda atom: tuple(images[atom]), gw)
+        assert table.substitute(gw) == want
+        assert gen_reduce(want) == want
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=400)
     @given(_width_maps_and_words())
