@@ -151,7 +151,7 @@ def _verify(args, as_json):
 
 def _relators(args, as_json):
     p = presentation(args.group, args.n)
-    relators = [format_generator_word(rel) for rel in p.relators]
+    relators = p.relator_texts
     if as_json:
         generators = [str(atom) for atom in p.generators]
         listing = {"group": p.group, "n": p.strands, "generators": generators}

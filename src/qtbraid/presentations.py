@@ -56,16 +56,22 @@ first and then looks up their verdicts in order of width, so each strand
 count's Garside context is built once, even when the widths outnumber the
 contexts garside keeps (words.STRAND_CACHE_SIZE).
 
-Each of the two shared families is one signed-slot template (COMMUTATOR,
-PENTAGON): a relator is the syllables t(span)^+-1 of its instance's spans,
-joined by plain tuple concatenation in template order.  No free reduction is
-needed.  The index inequalities rule out a one-strand twist t(k,k) (i < j for a
-commutator span; i < j < k < l < m makes every pentagon span at least two
-strands wide) and give adjacent slots different spans, so no two adjacent
-syllables merge and gen_reduce would return each word unchanged.  The cyclic
-qb relators read the same syllable table and are joined the same way: t(k,k)
-is dropped, and the spans of adjacent syllables differ in every case, so they
-need no free reduction either (a test checks gen_reduce on every relator).
+Each family is written once, over a syllable writer: its builder takes the
+function that writes a syllable (atom, e).  relators passes every syllable
+through unchanged, so each relator is its GenWord.  relator_texts, the listing
+that the relators command prints, writes every syllable with the text that
+format_generator_word gives it and joins each relator's texts with spaces, so
+it builds no GenWord and looks up no syllable text table.  Each of the two
+shared families is one signed-slot template (COMMUTATOR, PENTAGON): a relator
+is the written syllables t(span)^+-1 of its instance's spans, in template
+order.  No free reduction is needed.  The index inequalities rule out a
+one-strand twist t(k,k) (i < j for a commutator span; i < j < k < l < m makes
+every pentagon span at least two strands wide) and give adjacent slots
+different spans, so no two adjacent syllables merge and gen_reduce would return
+each word unchanged.  The cyclic qb relators read the same syllable table and
+are joined the same way: t(k,k) is dropped, and the spans of adjacent syllables
+differ in every case, so they need no free reduction either (a test checks
+gen_reduce on every relator).
 
 h1 computes the abelianization by exact Smith normal form, together with the
 class column of each orbit root (below), so homology classes of concrete
@@ -108,12 +114,13 @@ count, which grows like n^5 / 120, but h1 needs only the group, n and, for qb,
 n cyclic relators over 3n - 6 spans.  So a presentation is its (group, n),
 which alone make its repr, equality and hash, and it builds nothing at once:
 the generators and the relators are each built on their first read.  Reading
-relators counts the relators from the closed forms (2 C(n,4) + 2 C(n,3)
-commutators, C(n,2) - 1 fewer for pmod, C(n,5) pentagons, and 1 + C(n,2)
-cyclic relators for qb) and refuses a table of more than MAX_RELATORS
-relators, which bounds relators and verify at n = 31.  Reading the generators,
-and h1, count the generators (C(n,2), one more for qb, one fewer for pmod)
-and refuse more than MAX_GENERATORS, which bounds h1 and qt_class at n = 707.
+relators or relator_texts counts the relators from the closed forms
+(2 C(n,4) + 2 C(n,3) commutators, C(n,2) - 1 fewer for pmod, C(n,5) pentagons,
+and 1 + C(n,2) cyclic relators for qb) and refuses a table of more than
+MAX_RELATORS relators, which bounds relators and verify at n = 31.  Reading
+the generators, and h1, count the generators (C(n,2), one more for qb, one
+fewer for pmod) and refuse more than MAX_GENERATORS, which bounds h1 and
+qt_class at n = 707.
 """
 
 from __future__ import annotations
@@ -136,15 +143,16 @@ from .words import (
     GenWord,
     Table,
     WordError,
+    _syllable_text,
     gen_inverse,
 )
 
 GROUPS = ("pb", "qb", "pmod")
 
-# Presentation.relators refuses a table with more relators than this, before
-# building any; the command line reports the refusal with exit code 2.  qb on
-# 30 strands has 205,872 relators; the tests and the benchmark build at most
-# 4,824 (n=14)
+# Presentation.relators and relator_texts refuse a table with more relators
+# than this, before building any; the command line reports the refusal with
+# exit code 2.  qb on 30 strands has 205,872 relators; the benchmark builds at
+# most 4,824 (n=14) and the tests 35,190 (qb, n=21)
 MAX_RELATORS = 250_000
 # Presentation.generators and h1 refuse a presentation with more generators
 # than this, counted from the closed form before anything is built.  That
@@ -170,6 +178,18 @@ class Presentation:
 
     @cached_property
     def relators(self) -> tuple[GenWord, ...]:
+        return tuple(self._relator_words(_as_is))
+
+    @cached_property
+    def relator_texts(self) -> tuple[str, ...]:
+        """format_generator_word of each relator, written without building relators."""
+        return tuple(map(" ".join, self._relator_words(_syllable_text)))
+
+    def _relator_words(self, write: Callable[[Syllable], object]) -> list[tuple]:
+        """Each relator as the tuple of its syllables, each written by write.
+
+        Refuses more than MAX_RELATORS relators before building any.
+        """
         n = self.strands
         count = _relator_count(self.group, n)
         if count > MAX_RELATORS:
@@ -178,14 +198,14 @@ class Presentation:
                 f"more than the limit of {MAX_RELATORS}"
             )
         pairs = _generator_spans(self.group, n)
-        t = _syllables(pairs)
+        t = _syllables(pairs, write)
         out = _commutation_relators(pairs, t) + _pentagonal_relators(n, t)
         if self.group == "qb":
-            out += _cyclic_relators(n, t, pairs)
-        return tuple(out)
+            out += _cyclic_relators(n, t, pairs, write)
+        return out
 
 
-def _template(slots: tuple[tuple[int, int], ...]) -> Callable[[GenWord], GenWord]:
+def _template(slots: tuple[tuple[int, int], ...]) -> Callable[[tuple], tuple]:
     """Instantiate a relator family template.
 
     A signed slot (s, e) stands for t(span_s)^e, where span_s is the s-th span
@@ -211,13 +231,23 @@ _pentagon = _template(PENTAGON)
 # (class column, coefficient) pairs, as AbelianStructure.columns numbers the columns
 Terms = tuple[tuple[int, int], ...]
 
-# span (i, j) -> the syllables (t(i,j), 1) and (t(i,j), -1), for i < j
-Syllables = dict[tuple[int, int], GenWord]
+Syllable = tuple[Atom, int]
+
+# span (i, j) -> the syllables (t(i,j), 1) and (t(i,j), -1) as written, for i < j
+Syllables = dict[tuple[int, int], tuple]
 
 
-def _syllables(spans: Iterable[tuple[int, int]]) -> Syllables:
-    """The syllables of the twists on spans."""
-    return {(i, j): ((t := Atom.t(i, j), 1), (t, -1)) for i, j in spans}
+def _as_is(syllable: Syllable) -> Syllable:
+    """A syllable written as itself, so a relator is its GenWord."""
+    return syllable
+
+
+def _syllables(spans: Iterable[tuple[int, int]], write: Callable[[Syllable], object]) -> Syllables:
+    """The syllables of the twists on spans, each written by write.
+
+    write is _as_is for relators and words._syllable_text for their texts.
+    """
+    return {(i, j): (write((t := Atom.t(i, j), 1)), write((t, -1))) for i, j in spans}
 
 
 def _span_pairs(n: int) -> list[tuple[int, int]]:
@@ -232,7 +262,7 @@ def _generator_spans(group: str, n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _commutation_relators(pairs: list[tuple[int, int]], t: Syllables) -> list[GenWord]:
+def _commutation_relators(pairs: list[tuple[int, int]], t: Syllables) -> list[tuple]:
     """One commutator per unordered pair of disjoint or nested spans, in lexicographic order.
 
     pairs is in lexicographic order, so combinations gives each pair of spans
@@ -247,22 +277,24 @@ def _commutation_relators(pairs: list[tuple[int, int]], t: Syllables) -> list[Ge
     ]
 
 
-def _pentagonal_relators(n: int, t: Syllables) -> list[GenWord]:
+def _pentagonal_relators(n: int, t: Syllables) -> list[tuple]:
     return [
         _pentagon(t[j, m - 1] + t[k, m - 1] + t[j, l - 1] + t[i, k - 1] + t[i, l - 1])
         for i, j, k, l, m in combinations(range(1, n + 1), 5)
     ]
 
 
-def _cyclic_relator(n: int, t: Syllables, i: int, j: int) -> GenWord:
+def _cyclic_relator(
+    n: int, t: Syllables, i: int, j: int, write: Callable[[Syllable], object]
+) -> tuple:
     """Relation 4 at the span (i, j): d0 t(i,j) d0^-1 times the inverse of its right side.
 
     t[span][:1] and t[span][1:] are the one-syllable words t(span)^1 and
     t(span)^-1; a one-strand span (k, k) is not in t, and t.get gives the
-    empty word for it.
+    empty word for it.  The d0 syllables are written by write, as t's are.
     """
     d0 = Atom.d(0)
-    conj = ((d0, 1),) + t[i, j][:1] + ((d0, -1),)
+    conj = (write((d0, 1)),) + t[i, j][:1] + (write((d0, -1)),)
     if j < n:
         return conj + t[i + 1, j + 1][1:]
     if i == 1:
@@ -278,9 +310,12 @@ def _cyclic_relator(n: int, t: Syllables, i: int, j: int) -> GenWord:
     )
 
 
-def _cyclic_relators(n: int, t: Syllables, spans: list[tuple[int, int]]) -> list[GenWord]:
+def _cyclic_relators(
+    n: int, t: Syllables, spans: list[tuple[int, int]], write: Callable[[Syllable], object]
+) -> list[tuple]:
     """The qb relators that involve d0: relation 3, d0^n = t(1,n), then relation 4 at each span."""
-    return [((Atom.d(0), n),) + t[1, n][1:]] + [_cyclic_relator(n, t, i, j) for i, j in spans]
+    relation_3 = (write((Atom.d(0), n)),) + t[1, n][1:]
+    return [relation_3] + [_cyclic_relator(n, t, i, j, write) for i, j in spans]
 
 
 def _generator_count(group: str, n: int) -> int:
@@ -481,8 +516,8 @@ def h1(p: Presentation) -> AbelianStructure:
     if p.group == "qb":
         # relation 4 at j = n reads the spans that end at n, or start at 1 or 2
         ends = [(i, n) for i in range(1, n)]
-        t = _syllables(ends + [(i, j) for i in (1, 2) for j in range(i + 1, n)])
-        roots, rels = n, _cyclic_relators(n, t, ends)
+        t = _syllables(ends + [(i, j) for i in (1, 2) for j in range(i + 1, n)], _as_is)
+        roots, rels = n, _cyclic_relators(n, t, ends, _as_is)
     rows = [row for row in map(_root_sums, rels) if row]
     touched = sorted(set().union(*rows))
     snf = smith_normal_form([[row.get(r, 0) for r in touched] for row in rows], cols=len(touched))

@@ -32,8 +32,11 @@ alphabet
 Text form of a generator word: whitespace-separated tokens, each optionally
 followed by ^<k> for a nonzero exponent, e.g. "d0^3 t1,4^-2 a2,5".
 format_generator_word renders each (atom, exponent) syllable once and reuses
-its text from a table; relator tables and rewriter output repeat a few hundred
-syllables many thousand times.
+its text from a table; the output of comb and decompose, verify's FAIL lines
+and the demos repeat a few dozen syllables many times.  The relator listing
+(presentations.Presentation.relator_texts) calls _syllable_text itself, once
+per twist syllable rather than once per relator syllable, and never reads the
+table.
 
 Every memo in the package is a Table: a dict that computes a missing value on
 first lookup and, given a cap, empties itself before storing past it.  The
@@ -63,7 +66,8 @@ MAX_LETTERS = 10_000_000
 
 # format_generator_word keeps the text of at most this many distinct
 # syllables; one benchmark round renders fewer than 100 of them on qt_rewrite
-# and 196 on presentation_check
+# (comb and decompose output) and none on presentation_check, whose relator
+# listing bypasses the table
 SYLLABLE_CACHE_SIZE = 4_096
 
 # strand counts whose per-n tables each module keeps (its functools.lru_cache size)

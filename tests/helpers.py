@@ -206,7 +206,8 @@ def union_find_h1(p: Presentation):
     rels = []
     if p.group == "qb":
         spans = presentations._span_pairs(n)
-        rels = presentations._cyclic_relators(n, presentations._syllables(spans), spans)
+        t = presentations._syllables(spans, presentations._as_is)
+        rels = presentations._cyclic_relators(n, t, spans, presentations._as_is)
     index = {atom: c for c, atom in enumerate(p.generators)}
     # column c is sign[c] times column parent[c]; a root is its own parent
     parent = list(range(len(p.generators)))

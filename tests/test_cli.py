@@ -142,6 +142,13 @@ class TestJson:
         code, out = go("perm", "-n", "3", "1", "--json")
         assert json.loads(out) == {"image": [2, 1, 3]}
 
+    @pytest.mark.parametrize("group, n", [("pb", 9), ("qb", 8), ("pmod", 7)])
+    def test_relators_json_lists_the_text_lines(self, group, n):
+        code, out = go("relators", "--group", group, "-n", str(n))
+        code_json, out_json = go("relators", "--group", group, "-n", str(n), "--json")
+        assert code == code_json == 0
+        assert json.loads(out_json)["relators"] == out.splitlines()
+
     def test_verify_json(self):
         code, out = go("verify", "--group", "pb", "-n", "3", "--json")
         assert json.loads(out) == {
@@ -264,9 +271,14 @@ class TestErrors:
         assert time.perf_counter() - start < 0.1
         assert go("h1", "--group", "pb", "-n", "200") == (0, "rank=19900 torsion=[]\n")
         assert go("h1", "--group", "qb", "-n", "40") == (0, "rank=20 torsion=[20]\n")
-        # qb on 32 strands has 283,713 relators
+        # qb on 32 strands has 283,713 relators, and pb 283,216
         for command in ("relators", "verify"):
             assert go(command, "--group", "qb", "-n", "32") == (2, "")
+        for flags in ((), ("--json",)):
+            code, out, err = go_all(["relators", "--group", "pb", "-n", "32", *flags])
+            assert (code, out) == (2, "")
+            limit = "pb on 32 strands has 283216 relators, more than the limit of 250000"
+            assert err == f"error: {limit}\n"
 
 
 class TestFiles:

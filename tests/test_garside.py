@@ -176,7 +176,7 @@ def _run_inputs(rng):
             yield BraidWord(n, tuple(sign * x for x in range(1, n)) * (n // 2 + 2))
     for n in (6, 7, 8):
         pentagons = presentations._pentagonal_relators(
-            n, presentations._syllables(presentations._span_pairs(n))
+            n, presentations._syllables(presentations._span_pairs(n), presentations._as_is)
         )
         for rel in rng.sample(pentagons, 3):
             yield expand(rel, n)

@@ -37,7 +37,7 @@ from qtbraid.genset import GensetTarget, short_twist_bound
 from qtbraid.purebraid import a_to_t, linking, t_decompose
 from qtbraid.quasitoric import factor
 from qtbraid.snf import smith_normal_form
-from qtbraid.words import Table
+from qtbraid.words import Table, format_generator_word
 
 from helpers import (
     WatchedMemo,
@@ -76,7 +76,7 @@ class TestRelatorEnumeration:
     @pytest.mark.parametrize("n", range(3, 17))
     def test_commutators_match_pairwise_filter(self, n):
         pb = presentations._span_pairs(n)
-        t = presentations._syllables(pb)
+        t = presentations._syllables(pb, presentations._as_is)
         for pairs in (pb, [p for p in pb if p != (1, n)]):
             want = [
                 presentations._commutator(t[a] + t[b]) for a, b in pairwise_commutation_spans(pairs)
@@ -245,14 +245,16 @@ class TestIdentity:
         assert calls == [] and vars(p) == vars(q) == {"group": "pb", "strands": 20}
 
     def test_one_syllable_table_per_presentation(self, monkeypatch):
-        # relators reads one table of every generator's syllables; h1 builds
-        # one of the 3n - 6 spans that start at 1 or 2 or end at n
+        # relators reads one table of every generator's syllables, and so does
+        # relator_texts; h1 builds one of the 3n - 6 spans that start at 1 or 2
+        # or end at n
         calls = []
         build = presentations._syllables
+        as_is = presentations._as_is
 
-        def counted(spans):
+        def counted(spans, write):
             calls.append(tuple(spans))
-            return build(calls[-1])
+            return build(calls[-1], write)
 
         monkeypatch.setattr(presentations, "_syllables", counted)
         p = presentation("qb", 8)
@@ -260,10 +262,37 @@ class TestIdentity:
         relators = p.relators
         spans = presentations._span_pairs(8)
         assert len(calls) == 2 and calls[1] == tuple(spans)
-        assert len(build(calls[0])) == len(set(calls[0])) == 3 * 8 - 6
+        assert len(build(calls[0], as_is)) == len(set(calls[0])) == 3 * 8 - 6
         assert all(i <= 2 or j == 8 for i, j in calls[0])
-        rows = presentations._cyclic_relators(8, build(spans), spans)
+        rows = presentations._cyclic_relators(8, build(spans, as_is), spans, as_is)
         assert relators[-len(rows) :] == tuple(rows)
+        assert len(p.relator_texts) == len(relators)
+        assert len(calls) == 3 and calls[2] == tuple(spans)
+
+
+class TestRelatorTexts:
+    # relator_texts writes each syllable with the text format_generator_word
+    # gives it, and never builds the GenWord table
+    @pytest.mark.parametrize("group", ["pb", "qb", "pmod"])
+    @pytest.mark.parametrize("n", [*range(3, 15), 21])
+    def test_equals_formatted_relators(self, group, n):
+        p = presentation(group, n)
+        texts = p.relator_texts
+        assert "relators" not in vars(p)
+        assert texts == tuple(map(format_generator_word, presentation(group, n).relators))
+
+    def test_refused_before_anything_is_built(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(presentations, "_syllables", lambda *args: calls.append(args))
+        monkeypatch.setattr(presentations, "MAX_RELATORS", 182)
+        limit = "qb on 7 strands has 183 relators, more than the limit of 182"
+        for part in ("relators", "relator_texts"):
+            p = presentation("qb", 7)
+            with pytest.raises(WordError) as info:
+                getattr(p, part)
+            assert str(info.value) == limit
+            assert vars(p) == {"group": "qb", "strands": 7}
+        assert calls == []
 
 
 class TestVerify:
@@ -474,9 +503,9 @@ class TestH1:
         # the orbit map, which sends every generator to one of the n roots;
         # the other rows at j = n do not
         for n in range(3, 41):
-            t = presentations._syllables(presentations._span_pairs(n))
+            t = presentations._syllables(presentations._span_pairs(n), presentations._as_is)
             for i, j in presentations._span_pairs(n):
-                rel = presentations._cyclic_relator(n, t, i, j)
+                rel = presentations._cyclic_relator(n, t, i, j, presentations._as_is)
                 row = {}
                 for atom, e in rel:
                     r = presentations._root(atom)
