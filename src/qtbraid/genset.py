@@ -17,13 +17,19 @@ Long twists resolve into the thm41 alphabet through
                                           for j = n-2 down to N+1
 
 where the four-hole relations behind the last two lines are part of the
-oracle-checked identity suite.  The thm42 alphabet is reached through
+oracle-checked identity suite.  _tables substitutes the last three, as they
+stand and top-down, through the twist table, whose width key reads each
+shifted t(i,j) by the first.  The paper's thm42 lines are
 
-    t(1,j)     = d0^{-(n-j)} t(n-j+1,n) d0^{n-j}
+    t(1,j)        = d0^{-(n-j)} t(n-j+1,n) d0^{n-j}
     t(n-1,n)^{-1} = d0^{-1} d1
     t(i,n)^{-1}   = d0^{-1} d<n-i> d0^{-1} t(i+1,n)^{-1} d0
 
-with every index d<k> staying below N.
+The last line at i = n-k+1, inverted and conjugated as in the first, with
+t(n-k+2,n) read by the index shift at j = k-1, gives one recurrence whose
+every d<k> stays below N:
+
+    t(1,k) = t(1,k-1) d0^{k-n} d<k-1>^{-1} d0^{n-k+1},    t(1,1) = 1.
 
 The output is in central form.  Relation 3 makes d0^n = t(1,n) the full
 twist, which generates the centre of B_n, so a word over either alphabet is
@@ -39,15 +45,16 @@ form, where spread only the first d0 syllable, and only when |Q| exceeds
 their number, strays more than n from (-n/2, n/2].
 
 Each strand count keeps four ImageTables (_tables, at most
-words.STRAND_CACHE_SIZE strand counts), filled on first lookup and keyed by
-width: the index shift holds for a(i,j) as for t(i,j), so each stores only the
-images of x(1,l), l = 2..n, reduced with their central counts (t(1,n) = d0^n
-is the empty word and one unit).  The thm41 twist table reads the t(1,j) of
-_thm41_long_twists, built top-down from t(1,n) = d0^n; a private table
-rewrites the short twists into the thm42 alphabet.  The thm41 a-atom table
-maps a(1,l) to the twist table's image of purebraid.a_to_t(n, 1, l), the
-thm42 one to that image rewritten by the short-twist table.  No table looks
-itself up, so none is a reference cycle.  decompose is one pass
+words.STRAND_CACHE_SIZE strand counts) keyed by width: the index shift holds
+for a(i,j) as for t(i,j), so each stores only the images of x(1,l),
+l = 2..n, reduced with their central counts (t(1,n) = d0^n is the empty word
+and one unit).  The thm41 twist table writes its long twists when it is
+built; its image function answers only the short twists, letters of the
+alphabet.  The others fill on first lookup: a private table rewrites the
+short twists into the thm42 alphabet by the recurrence, the thm41 a-atom
+table maps a(1,l) to the twist table's image of purebraid.a_to_t(n, 1, l),
+and the thm42 one to that image rewritten by the short-twist table.  No
+table looks itself up, so none is a reference cycle.  decompose is one pass
 (ImageTable.substitute) of the combed word through its target's a-atom
 table: image^e per syllable a(i,j)^e, d0^e kept, reduced at the seams only.
 Each a-atom table checks an image against its target's alphabet once, as it
@@ -65,6 +72,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain
 from operator import itemgetter
 from typing import Callable
 
@@ -78,8 +86,7 @@ from .words import (
     GenWord,
     ImageTable,
     WordError,
-    gen_concat,
-    gen_inverse,
+    _pieces,
 )
 
 VARIANTS = ("thm41", "thm42")
@@ -125,74 +132,39 @@ def _d0(e: int) -> GenWord:
     return ((_D0, e),)
 
 
-def _conj_d0(k: int, inner: GenWord) -> GenWord:
-    return gen_concat(_d0(k), inner, _d0(-k))
-
-
-def _thm41_long_twists(n: int) -> dict[int, GenWord]:
-    """j -> t(1,j) over the thm41 alphabet, for j = 2..n.
-
-    The short twists j <= N are letters of the alphabet.  The long ones are
-    filled top-down from t(1,n) = d0^n by the lines of the module docstring,
-    so every t(1,k) they read is already in the dict.
-    """
-    N = short_twist_bound(n)
-    twists = {j: ((Atom.t(1, j), 1),) for j in range(2, N + 1)}
-    if n > N:
-        twists[n] = _d0(n)
-    if n - 1 > N:
-        twists[n - 1] = gen_concat(
-            twists[N - 1],
-            _conj_d0(N - 1, twists[n - N]),
-            _d0(n - 1),
-            gen_inverse(twists[N]),
-            _d0(1),
-            gen_inverse(_conj_d0(N - 1, twists[n - N + 1])),
-        )
-    for j in range(n - 2, N, -1):
-        twists[j] = gen_concat(
-            twists[n - 1],
-            _conj_d0(j, twists[n - j]),
-            _d0(-1),
-            twists[j + 1],
-            _d0(1 - n),
-            gen_inverse(_conj_d0(j, twists[n - j - 1])) if j + 1 < n - 1 else (),
-        )
-    return twists
+def _t(i: int, j: int, e: int = 1) -> GenWord:
+    """t(i,j)^e as a word; t(i,i) is the empty word."""
+    return ((Atom.t(i, j), e),) if i < j else ()
 
 
 def _long_twist_syllables(n: int) -> int:
-    """An upper bound on the syllables _thm41_long_twists(n) holds, from lengths only.
+    """An upper bound on the syllables the thm41 twist table stores, from lengths only.
 
-    gen_concat only merges, so an image has at most as many syllables as its
-    parts, and the twist tables' central reduction only drops more.  Besides
-    t(1,n-1) and t(1,j+1), each long line reads only short twists, of one
-    syllable, and a conjugation adds two d0 syllables: so t(1,n) = d0^n has
-    1, t(1,n-1) has 4 + 6 = 10, t(1,n-2) has 10 + 3 + 10 + 2 = 25, and each
-    lower long twist 18 more than the one above it.
+    ImageTable.substitute only merges, so an entry has at most as many
+    syllables as its line, and the central reduction only drops more.
+    Besides t(1,n-1) and t(1,j+1), each long line reads only short twists, of
+    one syllable, and a shifted one adds two d0 syllables: so t(1,n) = d0^n
+    has 1, t(1,n-1) has 4 + 6 = 10, t(1,n-2) has 10 + 3 + 10 + 2 = 25, and
+    each lower long twist 18 more than the one above it.
     """
     N = short_twist_bound(n)
     m = max(0, n - 2 - N)  # long twists below t(1,n-1)
     return N - 1 + (n > N) + 10 * (n - 1 > N) + 25 * m + 9 * m * (m - 1)
 
 
-def _thm41_image(twists: dict[int, GenWord], atom: Atom) -> GenWord:
-    """t(1,j) over the thm41 alphabet, read from _thm41_long_twists."""
-    if atom.kind != "t" or atom.i != 1 or atom.j not in twists:
+def _thm41_image(n: int, atom: Atom) -> GenWord:
+    """A short twist t(1,j), j <= N: a letter of the thm41 alphabet."""
+    if atom.kind != "t" or atom.i != 1 or not 2 <= atom.j <= short_twist_bound(n):
         raise WordError(f"foreign atom {atom} in thm41 rewriting")
-    return twists[atom.j]
+    return ((atom, 1),)
 
 
 def _short_thm42_image(n: int, atom: Atom) -> GenWord:
-    """t(1,j) over the thm42 alphabet: d0^{-(n-j)} t(n-j+1,n) d0^{n-j}."""
-    j = atom.j
-    if atom.kind != "t" or atom.i != 1 or not 2 <= j <= short_twist_bound(n):
+    """A short twist t(1,j) over the thm42 alphabet, by the recurrence of the module docstring."""
+    if atom.kind != "t" or atom.i != 1 or not 2 <= atom.j <= short_twist_bound(n):
         raise WordError(f"foreign atom {atom} in thm42 rewriting")
-    # t(i,n)^{-1} for i = n-1 down to n-j+1, by the recursion of the module docstring
-    inverse = ((_D0, -1), (Atom.d(1), 1))
-    for i in range(n - 2, n - j, -1):
-        inverse = gen_concat(((_D0, -1), (Atom.d(n - i), 1), (_D0, -1)), inverse, _d0(1))
-    return _conj_d0(-(n - j), gen_inverse(inverse))
+    steps = (((_D0, k - n), (Atom.d(k - 1), -1), (_D0, n - k + 1)) for k in range(2, atom.j + 1))
+    return tuple(chain.from_iterable(steps))
 
 
 def _thm42_image(thm41: ImageTable, short: ImageTable, atom: Atom) -> GenWord:
@@ -218,15 +190,28 @@ def _admitted(variant: str, n: int, image: Callable[[Atom], GenWord], atom: Atom
 @lru_cache(maxsize=STRAND_CACHE_SIZE)
 def _tables(n: int) -> dict[str, ImageTable]:
     """The a-atom tables "thm41" and "thm42", the thm41 "twists" and the "short" twist
-    table on n strands, empty until first looked up.  Refuses, before building any,
-    an n whose long thm41 twists could hold more than MAX_LETTERS syllables."""
+    table on n strands.  Refuses, before building any, an n whose long thm41 twists
+    could hold more than MAX_LETTERS syllables."""
     syllables = _long_twist_syllables(n)
     if syllables > MAX_LETTERS:
         raise WordError(
             f"the twist tables on {n} strands would hold up to {syllables} syllables, "
             f"more than the limit of {MAX_LETTERS}"
         )
-    twists = ImageTable(partial(_thm41_image, _thm41_long_twists(n)), n)
+    N, t, d0 = short_twist_bound(n), _t, _d0
+    lines = {n: d0(n)}
+    if n - 1 > N:
+        lines[n - 1] = (
+            t(1, N - 1) + t(N, n - 1) + t(1, n) + d0(-1) + t(1, N, -1) + d0(1) + t(N, n, -1)
+        )
+    for j in range(n - 2, N, -1):
+        lines[j] = (
+            t(1, n - 1) + t(j + 1, n) + d0(-1) + t(1, j + 1) + d0(1) + t(1, n, -1)
+            + t(j + 1, n - 1, -1)
+        )
+    twists = ImageTable(partial(_thm41_image, n), n)
+    for j, line in lines.items():  # top-down, so a line reads only stored long twists
+        twists[Atom.t(1, j)] = _pieces(twists.substitute(line), n)
     short = ImageTable(partial(_short_thm42_image, n), n)
     thm41 = ImageTable(partial(_admitted, "thm41", n, partial(_a_image, n, twists)), n)
     thm42 = ImageTable(partial(_admitted, "thm42", n, partial(_thm42_image, thm41, short)), n)

@@ -52,7 +52,6 @@ optional sign; '_' separators and other Unicode digits are refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, NamedTuple
 
 
@@ -315,17 +314,19 @@ def _reduce(gw: Iterable[tuple[Atom, int]], n: int = 0) -> tuple[GenWord, int]:
     """(w, q): gw freely reduced to w, in one stack pass that merges each
     syllable into the top.  With n, whose d0^n is central, d0 exponents are
     kept in (-n/2, n/2], which is -h..n-1-h, and gw = d0^(n q) w, w in the
-    central form of ImageTable."""
+    central form of ImageTable.  A syllable that comes through unchanged is
+    kept as the same tuple, so reducing a reduced word copies no syllable."""
     center, h = (_D0 if n else None), (n - 1) // 2
     out: list[tuple[Atom, int]] = []
     q = 0
-    for atom, e in gw:
+    for syllable in gw:
+        atom, e = syllable
         if out and out[-1][0] == atom:
             e += out.pop()[1]
         if atom == center:
             q, e = q + (e + h) // n, (e + h) % n - h
         if e:
-            out.append((atom, e))
+            out.append(syllable if e == syllable[1] else (atom, e))
     return tuple(out), q
 
 
@@ -380,7 +381,10 @@ class ImageTable(Table):
     d0 maps to itself and is never looked up; d0^n is central (the paper's
     relation 3).  image(atom) returns the image word of one other atom,
     without looking the table up, and raises WordError for an atom outside
-    the map's domain, so a foreign atom is never stored.
+    the map's domain, so a foreign atom is never stored.  An entry may also
+    be stored directly as _pieces(word, n), for a word the atom maps to:
+    genset writes its long twists so, each a line substituted through the
+    entries stored before it.
 
     Words are kept in central form: d0^(n q) times a reduced word with every
     d0 exponent in (-n/2, n/2], its image in Z/n * F(other atoms).  That form
@@ -395,7 +399,7 @@ class ImageTable(Table):
     """
 
     def __init__(self, image: Callable[[Atom], GenWord], n: int):
-        super().__init__(partial(_central_pieces, image, n))
+        super().__init__(lambda atom: _pieces(image(atom), n))
         self.n = n
 
     def substitute(self, gw: GenWord) -> GenWord:
@@ -468,10 +472,10 @@ def _spread(out: list[tuple[Atom, int]], q: int, n: int) -> None:
         out[first] = (_D0, out[first][1] + unit * left)
 
 
-def _central_pieces(image: Callable, n: int, atom: Atom):
-    """The ImageTable pieces (head, body, tail, q) of atom's image and its inverse
-    on n strands, in place of the image word and its inverse."""
-    word, q = _reduce(image(atom), n)
+def _pieces(word: GenWord, n: int):
+    """The ImageTable pieces (head, body, tail, q) of word and its inverse on
+    n strands: what an entry holds in place of its image word and its inverse."""
+    word, q = _reduce(word, n)
     inverse, inverse_q = gen_inverse(word), -q
     tie = (_D0, -(n // 2))
     if n % 2 == 0 and tie in inverse:  # d0^-(n/2) is d0^(n/2) d0^-n

@@ -83,13 +83,19 @@ def _ref_thm41(gw, n):
     return gen_concat(*parts)
 
 
-def _ref_thm42(gw, n):
+@lru_cache(maxsize=None)
+def _ref_long_twist_inverses(n):
     N = short_twist_bound(n)
     inverses = {n - 1: ((Atom.d(0), -1), (Atom.d(1), 1))}
     for i in range(n - 2, n - N, -1):
         inverses[i] = gen_concat(
             ((Atom.d(0), -1), (Atom.d(n - i), 1), (Atom.d(0), -1)), inverses[i + 1], _ref_d0(1)
         )
+    return inverses
+
+
+def _ref_thm42(gw, n):
+    inverses = _ref_long_twist_inverses(n)
     parts = []
     for atom, e in gw:
         if atom == Atom.d(0):
@@ -420,6 +426,22 @@ class TestComposedThm42Table:
                         want = central_reduce(_ref_thm42(_ref_thm41(((Atom.t(i, j), e),), n), n), n)
                         assert rewrite(((Atom.t(i, j), e),), n, "thm42") == want, (n, i, j, e)
 
+    def test_stored_twists_match_reference_at_wide_n(self):
+        # every long thm41 twist and every short-table entry, both signs,
+        # past the strand counts the per-atom reference tests reach; built
+        # past the caches, so each n's tables and references are freed
+        # before the next n's are built
+        for n in range(21, 102):
+            tables = genset._tables.__wrapped__(n)
+            words, N = _ref_short_twist_words.__wrapped__(n), short_twist_bound(n)
+            refs = [("twists", j, words[j]) for j in range(N + 1, n + 1)]
+            refs += [("short", j, _ref_thm42(((Atom.t(1, j), 1),), n)) for j in range(2, N + 1)]
+            for name, j, ref in refs:
+                for e, want in ((1, ref), (-1, gen_inverse(ref))):
+                    out = tables[name].substitute(((Atom.t(1, j), e),))
+                    assert out == central_reduce(want, n), (n, name, j, e)
+            _ref_long_twist_inverses.cache_clear()
+
     def test_every_twist_sound(self):
         for n in range(3, 9):
             target = GensetTarget("thm42", n)
@@ -477,15 +499,17 @@ class TestWidthKeys:
 
     def test_atom_past_the_last_strand_refused(self):
         # x(3,8) at n = 7 would read the width-6 piece, which is in range; it
-        # is looked up as it is, and refused, and the width-6 piece not filled
+        # is looked up as it is, and refused, and no table gains a key
         n = 7
         genset._tables.cache_clear()
         tables = genset._tables(n)
         for name, kind in (("twists", "t"), ("short", "t"), ("thm41", "a"), ("thm42", "a")):
             atom = Atom(kind, 3, n + 1)
+            tables[name].substitute(((Atom(kind, 1, 2), 1),))
+            keys = {key: set(table) for key, table in tables.items()}
             with pytest.raises(WordError, match=f"foreign atom {atom} in "):
                 tables[name].substitute(((Atom(kind, 1, 2), 1), (atom, 1)))
-            assert Atom(kind, 1, n - 1) not in tables[name], name
+            assert {key: set(table) for key, table in tables.items()} == keys, name
 
     def test_t_atom_refused_by_a_table(self):
         for variant in VARIANTS:
@@ -524,11 +548,18 @@ class TestTwistTables:
         assert genset._tables.cache_info().currsize == STRAND_CACHE_SIZE
 
     def test_warmup_fills_nothing(self):
+        # the warm-up reads d0 alone: the twist table holds what it wrote as
+        # it was built, its long twists and the short ones their lines read,
+        # and the other tables stay empty
         genset._tables.cache_clear()
         for n in range(5, 14):
             for variant in VARIANTS:
                 assert decompose(toric(n, 1), GensetTarget(variant, n)) == ((Atom.d(0), 1),)
-            assert all(not table for table in genset._tables(n).values())
+            tables = genset._tables(n)
+            assert all(not tables[name] for name in ("thm41", "thm42", "short")), n
+            twists = tables["twists"]
+            assert all(key.kind == "t" and key.i == 1 for key in twists), n
+            assert {Atom.t(1, j) for j in range(short_twist_bound(n) + 1, n + 1)} <= twists.keys()
 
     def test_freed_by_refcount_alone(self):
         # no table reaches itself, so dropping the cache frees all four
@@ -562,10 +593,14 @@ class TestTwistTables:
         assert out == central_reduce(_ref_thm41(gw, n), n)
 
     def test_size_bound_covers_the_built_table(self):
-        # the count from lengths alone never undercounts, since gen_concat
-        # only merges at the seams; nor does it refuse a table of half the limit
-        for n in range(3, 201):
-            built = sum(map(len, genset._thm41_long_twists(n).values()))
+        # the count from lengths alone never undercounts, since substitute
+        # only merges at the seams; nor does it refuse a table of half the
+        # limit.  Each stored long twist counts its body, and its head and
+        # tail as one d0 syllable each.
+        for n in range(3, 201):  # built past the cache, so each n is freed before the next
+            twists = genset._tables.__wrapped__(n)["twists"]
+            long = range(short_twist_bound(n) + 1, n + 1)
+            built = sum(len(twists[Atom.t(1, j)][0][1]) + 2 for j in long)
             assert built <= genset._long_twist_syllables(n) < 2 * built, n
 
     def test_oversized_table_refused(self):

@@ -353,6 +353,16 @@ class TestGrammar:
         gw = ((Atom.d(0), 2), (Atom.d(0), -2), (Atom.t(1, 2), 1))
         assert gen_reduce(gw) == ((Atom.t(1, 2), 1),)
 
+    def test_reduced_word_keeps_its_syllables(self):
+        # an unchanged syllable comes back as the same tuple, freely and in
+        # central form, so reducing a table entry copies none of it
+        gw = parse_generator_word("d0^2 t1,3^-1 d1 d0^-2 t1,2^5")
+        for n in (0, 7):
+            out = words._reduce(gw, n)[0]
+            assert out == gw and all(a is b for a, b in zip(out, gw)), n
+        merged = gen_reduce(gw[:2] + ((Atom.t(1, 3), 2),) + gw[2:])
+        assert merged[1] == (Atom.t(1, 3), 1) and merged[2] is gw[2]
+
     def test_gen_inverse(self):
         gw = parse_generator_word("d0 t1,3^2")
         assert gen_inverse(gw) == ((Atom.t(1, 3), -2), (Atom.d(0), -1))
