@@ -17,9 +17,10 @@ Long twists resolve into the thm41 alphabet through
                                           for j = n-2 down to N+1
 
 where the four-hole relations behind the last two lines are part of the
-oracle-checked identity suite.  _tables substitutes the last three, as they
-stand and top-down, through the twist table, whose width key reads each
-shifted t(i,j) by the first.  The paper's thm42 lines are
+oracle-checked identity suite, and a degenerate twist t(k,k) is the empty
+word, written by the same helper as purebraid.a_to_t.  _tables substitutes
+the last three, as they stand and top-down, through the twist table, whose
+width key reads each shifted t(i,j) by the first.  The paper's thm42 lines are
 
     t(1,j)        = d0^{-(n-j)} t(n-j+1,n) d0^{n-j}
     t(n-1,n)^{-1} = d0^{-1} d1
@@ -51,7 +52,8 @@ l = 2..n, reduced with their central counts (t(1,n) = d0^n is the empty word
 and one unit).  The thm41 twist table writes its long twists when it is
 built; its image function answers only the short twists, letters of the
 alphabet.  The others fill on first lookup: a private table rewrites the
-short twists into the thm42 alphabet by the recurrence, the thm41 a-atom
+short twists into the thm42 alphabet by the recurrence (both short-twist
+image functions refuse any other atom by one check), the thm41 a-atom
 table maps a(1,l) to the twist table's image of purebraid.a_to_t(n, 1, l),
 and the thm42 one to that image rewritten by the short-twist table.  No
 table looks itself up, so none is a reference cycle.  decompose is one pass
@@ -76,7 +78,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable
 
-from .purebraid import a_to_t, comb
+from .purebraid import _t, a_to_t, comb
 from .quasitoric import factor
 from .words import (
     MAX_LETTERS,
@@ -86,6 +88,7 @@ from .words import (
     GenWord,
     ImageTable,
     WordError,
+    _D0,
     _pieces,
 )
 
@@ -125,16 +128,8 @@ class GensetTarget:
         return set(self.alphabet).issuperset(map(itemgetter(0), gw))
 
 
-_D0 = Atom.d(0)
-
-
 def _d0(e: int) -> GenWord:
     return ((_D0, e),)
-
-
-def _t(i: int, j: int, e: int = 1) -> GenWord:
-    """t(i,j)^e as a word; t(i,i) is the empty word."""
-    return ((Atom.t(i, j), e),) if i < j else ()
 
 
 def _long_twist_syllables(n: int) -> int:
@@ -152,18 +147,23 @@ def _long_twist_syllables(n: int) -> int:
     return N - 1 + (n > N) + 10 * (n - 1 > N) + 25 * m + 9 * m * (m - 1)
 
 
+def _short_twist(variant: str, n: int, atom: Atom) -> int:
+    """j of a short twist t(1,j), 2 <= j <= N; any other atom is foreign to variant's rewriting."""
+    if atom.kind != "t" or atom.i != 1 or not 2 <= atom.j <= short_twist_bound(n):
+        raise WordError(f"foreign atom {atom} in {variant} rewriting")
+    return atom.j
+
+
 def _thm41_image(n: int, atom: Atom) -> GenWord:
     """A short twist t(1,j), j <= N: a letter of the thm41 alphabet."""
-    if atom.kind != "t" or atom.i != 1 or not 2 <= atom.j <= short_twist_bound(n):
-        raise WordError(f"foreign atom {atom} in thm41 rewriting")
+    _short_twist("thm41", n, atom)
     return ((atom, 1),)
 
 
 def _short_thm42_image(n: int, atom: Atom) -> GenWord:
     """A short twist t(1,j) over the thm42 alphabet, by the recurrence of the module docstring."""
-    if atom.kind != "t" or atom.i != 1 or not 2 <= atom.j <= short_twist_bound(n):
-        raise WordError(f"foreign atom {atom} in thm42 rewriting")
-    steps = (((_D0, k - n), (Atom.d(k - 1), -1), (_D0, n - k + 1)) for k in range(2, atom.j + 1))
+    j = _short_twist("thm42", n, atom)
+    steps = (((_D0, k - n), (Atom.d(k - 1), -1), (_D0, n - k + 1)) for k in range(2, j + 1))
     return tuple(chain.from_iterable(steps))
 
 

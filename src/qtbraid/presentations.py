@@ -391,11 +391,9 @@ def _shape(rel: GenWord, n: int, shifts: Table) -> Shape:
     """verify's key of relator rel on n strands; shifts maps s to _down_shift(s).
 
     A relator of twists on strands lo..hi inside 1..n keys to its down-shift
-    by lo - 1, on hi - lo + 1 strands.  Any other relator, including an empty
-    one or one with a twist out of range, keys to itself on n strands.
+    by lo - 1, on hi - lo + 1 strands.  Any other relator, including one with
+    a twist out of range, keys to itself on n strands.  No relator is empty.
     """
-    if not rel:
-        return rel, n
     kinds, lows, highs = zip(*next(zip(*rel)))
     lo, hi = min(lows), max(highs)
     if {*kinds} != {"t"} or lo < 1 or hi > n:

@@ -45,7 +45,6 @@ from .words import (
     Table,
     WordError,
     _join,
-    gen_concat,
     gen_inverse,
     gen_reduce,
     is_pure,
@@ -121,17 +120,20 @@ def linking(w: BraidWord) -> LinkingMatrix:
     return LinkingMatrix(n, tuple(rows))
 
 
+def _t(i: int, j: int, e: int = 1) -> GenWord:
+    """t(i,j)^e as a word; t(i,i) is the empty word."""
+    return ((Atom.t(i, j), e),) if i < j else ()
+
+
 def a_to_t(n: int, i: int, j: int) -> GenWord:
-    """The a(i,j) atom as a word in full twists, degenerate twists dropped."""
+    """The a(i,j) atom as a word in full twists, degenerate twists dropped.
+
+    The word is reduced as it stands: no two adjacent twists of
+    t(i,j-1)^-1 t(i,j) t(i+1,j)^-1 t(i+1,j-1) share a span, so dropping the
+    empty ones leaves nothing to merge."""
     if not 1 <= i < j <= n:
         raise WordError(f"pure-braid atom a{i},{j} out of range for {n} strands")
-
-    def term(a: int, b: int, e: int) -> GenWord:
-        return ((Atom.t(a, b), e),) if a < b else ()
-
-    return gen_concat(
-        term(i, j - 1, -1), term(i, j, 1), term(i + 1, j, -1), term(i + 1, j - 1, 1)
-    )
+    return _t(i, j - 1, -1) + _t(i, j) + _t(i + 1, j, -1) + _t(i + 1, j - 1)
 
 
 def _loop_word(key: tuple[tuple[int, ...], int, int]) -> GenWord:

@@ -16,14 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import (
-    BraidWord,
-    WordError,
-    concat,
-    delta_word,
-    inverse,
-    perm,
-)
+from .words import BraidWord, WordError, _check_length, perm
 
 
 @dataclass(frozen=True)
@@ -66,12 +59,17 @@ def is_quasitoric(w: BraidWord) -> int | None:
 
 
 def factor(w: BraidWord) -> tuple[int, BraidWord]:
-    """Factor a member of QB_n as delta_0^k * p with p pure; returns (k, p)."""
+    """Factor a member of QB_n as delta_0^k * p with p pure; returns (k, p).
+
+    p is the word delta_0^-k w: k copies of delta_0^-1 = sigma_{n-1}^-1 ...
+    sigma_1^-1, then w, built as one BraidWord.  A delta_0^-k of more than
+    MAX_LETTERS letters is refused."""
     k = is_quasitoric(w)
     if k is None:
         raise WordError("braid is not quasitoric: permutation is not a power of the n-cycle")
-    p = concat(inverse(delta_word(w.strands, 0) ** k), w)
-    return k, p
+    n = w.strands
+    _check_length((n - 1) * k)
+    return k, BraidWord(n, tuple(range(1 - n, 0)) * k + w.letters)
 
 
 def parse_form_text(text: str, strands: int | None = None) -> QuasitoricForm:
@@ -86,19 +84,12 @@ def parse_form_text(text: str, strands: int | None = None) -> QuasitoricForm:
             width = len(line)
         if len(line) != width:
             raise WordError(f"line {lineno}: expected {width} signs, got {len(line)}")
-        row = []
-        for ch in line:
-            if ch == "+":
-                row.append(1)
-            elif ch == "-":
-                row.append(-1)
-            else:
-                raise WordError(f"line {lineno}: bad character {ch!r}")
-        rows.append(tuple(row))
+        bad = line.replace("+", "").replace("-", "")
+        if bad:
+            raise WordError(f"line {lineno}: bad character {bad[0]!r}")
+        rows.append(tuple(1 if ch == "+" else -1 for ch in line))
     if width is None:
-        if strands is None:
-            raise WordError("empty form needs an explicit strand count")
-        width = strands - 1
+        raise WordError("empty form needs an explicit strand count")
     return QuasitoricForm(width + 1, tuple(rows))
 
 

@@ -38,12 +38,13 @@ and the demos repeat a few dozen syllables many times.  The relator listing
 per twist syllable rather than once per relator syllable, and never reads the
 table.
 
-Every memo in the package is a Table: a dict that computes a missing value on
-first lookup and, given a cap, empties itself before storing past it.  The
-syllable text table is capped at SYLLABLE_CACHE_SIZE entries, comb's loop
-words (keyed across strand counts) at purebraid.COMB_MEMO_CAP, and the per-n
-contexts of garside, genset and presentations at STRAND_CACHE_SIZE strand
-counts each, so a long-lived process stays bounded.
+Every memo in the package is a Table, a dict that computes a missing value on
+first lookup and, given a cap, empties itself before storing past it, except
+the per-n contexts of garside, genset and presentations: each of those is a
+functools.lru_cache of STRAND_CACHE_SIZE strand counts (and cli builds its
+argument parser once).  The syllable text table is capped at
+SYLLABLE_CACHE_SIZE entries and comb's loop words (keyed across strand
+counts) at purebraid.COMB_MEMO_CAP, so a long-lived process stays bounded.
 
 In both grammars an integer is written in ASCII decimal digits with an
 optional sign; '_' separators and other Unicode digits are refused.
@@ -474,14 +475,15 @@ def _spread(out: list[tuple[Atom, int]], q: int, n: int) -> None:
 
 def _pieces(word: GenWord, n: int):
     """The ImageTable pieces (head, body, tail, q) of word and its inverse on
-    n strands: what an entry holds in place of its image word and its inverse."""
+    n strands: what an entry holds in place of its image word and its inverse.
+
+    The inverse of d0^(n q) w is d0^(-n q) w^-1.  w^-1 is reduced too, but at
+    even n each d0^(n/2) of w turns into the tie d0^-(n/2), which _reduce
+    writes as d0^(n/2) d0^-n, so its central count is what _reduce counts
+    less q."""
     word, q = _reduce(word, n)
-    inverse, inverse_q = gen_inverse(word), -q
-    tie = (_D0, -(n // 2))
-    if n % 2 == 0 and tie in inverse:  # d0^-(n/2) is d0^(n/2) d0^-n
-        inverse_q -= inverse.count(tie)
-        inverse = tuple((_D0, n // 2) if syllable == tie else syllable for syllable in inverse)
-    return _piece(word, q), _piece(inverse, inverse_q)
+    inverse, inverse_q = _reduce(gen_inverse(word), n)
+    return _piece(word, q), _piece(inverse, inverse_q - q)
 
 
 def _piece(word: GenWord, q: int) -> tuple[int, GenWord, int, int]:

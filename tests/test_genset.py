@@ -596,12 +596,20 @@ class TestTwistTables:
         # the count from lengths alone never undercounts, since substitute
         # only merges at the seams; nor does it refuse a table of half the
         # limit.  Each stored long twist counts its body, and its head and
-        # tail as one d0 syllable each.
-        for n in range(3, 201):  # built past the cache, so each n is freed before the next
-            twists = genset._tables.__wrapped__(n)["twists"]
-            long = range(short_twist_bound(n) + 1, n + 1)
-            built = sum(len(twists[Atom.t(1, j)][0][1]) + 2 for j in long)
-            assert built <= genset._long_twist_syllables(n) < 2 * built, n
+        # tail as one d0 syllable each.  The tables hold no reference cycle,
+        # so the cyclic collector is paused: its full passes would otherwise
+        # walk every object that earlier tests keep, for most of the time.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for n in range(3, 201):  # built past the cache, so each n is freed before the next
+                twists = genset._tables.__wrapped__(n)["twists"]
+                long = range(short_twist_bound(n) + 1, n + 1)
+                built = sum(len(twists[Atom.t(1, j)][0][1]) + 2 for j in long)
+                assert built <= genset._long_twist_syllables(n) < 2 * built, n
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_oversized_table_refused(self):
         # n = 2112 is the last strand count whose bound fits MAX_LETTERS;

@@ -24,6 +24,7 @@ from qtbraid import (
 from qtbraid import presentations
 from qtbraid.presentations import (
     AbelianStructure,
+    ClassVector,
     Presentation,
     _relator_count,
     _template,
@@ -619,6 +620,34 @@ class TestMinimality:
             assert (a.free_rank, a.torsion) == (n * (n - 1) // 2, ()), n
             a = h1(presentation("pmod", n))
             assert (a.free_rank, a.torsion) == ((n + 1) * (n - 2) // 2, ()), n
+
+
+class TestClassVector:
+    def test_torsion_and_moduli_lengths_differ(self):
+        with pytest.raises(WordError, match="torsion coordinates and moduli disagree"):
+            ClassVector((1,), (0, 1), (3,))
+
+    @pytest.mark.parametrize("v", [3, -1, 7])
+    def test_unreduced_torsion_coordinate(self, v):
+        with pytest.raises(WordError, match=f"torsion coordinate {v} not reduced mod 3"):
+            ClassVector((), (v,), (3,))
+
+    def test_sum_reduces_torsion(self):
+        assert ClassVector((1,), (2,), (3,)) + ClassVector((-4,), (2,), (3,)) == ClassVector(
+            (-3,), (1,), (3,)
+        )
+
+    @pytest.mark.parametrize(
+        "other",
+        [ClassVector((1,), (0,), (4,)), ClassVector((1, 2), (0,), (3,)), ClassVector((1,), (), ())],
+    )
+    def test_sum_across_groups_refused(self, other):
+        with pytest.raises(WordError, match="different groups"):
+            ClassVector((1,), (2,), (3,)) + other
+
+    def test_sum_of_classes_at_different_strand_counts_refused(self):
+        with pytest.raises(WordError, match="different groups"):
+            qt_class(toric(4, 1)) + qt_class(toric(5, 1))
 
 
 class TestQtClass:

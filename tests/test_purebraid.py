@@ -20,7 +20,7 @@ from qtbraid.genset import GensetTarget, decompose
 from qtbraid.garside import perm_braid_word
 from qtbraid.purebraid import a_to_t, comb, linking, t_decompose
 from qtbraid.quasitoric import factor
-from qtbraid.words import gen_concat
+from qtbraid.words import gen_concat, gen_reduce
 
 from helpers import (
     GOLDENS,
@@ -122,6 +122,10 @@ class TestLinking:
     def test_format(self):
         lk = linking(BraidWord(3, (1, 1)))
         assert str(lk) == "1 0\n0"
+
+    def test_sum_across_strand_counts_refused(self):
+        with pytest.raises(WordError, match="strand mismatch"):
+            linking(BraidWord(3, (1, 1))) + linking(BraidWord(4, (1, 1)))
 
 
 class TestConjugationRules:
@@ -231,6 +235,15 @@ class TestAToT:
     def test_out_of_range(self):
         with pytest.raises(WordError):
             a_to_t(4, 2, 5)
+
+    def test_already_reduced(self):
+        # no two adjacent twists of the change of basis share a span, so
+        # free reduction leaves every a_to_t word as it is
+        for n in range(2, 13):
+            for i in range(1, n):
+                for j in range(i + 1, n + 1):
+                    word = a_to_t(n, i, j)
+                    assert gen_reduce(word) == word, (n, i, j)
 
 
 class TestTDecompose:

@@ -15,6 +15,7 @@ from qtbraid import (
     perm,
     toric,
 )
+from qtbraid import words
 from qtbraid.quasitoric import (
     QuasitoricForm,
     factor,
@@ -138,6 +139,23 @@ class TestFactor:
         with pytest.raises(WordError):
             factor(BraidWord(3, (1,)))
 
+    def test_pure_part_is_delta0_inverse_power_then_w(self):
+        rng = random.Random(24)
+        for _ in range(40):
+            n = rng.randint(2, 7)
+            w = random_qt_word(rng, n)
+            k, p = factor(w)
+            assert p == concat(toric(n, k) ** -1, w)
+
+    def test_long_delta0_power_refused(self, monkeypatch):
+        # delta_0^-4 on 5 strands has 16 letters
+        w = toric(5, 1) ** -1
+        monkeypatch.setattr(words, "MAX_LETTERS", 16)
+        assert factor(w)[0] == 4
+        monkeypatch.setattr(words, "MAX_LETTERS", 15)
+        with pytest.raises(WordError, match="limit"):
+            factor(w)
+
 
 class TestFormFiles:
     def test_roundtrip(self):
@@ -161,3 +179,29 @@ class TestFormFiles:
         with pytest.raises(WordError):
             parse_form_text("")
         assert parse_form_text("", strands=5).rows == ()
+
+    def test_blank_lines_skipped(self):
+        form = parse_form_text("\n+-\n  \n-+\n\n")
+        assert form == QuasitoricForm(3, ((1, -1), (-1, 1)))
+        # line numbers in errors still count the blank lines
+        with pytest.raises(WordError, match="line 3: bad character 'x'"):
+            parse_form_text("+-\n\n-x")
+
+    def test_first_bad_character_named(self):
+        with pytest.raises(WordError, match="line 1: bad character 'a'"):
+            parse_form_text("+a-b")
+
+
+class TestQuasitoricForm:
+    def test_too_few_strands(self):
+        with pytest.raises(WordError, match="at least 2 strands"):
+            QuasitoricForm(1)
+
+    def test_short_row(self):
+        with pytest.raises(WordError, match="row length 2 != 3"):
+            QuasitoricForm(4, ((1, -1, 1), (1, -1)))
+
+    @pytest.mark.parametrize("entry", [0, 2, -2])
+    def test_entry_not_a_sign(self, entry):
+        with pytest.raises(WordError, match="must be \\+1 or -1"):
+            QuasitoricForm(3, ((1, entry),))

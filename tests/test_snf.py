@@ -110,6 +110,12 @@ class TestSmithNormalForm:
         with pytest.raises(ValueError):
             smith_normal_form([])
 
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_rejects_cols_disagreeing_with_rows(self, cols):
+        assert smith_normal_form([[1, 2], [3, 4]], cols=2).cols == 2
+        with pytest.raises(ValueError, match="cols disagrees"):
+            smith_normal_form([[1, 2], [3, 4]], cols=cols)
+
     def test_big_integers_exact(self):
         big = 10**30
         s = smith_normal_form([[big, big], [0, big]])

@@ -222,6 +222,10 @@ class TestExpand:
             tracemalloc.stop()
         assert peak < 1 << 20, f"peak allocation {peak} bytes"
 
+    def test_unknown_atom_kind(self):
+        with pytest.raises(WordError, match="unknown atom kind 'x'"):
+            expand(((Atom("x", 1), 1),), 4)
+
     def test_out_of_range(self):
         with pytest.raises(WordError):
             expand(((Atom.t(2, 5), 1),), 4)
@@ -244,6 +248,11 @@ class TestToric:
     def test_negative_m_rejected(self):
         with pytest.raises(WordError):
             toric(4, -1)
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_too_few_strands_rejected(self, n):
+        with pytest.raises(WordError, match="at least 2 strands"):
+            toric(n, 2)
 
 
 class TestClosureComponents:
@@ -271,6 +280,15 @@ class TestGrammar:
         w = parse_word(4, "1 2 -3")
         assert w.letters == (1, 2, -3)
         assert format_word(w) == "1 2 -3"
+
+    def test_str_of_word_is_its_text(self):
+        assert str(BraidWord(4, (1, 2, -3))) == "1 2 -3"
+        assert str(BraidWord(3)) == ""
+
+    @pytest.mark.parametrize("tok", ["^2", "^-1"])
+    def test_generator_token_without_name(self, tok):
+        with pytest.raises(WordError, match=re.escape(f"bad generator token {tok!r}")):
+            parse_generator_word(f"s1 {tok}")
 
     def test_word_rejects_zero_and_junk(self):
         with pytest.raises(WordError):
