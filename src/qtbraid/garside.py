@@ -1,136 +1,98 @@
 """Left-greedy (Garside) normal form: the word-problem oracle.
 
-Every element of the braid group has a unique factorization
+Every braid has a unique factorization Delta^inf f_1 ... f_k, where Delta is
+the positive half twist, each f_i is a permutation braid (a positive braid in
+which two strands cross at most once, fixed by its permutation) other than 1
+and Delta, and each adjacent pair is left-weighted: the starting set of f_{i+1}
+lies in the finishing set of f_i.  Two words are equal in the group iff their
+normal forms coincide: the oracle that certifies the package's relators.
 
-    Delta^inf * f_1 * f_2 * ... * f_k
-
-where Delta is the positive half twist, each f_i is a permutation braid
-(a positive braid in which any two strands cross at most once, determined
-by its permutation) that is neither trivial nor Delta, and each adjacent
-pair is left-weighted: the starting set of f_{i+1} is contained in the
-finishing set of f_i.  Two words are equal in the group iff their normal
-forms coincide, which makes this module the equality oracle certifying
-all the relator and rewriting machinery elsewhere in the package.
-
-The form is built in one left-to-right pass over the letters, keeping the
-Delta exponent d so far and the factors to its right.  Negative letters use
-sigma_i^{-1} = Delta^{-1} * (Delta sigma_i^{-1}) with Delta sigma_i^{-1} a
-permutation braid.  Moving Delta^{-1} to the front conjugates every factor it
-passes by the order-2 flip automorphism tau(x) = Delta^{-1} x Delta, so the
-factor list stores tau^d of each true factor instead: a change of d then
-moves no stored factor, and tau is applied once to all of them at the end if
-d is odd.  tau maps sigma_i to sigma_{n-i} and preserves left-weightedness,
-so letters are read through tau^d and pairs are left-weighted on the stored
-factors directly.
+The form is built in one left-to-right pass over the letters, keeping the Delta
+exponent d so far and the factors to its right.  A negative letter is
+sigma_i^{-1} = Delta^{-1} (Delta sigma_i^{-1}), a permutation braid after
+Delta^{-1}.  Moving Delta^{-1} to the front conjugates each factor it passes by
+the flip tau(x) = Delta^{-1} x Delta, of order 2, so the list stores tau^d of
+each true factor: a change of d moves no stored factor, and an odd d flips them
+all once at the end.  tau maps sigma_i to sigma_{n-i} and keeps pairs
+left-weighted, so letters are read through tau^d and stored pairs are
+left-weighted as they are.
 
 The unit of input is a run: a maximal stretch of same-sign letters whose
 product is still a permutation braid.  A positive run keeps its array x;
 appending sigma_{s+1} keeps it simple iff x[s] < x[s+1], and swaps those two
-entries.  A negative run sigma_{i1}^{-1} ... sigma_{ik}^{-1} is y^{-1} with
-y = sigma_ik ... sigma_i1, so it keeps the array of y^{-1}, where prepending
-sigma_{s+1} to y passes the same test and makes the same swap.  It lowers d
-by one and contributes the factor Delta y^{-1}, whose array is
-q -> n - 1 - y^{-1}[q].  A one-letter run takes its factor from a table per
-parity of d.  Two runs add no factor: a positive run equal to Delta only
-raises d (tau^{d+1} tau = tau^d, so the stored factors stay), and a negative
-run with y = Delta, whose Delta y^{-1} is the identity, only lowers it.
+entries.  A negative run sigma_{i1}^{-1} ... sigma_{ik}^{-1} is y^{-1} with y =
+sigma_ik ... sigma_i1; it keeps the array of y^{-1}, where prepending
+sigma_{s+1} to y passes the same test and makes the same swap, lowers d by one
+and contributes Delta y^{-1}, the array q -> n - 1 - y^{-1}[q].  A one-letter
+run takes its factor from a table per parity of d.  A run equal to Delta only
+raises d (tau^{d+1} tau = tau^d); one with y = Delta only lowers it.
 
 From LEVEL_MIN_STRANDS strands on, the letters are first put in the order of
-their levels (Cartier and Foata, LNM 85, 1969), which makes the runs longer
-and so the appended factors, and the sweeps below, fewer.  A letter +-i has
-level 1 + the largest level among the letters +-(i-1), +-i and +-(i+1) before
-it.  The letters of one level then commute pairwise, their indices being at
-least 2 apart, and a letter that does not commute with an earlier one has a
-higher level.  Reading the word level by level thus keeps the order of every
-pair of letters that do not commute: it is the same trace, so the same braid,
-and its normal form is the same.  Within a level the positive letters come
-first on odd levels and the negative ones on even levels, so the same-sign
-letters that end one level and start the next can make one run.  On six random
-250-letter words at n=64 this cut the sweeps from 790 to 179 and the
-pair-kernel calls from 3,316 to 959.  The pass costs ~0.7 us a letter.  It
-orders the word LEVEL_BLOCK letters at a time, each block as a word of its
-own, which is the same braid; a word of up to that many letters is one block.
-A block keeps n + 1 levels and its letters keyed for the sort, but no list per
-level.  The result reads its letters back from the word's tuple, so it makes
-no new int and holds 8 bytes a letter.  At n=16 the peak was 25 bytes a letter
-on 65,536 random letters (four blocks) and 12 on eight 1,024-letter blocks,
-beside the 8 of the word's own tuple; keying the whole word at once took 41.
-Below 8 strands the levels barely lengthen the runs and the pass does not pay.
-On six random 500-letter words per n (at n=4 the sweeps went only from 2,092
-to 2,047), in 11 interleaved pairs, reading by levels was faster in
-0 / 3 / 4 / 6 of them at n = 4 / 5 / 6 / 7, and in 10 / 9 / 11 / 11 / 11 at
-n = 8 / 9 / 10 / 12 / 16.
+their levels (Cartier and Foata, LNM 85, 1969): a letter +-i has level 1 + the
+largest level among the letters +-(i-1), +-i and +-(i+1) before it.  Letters of
+one level commute, and a letter that does not commute with an earlier one has a
+higher level, so the order is the same trace and gives the same normal form.
+Positive letters come first on odd levels and negative ones on even levels, so
+runs cross levels.  On six random 250-letter words at n=64 this cut the sweeps
+from 790 to 179, for ~0.7 us a letter; below 8 strands it did not pay.  Each
+LEVEL_BLOCK letters are sorted as a word of their own (the same braid), read
+back from the word's tuple: 8 bytes a letter, with a peak of 25 at n=16.
 
-Each run's factor is appended, and the pairs are left-weighted once from
-right to left.  By the sweep lemma (Elrifai and Morton, Q. J. Math. 1994;
-Epstein et al., "Word Processing in Groups", ch. 9), that one backward sweep
-gives the normal form of a left-weighted sequence times any permutation
-braid: each step leaves the pair to its right left-weighted, and the sweep
-stops at the first unchanged pair, as the pairs left of it are untouched.  A
-factor that becomes Delta is deleted and d raised by one (the Delta pull):
-the stored factors left of it stay, those right of it are flipped by tau,
-read from the context's flips table (a words.Table with the pairs table's
-cap; up to 8 strands it holds all n! factors, so none is flipped twice).  The
-final flip of an odd d reads the same table.
-The sweep would only carry that Delta on to the front, flipping each factor
-it passes, as raising d already does, so the pull ends the sweep.  Only the
-appended factor can be absorbed into its left neighbour (any other right
-factor has grown from b in a left-weighted pair (a, b), and a*b is not
-simple), so it alone is dropped: the list never holds Delta or the identity.
-One helper, _sweep, does this for both front ends below.
+Each run's factor is appended, and the pairs are left-weighted once from right
+to left.  By the sweep lemma (Elrifai and Morton, Q. J. Math. 1994; Epstein et
+al., "Word Processing in Groups", ch. 9) that backward sweep gives the normal
+form of a left-weighted sequence times a permutation braid, and it stops at the
+first unchanged pair.  A factor that becomes Delta is deleted and d raised by
+one (the Delta pull): the factors right of it are flipped by tau, read from the
+flips table as the final flip is, and the sweep ends, as it would only carry
+that Delta to the front.  Only the appended factor can be absorbed into its
+left neighbour (a right factor grown in a left-weighted pair (a, b) makes a*b
+not simple), so the list never holds Delta or the identity.
 
-A generator word (words.GenWord) is read syllable by syllable instead of
-letter by letter, by gen_normal_factors.  Each syllable atom^{+-1} has its own
-normal form Delta^inf f_1 ... f_k, built once by the letter pass over its
-expansion and kept with tau of each factor.  Appending it raises d by inf:
-Delta^inf moves left past each true factor g as tau^inf(g), so the stored
-tau^d(g) stay.  Then each f_i is appended as tau^d(f_i), at the parity of d
-then current, and swept.  The result is the letter pass's exactly, as the
-normal form is unique and the sweep lemma holds for any appended permutation
-braid.  A power atom^e is |e| such syllables.  The syllable table of n strands
-(a words.Table, filled on first lookup) holds at most two entries for each of
-its n^2 + n - 1 atoms in range (s, d, t and a), and it lives in the per-n
-context, of which words.STRAND_CACHE_SIZE are kept.
-Before any work gen_normal_factors refuses what expand would: an atom out of
-range, or a word longer than MAX_LETTERS letters, which would otherwise cost
-one sweep per syllable copy.
+gen_normal_factors reads a generator word (words.GenWord) syllable by syllable.
+Each atom^{+-1} has its normal form Delta^inf f_1 ... f_k, built once by the
+letter pass over its expansion and kept with tau of each factor.  Appending it
+raises d by inf (Delta^inf moves left past each true factor g as tau^inf(g), so
+the stored tau^d(g) stay), then appends and sweeps each f_i as tau^d(f_i) at
+the parity of d then current: the letter pass's result, by uniqueness and the
+sweep lemma.  A power atom^e is |e| such syllables.  The syllable table holds
+at most two forms for each of the n^2 + n - 1 atoms in range.
 
-Permutation braids are 0-based one-line arrays, the encoding of words.perm
-(the array entry at position q is the start of the strand ending at q), also in
-GarsideNormalForm.  For a factor array B, sigma_{s+1} is a prefix of the
-factor iff value s+1 occurs before value s in B, and a suffix iff B[s] > B[s+1].
+Permutation braids are 0-based one-line arrays, the encoding of words.perm (the
+entry at position q is the start of the strand ending at q), also in
+GarsideNormalForm.  sigma_{s+1} is a prefix of the factor B iff value s+1
+occurs before value s in B, and a suffix iff B[s] > B[s+1].  In a pass a factor
+is an id, its index in the per-n context's registry, which holds each distinct
+array once; arrays are read back only by the kernels and at the end.  The other
+stores hold ints: the pair memo maps two ids packed in one int to the
+left-weighted pair packed so, or to a sentinel.  One budget,
+RENORM_MEMO_CELLS // n, bounds the registry, the pair memo and the flips table.
+A full table is emptied at once, as ids stay valid.  A safe point before each
+run and syllable copy empties the context, registering the live factors again,
+when the registry holds that many besides those the call kept at its last
+emptying.  Filled to the budget, the stores held 8.0 MB at n = 6 (the pair
+memo; all 720 arrays take 0.1 MB) and 6.3 MB at n = 64 (arrays 4.9, pair memo
+0.8, flips 0.6) under tracemalloc.
 
-A pair (a, b) becomes (a m, m^{-1} b) with m = (a^{-1} Delta) ^ b, by one of two
-routes behind one memo: the context's pairs table, a words.Table emptied at
-RENORM_MEMO_CELLS // n entries.  The bubble moves prefix letters of b into a
-one at a time, in one forward scan over the n - 1 letters.  A swap at s can
-only change the test at s - 1, s and s + 1, so the scan steps back to s - 1
-after it: at most n - 1 + 2|m| steps, |m| of them swaps.  Repeating whole
-passes until one swaps nothing would pay a last pass that only confirms: on
-the pairs that the sweeps of four random 1,500-letter words hand to the
-kernel at n = 4 / 5 / 6 / 12, passes cost 1.6 / 2.1 / 2.7 / 9.6 us a pair and
-the scan 1.3 / 1.7 / 2.3 / 7.9 us.
-The meet takes the strand pairs m leaves uncrossed as the transitive closure
-of those a crosses and b leaves uncrossed (the weak-order meet; Epstein et
-al., ch. 9), in bitmask rows: O(n) steps plus the closure work, which is small
-exactly when m, and so the bubble, is long.  Each negative run appends a
-near-Delta factor, so wide words are full of such pairs.  The meet takes a pair
-when n >= MEET_MIN_STRANDS, b has more than n/2 descents, and a has under half
-as many descents as b.  On the pairs that the sweeps of six random 250-letter
-words hand to the kernel at n = 20 / 32 / 64 (Python 3.11, 2-vCPU Xeon), those
-the gate takes cost the bubble 41 / 101 / 449 us and the meet 25 / 39 / 81 us,
-and the rest cost the bubble 8.9 / 12.9 / 11.5 us and the meet
-51 / 113 / 543 us.  The bound on b came with the level order: without it the
-gate also took 150 / 119 / 89 pairs with a short a and a b of few descents,
-whose m is short, and these cost the bubble 7 / 9 / 16 us and the meet
-97 / 212 / 1,001 us.  With it, those words' normal forms took
-111 / 114 / 100 ms instead of 123 / 141 / 192 ms.  Below 20 strands the gate
-cost about what the meet saved.
+A pair (a, b) becomes (a m, m^{-1} b) with m = (a^{-1} Delta) ^ b, by one of
+two kernels.  The bubble moves prefix letters of b into a one at a time, in one
+forward scan that steps back to s - 1 after a swap at s: at most n - 1 + 2|m|
+steps (1.3 / 7.9 us a pair at n = 4 / 12, repeated passes 1.6 / 9.6).  The meet
+takes the strand pairs m leaves uncrossed as the transitive closure of those a
+crosses and b leaves uncrossed (the weak-order meet; Epstein et al., ch. 9), in
+bitmask rows: O(n) steps plus the closure, small exactly when m is long.  The
+gate sends a pair to the meet when n >= MEET_MIN_STRANDS, b has over n/2
+descents and a under half as many.  On the pairs of six random 250-letter words
+at n = 20 / 32 / 64 (Python 3.11, 2-vCPU Xeon), those it takes cost the bubble
+41 / 101 / 449 us and the meet 25 / 39 / 81 us, the rest 8.9 / 12.9 / 11.5 us
+and 51 / 113 / 543 us; the bound on b keeps out short-m pairs that cost the
+meet up to 1 ms.  Below 20 strands it paid nothing.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from operator import add, gt, sub
@@ -148,11 +110,13 @@ from .words import (
 
 Factor = tuple[int, ...]
 
-# The pair memo of n strands is emptied at RENORM_MEMO_CELLS // n entries of at
-# most four n-tuples, so its size does not grow with n.  One benchmark round
-# fills at most ~16,600 entries at n=6 (nf, eq), ~1,900 at n=9 (verify, which
-# checks each relator shape on the strands it touches) and ~1,600 at n=32-64.
+# RENORM_MEMO_CELLS // n bounds each store of an n-strand context: the registry's
+# arrays (n ints each) and the pair memo's and flips table's entries, which hold only
+# ints; filled, they held 8.0 MB at n=6 and 6.3 MB at n=64.  One benchmark round fills
+# at most ~16,600 pair entries at n=6 (nf, eq), ~1,900 at n=9 and ~1,600 at n=32-64.
 RENORM_MEMO_CELLS = 1 << 19
+_IDENTITY, _DELTA = 0, 1  # the ids every context registers first
+_LEFT_WEIGHTED = -1  # the pair memo's value for a pair that already is left-weighted
 MEET_MIN_STRANDS = 20  # the narrowest pairs that may go to the meet
 LEVEL_MIN_STRANDS = 8  # the narrowest words read by levels
 LEVEL_BLOCK = 1 << 14  # letters per sort of the level pass
@@ -194,32 +158,30 @@ def _tau(x: Factor) -> Factor:
     return tuple([n1 - v for v in reversed(x)])
 
 
-def _letter_factor(n: int, slot: list[int], x: int) -> Factor:
-    """tau^parity of the signed letter's factor; slot is _Ctx.slots[parity]."""
+def _letter_id(ids: Table, n: int, slot: list[int], x: int) -> int:
+    """The id of tau^parity of the signed letter's factor; slot is _Ctx.slots[parity]."""
     # sigma_i is its own factor, sigma_i^{-1} = Delta^{-1} (Delta sigma_i^{-1}),
     # and tau maps sigma_i to sigma_{n-i}, Delta sigma_i^{-1} to Delta sigma_{n-i}^{-1}
     i = slot[x]
     f = list(range(n)) if x > 0 else list(range(n - 1, -1, -1))
     f[i], f[i + 1] = f[i + 1], f[i]
-    return tuple(f)
+    return ids[tuple(f)]
 
 
-def _syllable_form(n: int, syllable: tuple) -> tuple[int, tuple[tuple[Factor, Factor], ...]]:
-    """(inf, ((f, tau f), ...)), the normal form of the syllable (atom, +-1).
+def _syllable_form(n: int, syllable: tuple) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(inf, ((f, tau f), ...)) in ids, the normal form of the syllable (atom, +-1).
 
-    Made by expanding the syllable and reading its letters once.  The caller
-    checks the atom's range first, so a foreign atom is never stored.
+    Made by reading its expansion once, with no safe point, as it runs inside a
+    pass whose ids it must keep.  The caller checks the atom's range first.
     """
-    inf, fs = _normal_factors(expand((syllable,), n))
-    return inf, tuple((f, _tau(f)) for f in fs)
+    ctx = _ctx(n)
+    inf, fs = _letter_ids(ctx, expand((syllable,), n), math.inf)
+    flipped = list(map(ctx.flips.__getitem__, fs))  # fs holds tau^inf of each factor
+    return inf, tuple(zip(flipped, fs) if inf & 1 else zip(fs, flipped))
 
 
 def _left_weight(pair: tuple[Factor, Factor]) -> tuple[Factor, Factor] | None:
-    """Left-weight the pair (a, b); None means it already was left-weighted.
-
-    The pairs table stores None for unchanged pairs, so _sweep makes one probe
-    per pair.
-    """
+    """Left-weight the pair (a, b); None means it already was left-weighted."""
     a, b = pair
     if len(a) >= MEET_MIN_STRANDS:
         descents_b = sum(map(gt, b, b[1:]))
@@ -292,24 +254,39 @@ def _meet(a: Factor, b: Factor) -> tuple[Factor, Factor] | None:
 
 
 class _Ctx:
-    """Per-strand-count tables: letter factors, syllable forms, the pair memo and flips."""
+    """Per-strand-count factor registry, and letter, syllable, pair and flip tables of ids."""
 
     def __init__(self, n: int):
-        self.identity: Factor = tuple(range(n))
-        self.w0: Factor = tuple(range(n - 1, -1, -1))
-        # [parity][letter]: the s with tau^parity(sigma_|letter|) = sigma_{s+1};
-        # lists of 2n, so that letters -1..1-n index their top half
+        self.cap = RENORM_MEMO_CELLS // n
+        # ids < min(n!, 2^32), as the registry holds distinct arrays and is emptied near cap
+        self.bits = (min(math.factorial(n), 1 << 32) - 1).bit_length()
+        self.mask = (1 << self.bits) - 1
+        # the registry: factors[id] is the array, ids[array] its id, made on first lookup
+        factors = self.factors = [tuple(range(n)), tuple(range(n - 1, -1, -1))]
+        ids = self.ids = Table(lambda f: factors.append(f) or len(factors) - 1)
+        # [parity][letter]: the s with tau^parity(sigma_|letter|) = sigma_{s+1}; 2n long
         self.slots = ([0] * 2 * n, [0] * 2 * n)
         for k in range(1, n):
             self.slots[0][k] = self.slots[0][-k] = k - 1
             self.slots[1][k] = self.slots[1][-k] = n - 1 - k
-        # [parity][letter]: tau^parity of the letter's factor
-        self.letters = tuple(Table(partial(_letter_factor, n, slot)) for slot in self.slots)
+        # [parity][letter]: the id of tau^parity of the letter's factor
+        self.letters = tuple(Table(partial(_letter_id, ids, n, slot)) for slot in self.slots)
         self.syllables = Table(partial(_syllable_form, n))
-        # (a, b) -> the left-weighted pair, or None if (a, b) already is one
-        self.pairs = Table(_left_weight, RENORM_MEMO_CELLS // n)
+        # a << bits | b -> the left-weighted pair, packed so, or _LEFT_WEIGHTED
+        self.pairs: dict[int, int] = {}
         # x -> tau(x), read by the Delta pull and the final flip
-        self.flips = Table(_tau, RENORM_MEMO_CELLS // n)
+        self.flips = Table(lambda x: ids[_tau(factors[x])], self.cap)
+        self.reset()
+
+    def reset(self, *live: list[int]) -> list[list[int]]:
+        """Empty the context but for the identity and Delta; returns live re-registered."""
+        factors, ids = self.factors, self.ids
+        arrays = [list(map(factors.__getitem__, part)) for part in live]
+        del factors[2:]
+        for table in (ids, *self.letters, self.syllables, self.pairs, self.flips):
+            table.clear()
+        ids.update(zip(factors, (_IDENTITY, _DELTA)))
+        return [list(map(ids.__getitem__, part)) for part in arrays]
 
 
 @lru_cache(maxsize=STRAND_CACHE_SIZE)
@@ -317,25 +294,33 @@ def _ctx(n: int) -> _Ctx:
     return _Ctx(n)
 
 
-def _sweep(ctx: _Ctx, fs: list[Factor], d: int) -> int:
+def _sweep(ctx: _Ctx, fs: list[int], d: int) -> int:
     """Left-weight fs after one simple factor was appended; returns the new d.
 
-    fs holds tau^d of each true factor.  One backward sweep stops at the first
-    unchanged pair or at a Delta pull (see the module docstring).
+    fs holds the ids of tau^d of each true factor.  One backward sweep stops at
+    the first unchanged pair or at a Delta pull (see the module docstring).
     """
-    pairs = ctx.pairs
+    pairs, bits, mask = ctx.pairs, ctx.bits, ctx.mask
     j = len(fs) - 1
     while j:
-        res = pairs[fs[j - 1], fs[j]]
+        key = fs[j - 1] << bits | fs[j]
+        res = pairs.get(key)
         if res is None:
+            factors, ids = ctx.factors, ctx.ids
+            pair = _left_weight((factors[fs[j - 1]], factors[fs[j]]))
+            res = _LEFT_WEIGHTED if pair is None else ids[pair[0]] << bits | ids[pair[1]]
+            if len(pairs) >= ctx.cap:
+                pairs.clear()
+            pairs[key] = res
+        if res == _LEFT_WEIGHTED:
             break
-        a, b = res
-        if a == ctx.w0:
-            identity, flips = ctx.identity, ctx.flips
-            fs[j - 1 :] = [flips[f] for f in [b] + fs[j + 1 :] if f != identity]
+        a, b = res >> bits, res & mask
+        if a == _DELTA:
+            flips = ctx.flips
+            fs[j - 1 :] = [flips[f] for f in [b] + fs[j + 1 :] if f != _IDENTITY]
             return d + 1
         fs[j - 1] = a
-        if b == ctx.identity:  # only the appended factor is ever absorbed
+        if b == _IDENTITY:  # only the appended factor is ever absorbed
             fs.pop()
         else:
             fs[j] = b
@@ -374,23 +359,26 @@ def _by_levels(word: tuple[int, ...], n: int) -> list[int]:
     return out
 
 
-def _normal_factors(w: BraidWord) -> tuple[int, list[Factor]]:
-    """(inf, factors) of the normal form, in one left-to-right pass over w.
+def _letter_ids(ctx: _Ctx, w: BraidWord, limit: float) -> tuple[int, list[int]]:
+    """(inf, factor ids) of the normal form, in one left-to-right pass over w.
 
     fs holds tau^d of each true factor; each run's factor is appended and swept.
+    A safe point before each run empties the context after limit registrations.
     """
     n = w.strands
     if n == 2:  # B_2 is infinite cyclic, generated by sigma_1 = Delta
         return exponent_sum(w), []
-    ctx = _ctx(n)
-    identity, w0, letters = ctx.identity, ctx.w0, ctx.letters
-    slots = ctx.slots
+    registry, ids, letters, slots = ctx.factors, ctx.ids, ctx.letters, ctx.slots
+    identity, w0 = registry[_IDENTITY], registry[_DELTA]
     n1 = n - 1
     word = w.letters if n < LEVEL_MIN_STRANDS else _by_levels(w.letters, n)
     end = len(word)
-    fs: list[Factor] = []
-    d = i = 0
+    fs: list[int] = []
+    d, i, top = 0, 0, limit
     while i < end:
+        if len(registry) >= top:
+            (fs,) = ctx.reset(fs)
+            top = len(registry) + limit
         x = word[i]
         i += 1
         if x < 0:
@@ -414,11 +402,22 @@ def _normal_factors(w: BraidWord) -> tuple[int, list[Factor]]:
                 if x > 0:
                     d += 1
                 continue
-            fs.append(f if x > 0 else tuple([n1 - v for v in f]))
+            fs.append(ids[f if x > 0 else tuple([n1 - v for v in f])])
         d = _sweep(ctx, fs, d)
+    return d, fs
+
+
+def _arrays(ctx: _Ctx, d: int, fs: list[int]) -> tuple[int, list[Factor]]:
+    """(d, the arrays of fs), each flipped by tau if d is odd."""
     if d & 1:
         fs = list(map(ctx.flips.__getitem__, fs))
-    return d, fs
+    return d, list(map(ctx.factors.__getitem__, fs))
+
+
+def _normal_factors(w: BraidWord) -> tuple[int, list[Factor]]:
+    """(inf, factors) of the normal form, in one left-to-right pass over w."""
+    ctx = _ctx(w.strands)
+    return _arrays(ctx, *_letter_ids(ctx, w, ctx.cap))
 
 
 def gen_normal_factors(gw: GenWord, n: int) -> tuple[int, list[Factor]]:
@@ -433,19 +432,20 @@ def gen_normal_factors(gw: GenWord, n: int) -> tuple[int, list[Factor]]:
         raise WordError(f"need at least 2 strands, got {n}")
     check_expansion(gw, n)
     ctx = _ctx(n)
-    syllables = ctx.syllables
-    fs: list[Factor] = []
-    d = 0
+    syllables, registry, cap = ctx.syllables, ctx.factors, ctx.cap
+    fs: list[int] = []
+    d, top = 0, cap
     for atom, e in gw:
-        inf, factors = syllables[atom, 1 if e > 0 else -1]
+        inf, form = syllables[atom, 1 if e > 0 else -1]
         for _ in range(abs(e)):
+            if len(registry) >= top:  # a safe point, as in _letter_ids
+                fs, *form = ctx.reset(fs, *form)
+                top = len(registry) + cap
             d += inf  # the stored factors stay (see the module docstring)
-            for f in factors:
+            for f in form:
                 fs.append(f[d & 1])
                 d = _sweep(ctx, fs, d)
-    if d & 1:
-        fs = list(map(ctx.flips.__getitem__, fs))
-    return d, fs
+    return _arrays(ctx, d, fs)
 
 
 def normal_form(w: BraidWord) -> GarsideNormalForm:
@@ -493,7 +493,7 @@ def nf_word(nf: GarsideNormalForm) -> BraidWord:
     n = nf.strands
     letters: list[int] = []
     if nf.inf:
-        delta = perm_braid_word(_ctx(n).w0)
+        delta = perm_braid_word(range(n - 1, -1, -1))
         if nf.inf < 0:
             delta = [-x for x in reversed(delta)]
         letters.extend(delta * abs(nf.inf))

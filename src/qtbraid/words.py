@@ -40,7 +40,8 @@ table.
 
 Every memo in the package is a Table, a dict that computes a missing value on
 first lookup and, given a cap, empties itself before storing past it, except
-the per-n contexts of garside, genset and presentations: each of those is a
+garside's pair memo, which its one caller fills and caps, and the per-n
+contexts of garside, genset and presentations: each of those is a
 functools.lru_cache of STRAND_CACHE_SIZE strand counts (and cli builds its
 argument parser once).  The syllable text table is capped at
 SYLLABLE_CACHE_SIZE entries and comb's loop words (keyed across strand

@@ -218,10 +218,10 @@ class TestNormalForm:
 
     def test_factors_are_valid(self):
         for w in _reference_inputs():
-            ctx = _ctx(w.strands)
+            identity = tuple(range(w.strands))
             inf, fs = _normal_factors(w)
             for f in fs:
-                assert f != ctx.identity and f != ctx.w0
+                assert f != identity and f != identity[::-1]
             for j in range(len(fs) - 1):
                 assert renorm(fs[j], fs[j + 1]) == (fs[j], fs[j + 1])
 
@@ -462,54 +462,142 @@ class TestGeneratorWords:
             assert verify(bad_p).failures == (idx,)
 
 
-class TestMemoBound:
-    def test_pair_memo_is_capped(self, monkeypatch):
-        cap = 128
-        monkeypatch.setattr(garside, "RENORM_MEMO_CELLS", cap * 64)
-        _ctx.cache_clear()  # the entry cap is fixed when a context is built
+def _watched_context(monkeypatch, n, cap, firsts=None):
+    """The n-strand context built under a budget of cap, with its two tables watched.
+
+    watch.resets counts the emptyings with live factors.  Each sweep that follows
+    a safe point (every sweep of the letter pass; those numbered in firsts for a
+    generator word, whose syllable-form builds are not numbered) checks the
+    stated bound: the registry holds at most cap factors besides those kept at
+    the call's last emptying (none at its start).  Set watch.kept and
+    watch.sweeps to 0 before each call.
+    """
+    monkeypatch.setattr(garside, "RENORM_MEMO_CELLS", cap * n)
+    _ctx.cache_clear()  # the budget is fixed when a context is built
+    ctx = _ctx(n)
+    assert ctx.cap == ctx.flips.cap == cap
+    ctx.pairs = WatchedMemo(None, cap)
+    ctx.flips = WatchedMemo(ctx.flips.compute, cap)
+    watch = SimpleNamespace(resets=0, kept=0, sweeps=0, nested=False)
+    reset, sweep, build = ctx.reset, garside._sweep, ctx.syllables.compute
+
+    def counted_reset(*live):
+        out = reset(*live)
+        watch.resets += bool(live[0])
+        watch.kept = len(ctx.factors)
+        return out
+
+    def checked_sweep(c, fs, d):
+        if watch.nested:
+            return sweep(c, fs, d)
+        if firsts is None or watch.sweeps in firsts:
+            assert len(ctx.factors) <= watch.kept + cap, (len(ctx.factors), watch.kept)
+        watch.sweeps += 1
+        return sweep(c, fs, d)
+
+    def nested_build(syllable):
+        watch.nested = True
         try:
-            ctx = _ctx(64)
-            assert ctx.pairs.cap == cap
-            memo = WatchedMemo(ctx.pairs.compute, cap)
-            monkeypatch.setattr(ctx, "pairs", memo)
-            rng = random.Random(21)
-            for _ in range(100):
-                w = random_word(rng, 64, 40)
-                assert _normal_factors(w) == fixpoint_normal_factors(w)
-                if memo.clears >= 2:
-                    break
-            assert memo.clears >= 2 and memo.peak <= cap
+            return build(syllable)
+        finally:
+            watch.nested = False
+
+    monkeypatch.setattr(ctx, "reset", counted_reset)
+    monkeypatch.setattr(ctx.syllables, "compute", nested_build)
+    monkeypatch.setattr(garside, "_sweep", checked_sweep)
+    return ctx, watch
+
+
+class TestMemoBound:
+    """One budget, RENORM_MEMO_CELLS // n, bounds the factor registry, the pair
+    memo and the flips table; the context is emptied in the middle of a word."""
+
+    def test_pair_memo_is_capped(self, monkeypatch):
+        cap, n = 30, 64
+        rng = random.Random(21)
+        words = [random_word(rng, n, 100) for _ in range(2)]
+        want = [fixpoint_normal_factors(w) for w in words]
+        try:
+            ctx, watch = _watched_context(monkeypatch, n, cap)
+            for w, expected in zip(words, want):
+                watch.resets = watch.kept = watch.sweeps = 0
+                assert _normal_factors(w) == expected
+                assert watch.resets >= 2
+            assert ctx.pairs.clears >= 2 and ctx.pairs.peak <= cap
         finally:
             _ctx.cache_clear()
         assert _ctx.cache_parameters()["maxsize"] == STRAND_CACHE_SIZE
 
     def test_flip_table_is_capped(self, monkeypatch):
         cap, n = 16, 6
-        monkeypatch.setattr(garside, "RENORM_MEMO_CELLS", cap * n)
-        _ctx.cache_clear()  # the entry cap is fixed when a context is built
+        rng = random.Random(27)
+        words = [random_word(rng, n, 200) for _ in range(10)]
+        want = [fixpoint_normal_factors(w) for w in words]
         try:
-            ctx = _ctx(n)
-            assert ctx.flips.cap == cap
-            memo = WatchedMemo(ctx.flips.compute, cap)
-            monkeypatch.setattr(ctx, "flips", memo)
-            rng = random.Random(27)
-            for _ in range(40):
-                w = random_word(rng, n, 60)
-                assert _normal_factors(w) == fixpoint_normal_factors(w)
-            assert memo.clears >= 2 and memo.peak <= cap
-            assert memo and all(value == tau(key) for key, value in memo.items())
+            ctx, watch = _watched_context(monkeypatch, n, cap)
+            for w, expected in zip(words, want):
+                watch.resets = watch.kept = watch.sweeps = 0
+                assert _normal_factors(w) == expected
+                assert watch.resets >= 2
+            flips = ctx.flips
+            assert flips.clears >= 2 and flips.peak <= cap and ctx.pairs.peak <= cap
+            factors = ctx.factors
+            assert flips and all(factors[y] == tau(factors[x]) for x, y in flips.items())
+        finally:
+            _ctx.cache_clear()
+
+    def test_generator_word_context_is_emptied_inside_a_power(self, monkeypatch):
+        cap, n = 8, 7
+        gw = ((Atom.t(1, 4), 37), (Atom.d(0), -5), (Atom.t(2, 7), -23), (Atom.s(2), 11))
+        want = _normal_factors(expand(gw, n))
+        # the first sweep of each syllable copy follows its safe point
+        firsts, k = set(), 0
+        for atom, e in gw:
+            size = len(_normal_factors(expand(((atom, 1 if e > 0 else -1),), n))[1])
+            for _ in range(abs(e)):
+                firsts.add(k)
+                k += size
+        try:
+            ctx, watch = _watched_context(monkeypatch, n, cap, firsts)
+            assert gen_normal_factors(gw, n) == want
+            assert watch.sweeps == k and watch.resets >= 2
+            assert ctx.pairs.peak <= cap and ctx.flips.peak <= cap
         finally:
             _ctx.cache_clear()
 
     def test_cells_not_entries_are_bounded(self):
-        # an entry holds four n-tuples at most, so entries * n bounds its size
+        # a registered array holds n ints, so the budget times n bounds the registry
         for n in (3, 10, 64, 1000):
             ctx = garside._Ctx(n)
-            assert ctx.pairs.cap * n <= garside.RENORM_MEMO_CELLS
-            assert ctx.flips.cap * n <= garside.RENORM_MEMO_CELLS
-        # no benchmark-sized memo is cleared: ~6.5k entries at n=10, ~1.6k at n=32-64
-        assert garside._Ctx(10).pairs.cap >= 50_000
-        assert garside._Ctx(64).pairs.cap >= 8_000
+            assert ctx.flips.cap == ctx.cap and ctx.cap * n <= garside.RENORM_MEMO_CELLS
+        # no benchmark-sized memo is cleared: ~6.5k pair entries at n=10, ~1.6k at n=32-64
+        assert garside._Ctx(10).cap >= 50_000
+        assert garside._Ctx(64).cap >= 8_000
+
+
+class TestRegistry:
+    """Each distinct factor array is registered once, and the memos hold only its ids."""
+
+    def test_each_array_is_registered_once(self):
+        rng = random.Random(31)
+        for n, count in ((6, 20), (40, 5)):
+            for _ in range(count):
+                w = random_word(rng, n, 200)
+                inf, fs = _normal_factors(w)
+                assert all(type(f) is tuple for f in fs)
+                nf = normal_form(w)
+                assert type(nf.factors) is tuple and all(type(f) is tuple for f in nf.factors)
+            ctx = _ctx(n)
+            factors, ids = ctx.factors, ctx.ids
+            assert len(set(factors)) == len(factors) == len(ids) > 2
+            assert all(ids[f] == i for i, f in enumerate(factors))
+            mask = (1 << ctx.bits) - 1
+            assert ctx.pairs and ctx.flips
+            for key, value in ctx.pairs.items():
+                assert key >> ctx.bits < len(factors) and key & mask < len(factors)
+                if value != garside._LEFT_WEIGHTED:
+                    assert value >> ctx.bits < len(factors) and value & mask < len(factors)
+            assert all(x < len(factors) and y < len(factors) for x, y in ctx.flips.items())
 
 
 def _same_sign_runs(letters):
@@ -601,22 +689,19 @@ def _random_perm(rng, n):
     return tuple(x)
 
 
-def _sweep_pairs(ctx, words):
+def _sweep_pairs(monkeypatch, words):
     """Every pair the backward sweeps over the words hand to the pair kernel."""
     seen = []
-    pairs = ctx.pairs
-    kernel = pairs.compute
+    kernel = garside._left_weight
 
     def record(pair):
         seen.append(pair)
         return kernel(pair)
 
-    pairs.compute = record
-    try:
+    with monkeypatch.context() as patch:
+        patch.setattr(garside, "_left_weight", record)
         for w in words:
             _normal_factors(w)
-    finally:
-        pairs.compute = kernel
     return seen
 
 
@@ -652,14 +737,13 @@ class TestPairKernel:
                     count += 1
         assert count == 15_016
 
-    def test_resumed_scan_on_pairs_from_sweeps(self):
+    def test_resumed_scan_on_pairs_from_sweeps(self, monkeypatch):
         rng = random.Random(25)
         count = 0
         for n in range(3, 65):
-            ctx = _ctx(n)
-            ctx.pairs.clear()
+            _ctx(n).pairs.clear()
             words = [random_word(rng, n, 60) for _ in range(2)]
-            for a, b in _sweep_pairs(ctx, words):
+            for a, b in _sweep_pairs(monkeypatch, words):
                 assert garside._bubble(a, b) == _bubble(a, b), (a, b)
                 count += 1
         assert count > 2_000
@@ -701,16 +785,20 @@ class TestPairKernel:
                 a, b = _random_perm(rng, n), _random_perm(rng, n)
             assert garside._meet(a, b) == _bubble(a, b), (a, b)
 
-    def test_pairs_from_wide_sweeps(self):
+    def test_pairs_from_wide_sweeps(self, monkeypatch):
         rng = random.Random(24)
         routed = 0
         for n in (garside.MEET_MIN_STRANDS, 32, 64):
             ctx = _ctx(n)
-            ctx.pairs.clear()
+            ctx.reset()  # far below the budget, so no id changes during the words
+            ids, bits = ctx.ids, ctx.bits
             words = [random_word(rng, n, 100) for _ in range(2)]
-            for a, b in _sweep_pairs(ctx, words):
-                assert garside._meet(a, b) == _bubble(a, b), (a, b)
-                assert (a, b) in ctx.pairs and ctx.pairs[a, b] == _bubble(a, b)
+            for a, b in _sweep_pairs(monkeypatch, words):
+                want = _bubble(a, b)
+                assert garside._meet(a, b) == want, (a, b)
+                # the memo holds the pair's ids packed in one int, and so its result
+                packed = ids[want[0]] << bits | ids[want[1]] if want else garside._LEFT_WEIGHTED
+                assert ctx.pairs[ids[a] << bits | ids[b]] == packed
                 routed += 2 * _descents(b) > n and 2 * _descents(a) < _descents(b)
         assert routed > 100  # the gate sends wide sweeps to the meet
 
