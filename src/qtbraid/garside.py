@@ -24,8 +24,8 @@ entries.  A negative run sigma_{i1}^{-1} ... sigma_{ik}^{-1} is y^{-1} with y =
 sigma_ik ... sigma_i1; it keeps the array of y^{-1}, where prepending
 sigma_{s+1} to y passes the same test and makes the same swap, lowers d by one
 and contributes Delta y^{-1}, the array q -> n - 1 - y^{-1}[q].  A one-letter
-run takes its factor from a table per parity of d.  A run equal to Delta only
-raises d (tau^{d+1} tau = tau^d); one with y = Delta only lowers it.
+run takes its factor from one table, keyed by its letter read through tau^d.
+A run equal to Delta only raises d; one with y = Delta only lowers it.
 
 From LEVEL_MIN_STRANDS strands on, the letters are first put in the order of
 their levels (Cartier and Foata, LNM 85, 1969): a letter +-i has level 1 + the
@@ -51,10 +51,10 @@ not simple), so the list never holds Delta or the identity.
 
 gen_normal_factors reads a generator word (words.GenWord) syllable by syllable.
 Each atom^{+-1} has its normal form Delta^inf f_1 ... f_k, built once by the
-letter pass over its expansion and kept with tau of each factor.  Appending it
+letter pass over its expansion and kept as one id per factor.  Appending it
 raises d by inf (Delta^inf moves left past each true factor g as tau^inf(g), so
-the stored tau^d(g) stay), then appends and sweeps each f_i as tau^d(f_i) at
-the parity of d then current: the letter pass's result, by uniqueness and the
+the stored tau^d(g) stay), then appends and sweeps each f_i as tau^d(f_i), read
+from the flips table at odd d: the letter pass's result, by uniqueness and the
 sweep lemma.  A power atom^e is |e| such syllables.  The syllable table holds
 at most two forms for each of the n^2 + n - 1 atoms in range.
 
@@ -158,26 +158,25 @@ def _tau(x: Factor) -> Factor:
     return tuple([n1 - v for v in reversed(x)])
 
 
-def _letter_id(ids: Table, n: int, slot: list[int], x: int) -> int:
-    """The id of tau^parity of the signed letter's factor; slot is _Ctx.slots[parity]."""
-    # sigma_i is its own factor, sigma_i^{-1} = Delta^{-1} (Delta sigma_i^{-1}),
-    # and tau maps sigma_i to sigma_{n-i}, Delta sigma_i^{-1} to Delta sigma_{n-i}^{-1}
-    i = slot[x]
-    f = list(range(n)) if x > 0 else list(range(n - 1, -1, -1))
+def _letter_id(ids: Table, n: int, s: int) -> int:
+    """The id of the factor of sigma_{s+1}, or of sigma_{~s+1}^{-1} for s < 0."""
+    # sigma_i is its own factor, sigma_i^{-1} = Delta^{-1} (Delta sigma_i^{-1})
+    f, i = (list(range(n)), s) if s >= 0 else (list(range(n - 1, -1, -1)), ~s)
     f[i], f[i + 1] = f[i + 1], f[i]
     return ids[tuple(f)]
 
 
-def _syllable_form(n: int, syllable: tuple) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(inf, ((f, tau f), ...)) in ids, the normal form of the syllable (atom, +-1).
+def _syllable_form(n: int, syllable: tuple) -> tuple[int, list[int]]:
+    """(inf, the ids of the factors), the normal form of the syllable (atom, +-1).
 
     Made by reading its expansion once, with no safe point, as it runs inside a
     pass whose ids it must keep.  The caller checks the atom's range first.
     """
     ctx = _ctx(n)
     inf, fs = _letter_ids(ctx, expand((syllable,), n), math.inf)
-    flipped = list(map(ctx.flips.__getitem__, fs))  # fs holds tau^inf of each factor
-    return inf, tuple(zip(flipped, fs) if inf & 1 else zip(fs, flipped))
+    if inf & 1:  # fs holds tau^inf of each factor
+        fs = list(map(ctx.flips.__getitem__, fs))
+    return inf, fs
 
 
 def _left_weight(pair: tuple[Factor, Factor]) -> tuple[Factor, Factor] | None:
@@ -269,12 +268,12 @@ class _Ctx:
         for k in range(1, n):
             self.slots[0][k] = self.slots[0][-k] = k - 1
             self.slots[1][k] = self.slots[1][-k] = n - 1 - k
-        # [parity][letter]: the id of tau^parity of the letter's factor
-        self.letters = tuple(Table(partial(_letter_id, ids, n, slot)) for slot in self.slots)
+        # s -> the id of sigma_{s+1}'s factor, ~s -> that of sigma_{s+1}^{-1}'s
+        self.letters = Table(partial(_letter_id, ids, n))
         self.syllables = Table(partial(_syllable_form, n))
         # a << bits | b -> the left-weighted pair, packed so, or _LEFT_WEIGHTED
         self.pairs: dict[int, int] = {}
-        # x -> tau(x), read by the Delta pull and the final flip
+        # x -> tau(x), read by the Delta pull, syllable copies at odd d and the final flip
         self.flips = Table(lambda x: ids[_tau(factors[x])], self.cap)
         self.reset()
 
@@ -283,7 +282,7 @@ class _Ctx:
         factors, ids = self.factors, self.ids
         arrays = [list(map(factors.__getitem__, part)) for part in live]
         del factors[2:]
-        for table in (ids, *self.letters, self.syllables, self.pairs, self.flips):
+        for table in (ids, self.letters, self.syllables, self.pairs, self.flips):
             table.clear()
         ids.update(zip(factors, (_IDENTITY, _DELTA)))
         return [list(map(ids.__getitem__, part)) for part in arrays]
@@ -386,7 +385,8 @@ def _letter_ids(ctx: _Ctx, w: BraidWord, limit: float) -> tuple[int, list[int]]:
         # sigma_i sigma_i is not simple, so a run outlasts x only if the next
         # letter has its sign and another index
         if i == end or (word[i] ^ x) < 0 or word[i] == x:
-            fs.append(letters[d & 1][x])
+            s = slots[d & 1][x]
+            fs.append(letters[s if x > 0 else ~s])
         else:
             run = list(identity)  # the array of x, or of y^{-1} for a negative run
             slot = slots[d & 1]
@@ -432,18 +432,18 @@ def gen_normal_factors(gw: GenWord, n: int) -> tuple[int, list[Factor]]:
         raise WordError(f"need at least 2 strands, got {n}")
     check_expansion(gw, n)
     ctx = _ctx(n)
-    syllables, registry, cap = ctx.syllables, ctx.factors, ctx.cap
+    syllables, registry, flips, cap = ctx.syllables, ctx.factors, ctx.flips, ctx.cap
     fs: list[int] = []
     d, top = 0, cap
     for atom, e in gw:
         inf, form = syllables[atom, 1 if e > 0 else -1]
         for _ in range(abs(e)):
             if len(registry) >= top:  # a safe point, as in _letter_ids
-                fs, *form = ctx.reset(fs, *form)
+                fs, form = ctx.reset(fs, form)
                 top = len(registry) + cap
             d += inf  # the stored factors stay (see the module docstring)
             for f in form:
-                fs.append(f[d & 1])
+                fs.append(flips[f] if d & 1 else f)
                 d = _sweep(ctx, fs, d)
     return _arrays(ctx, d, fs)
 

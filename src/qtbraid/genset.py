@@ -32,37 +32,37 @@ every d<k> stays below N:
 
     t(1,k) = t(1,k-1) d0^{k-n} d<k-1>^{-1} d0^{n-k+1},    t(1,1) = 1.
 
-The output is in central form.  Relation 3 makes d0^n = t(1,n) the full
-twist, which generates the centre of B_n, so a word over either alphabet is
-d0^(nQ) times its reduced image in Z/n * F(alphabet without d0): freely
-reduced, every d0 exponent in (-n/2, n/2] (an even-n tie at +n/2), Q fixed
-by the total d0 exponent.  That form is unique for the word's free-group
-element, and exact, since a central power moves anywhere without changing
-the braid; writing d0^9 at n = 9 as the central unit lets t1,5^-1 d0^9 t1,5
-cancel.  d0^(nQ) is spread one d0^(+-n) onto each of the first |Q| d0
-syllables, the first taking what is left, or put in front of a word without
+The output is in central form.  Relation 3 makes d0^n = t(1,n) the full twist,
+which generates the centre of B_n, so a word over either alphabet is d0^(nQ)
+times its reduced image in Z/n * F(alphabet without d0): freely reduced, every
+d0 exponent in (-n/2, n/2] (an even-n tie at +n/2, chosen by words._half
+alone), Q fixed by the total d0 exponent.  That form is unique for the word's
+free-group element, and exact, since a central power moves anywhere without
+changing the braid; writing d0^9 at n = 9 as the central unit lets t1,5^-1
+d0^9 t1,5 cancel.  d0^(nQ) is spread one d0^(+-n) onto each of the first |Q|
+d0 syllables, the first taking what is left, or put in front of a word without
 d0: collected into one syllable it reaches d0^-2412 at n = 12 on a 36-row
-form, where spread only the first d0 syllable, and only when |Q| exceeds
-their number, strays more than n from (-n/2, n/2].
+form, where spread only the first d0 syllable, and only when |Q| exceeds their
+number, strays more than n from (-n/2, n/2].
 
 Each strand count keeps four ImageTables (_tables, at most
 words.STRAND_CACHE_SIZE strand counts) keyed by width: the index shift holds
-for a(i,j) as for t(i,j), so each stores only the images of x(1,l),
-l = 2..n, reduced with their central counts (t(1,n) = d0^n is the empty word
-and one unit).  The thm41 twist table writes its long twists when it is
+for a(i,j) as for t(i,j), so each stores only the images of x(1,l), l = 2..n,
+reduced, with the central units d0^n in a piece's head (t(1,n) = d0^n is the
+piece (n, (), 0)).  The thm41 twist table writes its long twists when it is
 built; its image function answers only the short twists, letters of the
-alphabet.  The others fill on first lookup: a private table rewrites the
-short twists into the thm42 alphabet by the recurrence (both short-twist
-image functions refuse any other atom by one check), the thm41 a-atom
-table maps a(1,l) to the twist table's image of purebraid.a_to_t(n, 1, l),
-and the thm42 one to that image rewritten by the short-twist table.  No
-table looks itself up, so none is a reference cycle.  decompose is one pass
-(ImageTable.substitute) of the combed word through its target's a-atom
-table: image^e per syllable a(i,j)^e, d0^e kept, reduced at the seams only.
-Each a-atom table checks an image against its target's alphabet once, as it
-stores it, and raises AssertionError (kept under python -O) if it strays;
-every output syllable is d0 or comes from an entry, so the output is not
-scanned again.
+alphabet.  The others fill on first lookup: a private table rewrites the short
+twists into the thm42 alphabet by the recurrence (both short-twist image
+functions refuse any other atom by one check), the thm41 a-atom table maps
+a(1,l) to the twist table's image of purebraid.a_to_t(n, 1, l), and the thm42
+one to that image rewritten by the short-twist table.  No table looks itself
+up, so none is a reference cycle.  decompose is one pass
+(ImageTable.substitute) of the combed word through its target's a-atom table:
+image^e per syllable a(i,j)^e, d0^e kept, reduced at the seams only.  Each
+a-atom table checks an image against its target's alphabet once, as it stores
+it, and raises AssertionError (kept under python -O) if it strays; every
+output syllable is d0 or comes from an entry, so the output is not scanned
+again.
 
 decompose refuses a strand count whose long thm41 twists could hold more than
 words.MAX_LETTERS syllables (n > 2112), counted from lengths only before any

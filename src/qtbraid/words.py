@@ -312,13 +312,19 @@ def gen_reduce(gw: Iterable[tuple[Atom, int]]) -> GenWord:
     return _reduce(gw)[0]
 
 
+def _half(n: int) -> int:
+    """h, with every d0 exponent of the central form on n strands kept in
+    -h..n-1-h, which is (-n/2, n/2]: the one place the even-n tie is chosen."""
+    return (n - 1) // 2
+
+
 def _reduce(gw: Iterable[tuple[Atom, int]], n: int = 0) -> tuple[GenWord, int]:
     """(w, q): gw freely reduced to w, in one stack pass that merges each
     syllable into the top.  With n, whose d0^n is central, d0 exponents are
-    kept in (-n/2, n/2], which is -h..n-1-h, and gw = d0^(n q) w, w in the
-    central form of ImageTable.  A syllable that comes through unchanged is
-    kept as the same tuple, so reducing a reduced word copies no syllable."""
-    center, h = (_D0 if n else None), (n - 1) // 2
+    kept in -h..n-1-h, h = _half(n), and gw = d0^(n q) w, w in the central
+    form of ImageTable.  A syllable that comes through unchanged is kept as
+    the same tuple, so reducing a reduced word copies no syllable."""
+    center, h = (_D0 if n else None), _half(n)
     out: list[tuple[Atom, int]] = []
     q = 0
     for syllable in gw:
@@ -335,21 +341,18 @@ def _reduce(gw: Iterable[tuple[Atom, int]], n: int = 0) -> tuple[GenWord, int]:
 def _join(out: list[tuple[Atom, int]], piece: GenWord, n: int = 0) -> int:
     """Append the reduced word piece to the reduced list out; only the seam can merge.
 
-    With n, whose d0^n is central, out and piece are reduced with every d0
-    exponent in (-n/2, n/2]; two such exponents merged at the seam are
-    brought back into that range, and the number of d0^n taken out is
-    returned.  A d0 syllable that drops to 0 lets the merging go on.
+    With n, whose d0^n is central, out and piece are in central form; a d0
+    exponent merged at the seam is brought back into -h..n-1-h, h = _half(n),
+    and the number of d0^n taken out is returned.  A d0 syllable that drops
+    to 0 lets the merging go on.
     """
-    center, q, k = (_D0 if n else None), 0, 0
+    center, h, q, k = (_D0 if n else None), _half(n), 0, 0
     m = len(piece)
     while out and k < m and out[-1][0] == piece[k][0]:
         atom, e = out.pop()
         e, k = e + piece[k][1], k + 1
-        if atom == center:  # e is in (-n, n], at most one n out of range
-            if 2 * e > n:
-                e, q = e - n, q + 1
-            elif 2 * e <= -n:
-                e, q = e + n, q - 1
+        if atom == center:
+            q, e = q + (e + h) // n, (e + h) % n - h
         if e:
             out.append((atom, e))
             break  # piece is reduced, so its next atom differs
@@ -389,15 +392,14 @@ class ImageTable(Table):
     entries stored before it.
 
     Words are kept in central form: d0^(n q) times a reduced word with every
-    d0 exponent in (-n/2, n/2], its image in Z/n * F(other atoms).  That form
-    is unique: the reduced word of the image, with q fixed by the total d0
-    exponent.  Each entry holds, for the image and for its inverse, a piece
-    (head, body, tail, q): the word is d0^(n q + head) body d0^tail, with
-    body neither starting nor ending in d0.  The inverse has a q of its own,
-    since an even-n tie d0^-(n/2) is kept as d0^(n/2) d0^-n.  By the paper's
-    relation 4, d0 x(i,j) d0^-1 = x(i+1,j+1), the table reads x(i,j), j <= n,
-    as d0^(i-1) x(1,j-i+1) d0^-(i-1), so image is never given an x(i,j) with
-    1 < i < j <= n.
+    d0 exponent in -h..n-1-h, h = _half(n), its image in Z/n * F(other atoms).
+    That form is unique: the reduced word of the image, with q fixed by the
+    total d0 exponent.  Each entry holds, for the image and for its inverse, a
+    piece (head, body, tail): the word is d0^head body d0^tail, with body
+    neither starting nor ending in d0, and the central units d0^(n q) in head.
+    By the paper's relation 4, d0 x(i,j) d0^-1 = x(i+1,j+1), the table reads
+    x(i,j), j <= n, as d0^(i-1) x(1,j-i+1) d0^-(i-1), so image is never given
+    an x(i,j) with 1 < i < j <= n.
     """
 
     def __init__(self, image: Callable[[Atom], GenWord], n: int):
@@ -411,12 +413,11 @@ class ImageTable(Table):
         One pass with one central counter q, spread over the result (_spread).
         pend is the d0 exponent owed at the end of out, which never ends in d0:
         each piece's head and tail, and each d0 syllable of gw, are added to it,
-        and it is brought into (-n/2, n/2] and written only before the next
-        body.  Bodies are reduced, so where pend is 0 only the seam can merge,
-        and _join cancels as far as it does.
+        and it is brought into -h..n-1-h, h = _half(n), and written only before
+        the next body.  Bodies are reduced, so where pend is 0 only the seam
+        can merge, and _join cancels as far as it does.
         """
-        n, d0 = self.n, _D0
-        h = (n - 1) // 2  # (-n/2, n/2] is -h..n-1-h
+        n, d0, h = self.n, _D0, _half(self.n)
         out: list[tuple[Atom, int]] = []
         q, pend, get = 0, 0, self.get
         for atom, e in gw:
@@ -426,10 +427,9 @@ class ImageTable(Table):
             kind, i, j = atom  # x(i,j) with j > n is looked up as it is, and refused
             key = (kind, 1, j - i + 1) if 1 < i and 0 < j <= n else atom
             # a stored piece is read by its plain key; only a miss builds the Atom
-            head, body, tail, c = (get(key) or self[Atom(*key)])[e < 0]
+            head, body, tail = (get(key) or self[Atom(*key)])[e < 0]
             if body and key is not atom:
                 head, tail = head + i - 1, tail - i + 1
-            q += c * abs(e)
             for _ in range(abs(e)):
                 pend += head
                 if not body:
@@ -475,25 +475,19 @@ def _spread(out: list[tuple[Atom, int]], q: int, n: int) -> None:
 
 
 def _pieces(word: GenWord, n: int):
-    """The ImageTable pieces (head, body, tail, q) of word and its inverse on
-    n strands: what an entry holds in place of its image word and its inverse.
+    """The ImageTable pieces (head, body, tail) of word and of its inverse on
+    n strands: what an entry holds in place of its image word and its inverse."""
+    return _piece(word, n), _piece(gen_inverse(word), n)
 
-    The inverse of d0^(n q) w is d0^(-n q) w^-1.  w^-1 is reduced too, but at
-    even n each d0^(n/2) of w turns into the tie d0^-(n/2), which _reduce
-    writes as d0^(n/2) d0^-n, so its central count is what _reduce counts
-    less q."""
+
+def _piece(word: GenWord, n: int) -> tuple[int, GenWord, int]:
     word, q = _reduce(word, n)
-    inverse, inverse_q = _reduce(gen_inverse(word), n)
-    return _piece(word, q), _piece(inverse, inverse_q - q)
-
-
-def _piece(word: GenWord, q: int) -> tuple[int, GenWord, int, int]:
-    head = tail = 0
+    head, tail = n * q, 0
     if word and word[0][0] == _D0:
-        head, word = word[0][1], word[1:]
+        head, word = head + word[0][1], word[1:]
     if word and word[-1][0] == _D0:
         tail, word = word[-1][1], word[:-1]
-    return head, word, tail, q
+    return head, word, tail
 
 
 def _atom_length(atom: Atom, n: int) -> int:

@@ -69,15 +69,17 @@ def stack_reduce(gw) -> GenWord:
     return tuple(out)
 
 
-def central_reduce(gw, n: int) -> GenWord:
+def central_reduce(gw, n: int, tie: int = 1) -> GenWord:
     """The central form of gw on n strands, sharing no code with the library's.
 
     d0^n is central, so gw is d0^(n Q) times its reduced image in
     Z/n * F(other atoms).  One stack pass reduces it there, keeping each d0
     exponent as a residue 0..n-1 and dropping the residue 0; the residues
-    are then moved into (-n/2, n/2].  d0^(n Q), with Q read off the total d0
-    exponent, is spread one d0^(+-n) onto each of the first |Q| d0 syllables,
-    the first of them taking what is left; with no d0 syllable it goes in front.
+    are then moved into (-n/2, n/2], or into [-n/2, n/2) for a negative tie,
+    the sign an even-n residue n/2 is written with.  d0^(n Q), with Q read
+    off the total d0 exponent, is spread one d0^(+-n) onto each of the first
+    |Q| d0 syllables, the first of them taking what is left; with no d0
+    syllable it goes in front.
     """
     d0 = Atom.d(0)
     stack: list[tuple[Atom, int]] = []
@@ -88,7 +90,10 @@ def central_reduce(gw, n: int) -> GenWord:
             e %= n
         if e:
             stack.append((atom, e))
-    body = [(atom, e - n if atom == d0 and 2 * e > n else e) for atom, e in stack]
+    body = [
+        (atom, e - n if atom == d0 and (2 * e > n or 2 * e == n and tie < 0) else e)
+        for atom, e in stack
+    ]
     central = sum(e for atom, e in gw if atom == d0) - sum(e for atom, e in body if atom == d0)
     assert central % n == 0, (gw, n)
     units, unit = abs(central) // n, (n if central > 0 else -n)

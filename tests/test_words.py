@@ -547,8 +547,84 @@ class TestImageTableSubstitute:
         table = ImageTable(lambda atom: ((_D0, 1), (_X, 2), (_X, -2), (_D0, 2)), 7)
         gw = ((_D0, 2), (_D0, -1), (_A, 1), (_D0, -3), (_D0, 0))
         assert table.substitute(gw) == ((_D0, 1),)
-        # stored reduced: the pieces (head, body, tail, q) of d0^3 and d0^-3
-        assert table[_A] == ((3, (), 0, 0), (-3, (), 0, 0))
+        # stored reduced: the pieces (head, body, tail) of d0^3 and d0^-3
+        assert table[_A] == ((3, (), 0), (-3, (), 0))
+        # a central unit is folded into the head: d0^9 = d0^7 d0^2 on 7 strands
+        table = ImageTable(lambda atom: ((_D0, 9),), 7)
+        assert table[_A] == ((9, (), 0), (-9, (), 0))
+        assert table.substitute(((_A, 2), (_D0, 1))) == ((_D0, 19),)
+
+
+def _random_syllables(rng, atoms, n, length):
+    """A random unreduced word over atoms, d0 exponents up to 2n either way."""
+    out = []
+    for _ in range(length):
+        atom = rng.choice(atoms)
+        top = 2 * n if atom == _D0 else 3
+        out.append((atom, rng.randint(-top, top)))
+    return tuple(out)
+
+
+class TestCentralTie:
+    """The even-n tie of the central form is chosen in words._half alone:
+    with the tie moved to -n/2 there, _reduce, the seams of _join and
+    ImageTable.substitute all write it so, as central_reduce does given the
+    same tie."""
+
+    @pytest.fixture(autouse=True)
+    def _negative_tie(self, monkeypatch):
+        monkeypatch.setattr(words, "_half", lambda n: n // 2)
+
+    def test_reduce(self):
+        rng = random.Random(33)
+        ties = 0
+        for _ in range(600):
+            n = rng.choice((2, 4, 6, 8))
+            gw = _random_syllables(rng, (_X, _Y, _D0), n, rng.randint(0, 10))
+            out, q = words._reduce(gw, n)
+            out = list(out)
+            if q:
+                words._spread(out, q, n)
+            assert tuple(out) == central_reduce(gw, n, tie=-1), (n, gw)
+            ties += (_D0, -n // 2) in out
+        assert ties > 20
+
+    def test_join_seams(self):
+        rng = random.Random(34)
+        ties = 0
+        for _ in range(600):
+            n = rng.choice((2, 4, 6, 8))
+            u = words._reduce(_random_syllables(rng, (_X, _Y, _D0), n, 6), n)[0]
+            # v opens by cancelling part of u's end, so the seam merges
+            k = rng.randint(0, len(u))
+            start = [(atom, -e + rng.randint(-1, 1)) for atom, e in reversed(u[k:])]
+            tail = _random_syllables(rng, (_X, _Y, _D0), n, 4)
+            v = words._reduce(tuple(start) + tail, n)[0]
+            out = list(u)
+            q = words._join(out, v, n)
+            if q:
+                words._spread(out, q, n)
+            assert tuple(out) == central_reduce(u + v, n, tie=-1), (n, u, v)
+            ties += (_D0, -n // 2) in out
+        assert ties > 20
+
+    def test_substitute(self):
+        rng = random.Random(35)
+        ties = 0
+        for _ in range(400):
+            n = rng.choice((2, 4, 6))
+            images = {
+                l: _random_syllables(rng, (_X, _Y, _D0), n, rng.randint(0, 4))
+                for l in range(2, n + 1)
+            }
+            atoms = [Atom.t(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+            gw = _random_syllables(rng, atoms + [_D0], n, rng.randint(0, 8))
+            table = ImageTable(lambda atom: images[atom.j], n)
+            plain = substitute_then_reduce(lambda atom: _shifted_image(images, atom), gw)
+            out = table.substitute(gw)
+            assert out == central_reduce(plain, n, tie=-1), (n, images, gw)
+            ties += (_D0, -n // 2) in out
+        assert ties > 20
 
 
 class TestSyllableText:
