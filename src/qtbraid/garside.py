@@ -38,6 +38,22 @@ from 790 to 179, for ~0.7 us a letter; below 8 strands it did not pay.  Each
 LEVEL_BLOCK letters are sorted as a word of their own (the same braid), read
 back from the word's tuple: 8 bytes a letter, with a peak of 25 at n=16.
 
+Before the run loop, and before the level order from LEVEL_MIN_STRANDS on,
+each pair sigma_i^{+-1} ... sigma_i^{-+1} whose letters in between all commute
+with sigma_i (their indices differ from i by 2 or more) is deleted.  In the
+trace those letters can be moved out from between the pair, which then
+cancels, so the result is the same braid and the normal form is unchanged.
+One pass keeps a stack of the surviving positions of each index: a letter
+deletes the top of its own stack when that top is its inverse and the last
+survivors of indices i - 1 and i + 1 lie before it.  A deletion frees no
+earlier pair, so one pass leaves none.  On random words 58-63 % of the letters
+survive at n = 4-6 and 67-71 % at n = 32-64, for ~0.17 us a letter, and the
+pair-kernel calls fall by ~30 %.  Each LEVEL_BLOCK letters are cancelled
+as a word of their own: the survivors take 8 bytes each, and one block's
+positions ~40 bytes a letter, so a word of 8 blocks peaks near 11 bytes a
+letter.  A word of one sign, such as the paper's toric braids, has no such
+pair and is kept as it is after one min and max.
+
 Each run's factor is appended, and the pairs are left-weighted once from right
 to left.  By the sweep lemma (Elrifai and Morton, Q. J. Math. 1994; Epstein et
 al., "Word Processing in Groups", ch. 9) that backward sweep gives the normal
@@ -93,6 +109,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from operator import add, gt, sub
@@ -327,7 +344,38 @@ def _sweep(ctx: _Ctx, fs: list[int], d: int) -> int:
     return d
 
 
-def _by_levels(word: tuple[int, ...], n: int) -> list[int]:
+def _cancel_pairs(word: Sequence[int], n: int) -> Sequence[int]:
+    """word without its pairs x ... -x between letters that commute with x.
+
+    One pass per LEVEL_BLOCK letters (see the module docstring); a word of one
+    sign has no such pair and comes back as it is.
+    """
+    if not word or min(word) > 0 or max(word) < 0:
+        return word
+    block = LEVEL_BLOCK
+    out: list[int] = []
+    for start in range(0, len(word), block):
+        chunk = word[start : start + block]
+        keep = list(chunk)
+        below = keep[:]  # below[q]: the survivor of chunk[q]'s index under it
+        top = [-1] * (n + 1)  # top[i]: the last survivor +-i so far, or -1
+        q = 0
+        for x in chunk:
+            i = x if x > 0 else -x
+            p = top[i]
+            # with p = -1, chunk[p] may be -x, but top[i - 1] < p fails
+            if chunk[p] == -x and top[i - 1] < p > top[i + 1]:
+                top[i] = below[p]
+                keep[p] = keep[q] = 0
+            else:
+                below[q] = p
+                top[i] = q
+            q += 1
+        out += filter(None, keep)
+    return out
+
+
+def _by_levels(word: Sequence[int], n: int) -> list[int]:
     """The letters of word in the order of their levels, LEVEL_BLOCK letters at a time.
 
     See the module docstring.  Each block is put in order as a word of its
@@ -361,7 +409,9 @@ def _by_levels(word: tuple[int, ...], n: int) -> list[int]:
 def _letter_ids(ctx: _Ctx, w: BraidWord, limit: float) -> tuple[int, list[int]]:
     """(inf, factor ids) of the normal form, in one left-to-right pass over w.
 
-    fs holds tau^d of each true factor; each run's factor is appended and swept.
+    It reads w's letters after the commuting cancellation, and in level order
+    from LEVEL_MIN_STRANDS on.  fs holds tau^d of each true factor; each run's
+    factor is appended and swept.
     A safe point before each run empties the context after limit registrations.
     """
     n = w.strands
@@ -370,7 +420,9 @@ def _letter_ids(ctx: _Ctx, w: BraidWord, limit: float) -> tuple[int, list[int]]:
     registry, ids, letters, slots = ctx.factors, ctx.ids, ctx.letters, ctx.slots
     identity, w0 = registry[_IDENTITY], registry[_DELTA]
     n1 = n - 1
-    word = w.letters if n < LEVEL_MIN_STRANDS else _by_levels(w.letters, n)
+    word = _cancel_pairs(w.letters, n)
+    if n >= LEVEL_MIN_STRANDS:
+        word = _by_levels(word, n)
     end = len(word)
     fs: list[int] = []
     d, i, top = 0, 0, limit

@@ -213,8 +213,15 @@ class TestNormalForm:
     def test_invariant_under_free_reduction(self):
         rng = random.Random(10)
         for _ in range(50):
-            w = random_word(rng, rng.randint(2, 6), rng.randint(0, 25))
-            assert normal_form(free_reduce(w)) == normal_form(w)
+            n = rng.randint(2, 6)
+            w = random_word(rng, n, rng.randint(0, 25))
+            nf, reduced = normal_form(w), free_reduce(w).letters
+            assert normal_form(BraidWord(n, reduced)) == nf
+            # the commuting cancellation deletes what free reduction does, and may delete more;
+            # its result has one length whatever was deleted first
+            out = garside._cancel_pairs(w.letters, n)
+            assert normal_form(BraidWord(n, tuple(out))) == nf
+            assert len(garside._cancel_pairs(reduced, n)) == len(out) <= len(reduced)
 
     def test_factors_are_valid(self):
         for w in _reference_inputs():
@@ -670,6 +677,105 @@ class TestLevels:
         assert 2 * sweeps <= _same_sign_runs(w.letters), (sweeps, _same_sign_runs(w.letters))
 
 
+def cancel_reference(letters):
+    """Delete a pair x ... -x whose in-between letters all commute with x, until none is left.
+
+    A brute-force search from each letter in turn, sharing no code with the
+    library's stack pass: letters commute iff their indices differ by 2 or more.
+    """
+    w = list(letters)
+    a = 0
+    while a < len(w):
+        x = w[a]
+        for b in range(a + 1, len(w)):
+            if abs(abs(w[b]) - abs(x)) < 2:
+                if w[b] == -x:
+                    del w[b], w[a]
+                    a = -1  # search again from the start
+                break
+        a += 1
+    return w
+
+
+def _commuting_swapped(letters):
+    """letters with each commuting pair at positions (2k, 2k + 1) swapped."""
+    out = list(letters)
+    for k in range(0, len(out) - 1, 2):
+        if abs(abs(out[k]) - abs(out[k + 1])) >= 2:
+            out[k], out[k + 1] = out[k + 1], out[k]
+    return tuple(out)
+
+
+def _cancelling_word(rng, n, length):
+    """A word over at most four neighbouring indices, often the first or the last
+    ones (+-(n-1) included), so that many pairs cancel across commuting letters."""
+    lo = rng.choice([1, max(1, n - 4), rng.randint(1, n - 1)])
+    hi = min(n - 1, lo + 3)
+    return BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(lo, hi) for _ in range(length)))
+
+
+def _cancel_inputs(rng):
+    """At each n = 2-64: a random word, a word that cancels much, and a word times
+    the inverse of its end with commuting letters swapped."""
+    for n in range(2, 65):
+        yield random_word(rng, n, rng.randint(0, 60))
+        yield _cancelling_word(rng, n, rng.randint(1, 60))
+        u = random_word(rng, n, rng.randint(1, 40)).letters
+        yield BraidWord(n, u + _commuting_swapped(_negated(u[rng.randint(0, len(u)) :])))
+
+
+class TestCancel:
+    """The commuting cancellation deletes pairs as the brute-force search does,
+    and leaves the braid, so the normal form, as it was."""
+
+    def test_agrees_with_brute_force(self):
+        rng = random.Random(34)
+        for w in _cancel_inputs(rng):
+            n, letters = w.strands, w.letters
+            out = list(garside._cancel_pairs(letters, n))
+            assert len(out) == len(cancel_reference(letters)), w
+            rest = iter(letters)
+            assert all(x in rest for x in out), w  # a subsequence of the word
+            assert list(garside._cancel_pairs(out, n)) == out, w
+
+    def test_normal_form_is_unchanged(self, monkeypatch):
+        rng = random.Random(35)
+        words = list(_cancel_inputs(rng))
+        words += [random_word(rng, n, k) for n, k in ((4, 1500), (6, 2000), (16, 400), (64, 250))]
+        want = [_normal_factors(w) for w in words]
+        strands = set()  # the pass runs at every n from 3 on, with levels or without
+        monkeypatch.setattr(garside, "_cancel_pairs", lambda word, n: strands.add(n) or word)
+        assert [_normal_factors(w) for w in words] == want
+        assert strands == set(range(3, 65))
+
+    def test_words_of_one_sign_come_back_unchanged(self):
+        rng = random.Random(36)
+        for n in range(2, 65):
+            letters = tuple(abs(x) for x in random_word(rng, n, 50).letters) + (n - 1,)
+            for word in (letters, _negated(letters), ()):
+                assert garside._cancel_pairs(word, n) is word
+
+    def test_blocks_keep_the_normal_form_and_bound_memory(self, monkeypatch):
+        rng = random.Random(37)
+        words = [random_word(rng, 6, 600), random_word(rng, 16, 600), _cancelling_word(rng, 40, 600)]
+        want = [_normal_factors(w) for w in words]
+        monkeypatch.setattr(garside, "LEVEL_BLOCK", 5)
+        assert [_normal_factors(w) for w in words] == want
+        # the result holds 8 bytes a survivor, and the positions of one block at a
+        # time come on top: a word of 8 blocks stays under 16 bytes a letter, where
+        # one pass over the whole word took ~40
+        monkeypatch.setattr(garside, "LEVEL_BLOCK", 1024)
+        word = random_word(rng, 16, 8 * 1024).letters
+        tracemalloc.start()
+        try:
+            out = garside._cancel_pairs(word, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) < len(word)
+        assert peak <= 16 * len(word), peak / len(word)
+
+
 def _short(rng, n, swaps, base):
     """base times a few random adjacent swaps, as a 0-based factor array."""
     x = list(base)
@@ -792,7 +898,8 @@ class TestPairKernel:
             ctx = _ctx(n)
             ctx.reset()  # far below the budget, so no id changes during the words
             ids, bits = ctx.ids, ctx.bits
-            words = [random_word(rng, n, 100) for _ in range(2)]
+            # long enough that the pairs left after the commuting cancellation reach the meet
+            words = [random_word(rng, n, 150) for _ in range(2)]
             for a, b in _sweep_pairs(monkeypatch, words):
                 want = _bubble(a, b)
                 assert garside._meet(a, b) == want, (a, b)
