@@ -51,8 +51,10 @@ survive at n = 4-6 and 67-71 % at n = 32-64, for ~0.17 us a letter, and the
 pair-kernel calls fall by ~30 %.  Each LEVEL_BLOCK letters are cancelled
 as a word of their own: the survivors take 8 bytes each, and one block's
 positions ~40 bytes a letter, so a word of 8 blocks peaks near 11 bytes a
-letter.  A word of one sign, such as the paper's toric braids, has no such
-pair and is kept as it is after one min and max.
+letter.  A word in which no letter's inverse occurs has no such pair: one
+set of its distinct letters shows it, and the word is kept as it is.  Words of
+one sign, such as the paper's toric braids, are among them, and so are
+alternating-sign words such as (sigma_1 sigma_2^-1)^k.
 
 Each run's factor is appended, and the pairs are left-weighted once from right
 to left.  By the sweep lemma (Elrifai and Morton, Q. J. Math. 1994; Epstein et
@@ -112,7 +114,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from operator import add, gt, sub
+from operator import add, gt, neg, sub
 
 from .words import (
     STRAND_CACHE_SIZE,
@@ -347,10 +349,11 @@ def _sweep(ctx: _Ctx, fs: list[int], d: int) -> int:
 def _cancel_pairs(word: Sequence[int], n: int) -> Sequence[int]:
     """word without its pairs x ... -x between letters that commute with x.
 
-    One pass per LEVEL_BLOCK letters (see the module docstring); a word of one
-    sign has no such pair and comes back as it is.
+    One pass per LEVEL_BLOCK letters (see the module docstring); a word in
+    which no letter's inverse occurs has no such pair and comes back as it is.
     """
-    if not word or min(word) > 0 or max(word) < 0:
+    s = set(word)
+    if s.isdisjoint(map(neg, s)):
         return word
     block = LEVEL_BLOCK
     out: list[int] = []

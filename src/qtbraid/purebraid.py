@@ -6,6 +6,12 @@ l, and the map p -> (lk_{k,l}(p)) gives the coordinates of p in the free
 abelianization of the pure braid group with respect to the looping generators
 a<i>,<j>.
 
+Both linking and comb walk the word once, tracking the strand at each
+position, and read purity at the end of that walk: a word is refused unless
+every strand is back where it started.  For linking this is also the parity
+check, since each letter flips the order of exactly the strand pair whose
+crossing count it changes: the positions return iff every count is even.
+
 Combing writes a pure braid word as a product of a<i>,<j> atoms.  The word is
 split letter by letter through the Schreier transversal of canonical positive
 permutation lifts: a letter sigma_p^e either reduces against the lift (no
@@ -47,7 +53,6 @@ from .words import (
     _join,
     gen_inverse,
     gen_reduce,
-    is_pure,
 )
 
 # the size at which the loop-word table is emptied; one cap across strand
@@ -95,9 +100,13 @@ class LinkingMatrix:
 
 
 def linking(w: BraidWord) -> LinkingMatrix:
-    """Linking numbers of a pure braid, indexed by starting positions."""
-    if not is_pure(w):
-        raise WordError("linking numbers need a pure braid")
+    """Linking numbers of a pure braid, indexed by starting positions.
+
+    Purity is read at the end of the walk: the strands must be back at their
+    starting positions.  Each letter flips the order of the one strand pair
+    whose count it changes, so that holds iff every count is even, and the
+    halved counts are whole.
+    """
     n = w.strands
     cur = list(range(n))  # strand starting index at each position
     counts = [[0] * n for _ in range(n)]
@@ -108,16 +117,11 @@ def linking(w: BraidWord) -> LinkingMatrix:
             a, b = b, a
         counts[a][b] += 1 if x > 0 else -1
         cur[i], cur[i + 1] = cur[i + 1], cur[i]
-    rows = []
-    for i in range(n - 1):
-        row = []
-        for j in range(i + 1, n):
-            c = counts[i][j]
-            if c % 2:
-                raise AssertionError(f"odd crossing count {c} for strands {i + 1}, {j + 1}")
-            row.append(c // 2)
-        rows.append(tuple(row))
-    return LinkingMatrix(n, tuple(rows))
+    if cur != list(range(n)):
+        raise WordError("linking numbers need a pure braid")
+    return LinkingMatrix(
+        n, tuple(tuple(c // 2 for c in row[i + 1 :]) for i, row in enumerate(counts[:-1]))
+    )
 
 
 def _t(i: int, j: int, e: int = 1) -> GenWord:
@@ -160,9 +164,8 @@ def comb(w: BraidWord) -> GenWord:
     permutation; mismatching letters emit a conjugated double crossing.  The
     product of the emitted pieces telescopes back to w, so the result expands
     to a braid Garside-equal to the input.  Output length is not bounded.
+    Purity is read at the end of the walk, from the strands' positions.
     """
-    if not is_pure(w):
-        raise WordError("combing needs a pure braid")
     loops = _LOOPS
     image = list(range(w.strands))
     out: list[tuple[Atom, int]] = []
@@ -184,6 +187,8 @@ def comb(w: BraidWord) -> GenWord:
             _join(out, piece)
         else:
             out += piece
+    if image != list(range(w.strands)):
+        raise WordError("combing needs a pure braid")
     return tuple(out)
 
 

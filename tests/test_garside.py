@@ -754,6 +754,16 @@ class TestCancel:
             letters = tuple(abs(x) for x in random_word(rng, n, 50).letters) + (n - 1,)
             for word in (letters, _negated(letters), ()):
                 assert garside._cancel_pairs(word, n) is word
+            # mixed signs, but no letter's inverse occurs: (1 -2)^k, alternating
+            # signs over the indices, and a random sign fixed for each index
+            sign = [0] + [rng.choice((1, -1)) for _ in range(1, n)]
+            mixed = (
+                (1, -2) * 300 if n >= 3 else (),
+                tuple(i if i % 2 else -i for i in range(1, n)) * 8,
+                tuple(sign[abs(x)] * abs(x) for x in letters),
+            )
+            for word in mixed:
+                assert garside._cancel_pairs(word, n) is word
 
     def test_blocks_keep_the_normal_form_and_bound_memory(self, monkeypatch):
         rng = random.Random(37)

@@ -15,7 +15,8 @@ from qtbraid import (
     parse_word,
     toric,
 )
-from qtbraid import genset, purebraid
+from qtbraid import cli, genset, purebraid
+from qtbraid import words as words_module
 from qtbraid.genset import GensetTarget, decompose
 from qtbraid.garside import perm_braid_word
 from qtbraid.purebraid import a_to_t, comb, linking, t_decompose
@@ -114,11 +115,6 @@ class TestLinking:
         with pytest.raises(WordError):
             linking(BraidWord(3, (1,)))
 
-    def test_parity_postcondition_raises(self, monkeypatch):
-        monkeypatch.setattr(purebraid, "is_pure", lambda w: True)
-        with pytest.raises(AssertionError, match="odd crossing count"):
-            linking(BraidWord(3, (1,)))
-
     def test_format(self):
         lk = linking(BraidWord(3, (1, 1)))
         assert str(lk) == "1 0\n0"
@@ -126,6 +122,76 @@ class TestLinking:
     def test_sum_across_strand_counts_refused(self):
         with pytest.raises(WordError, match="strand mismatch"):
             linking(BraidWord(3, (1, 1))) + linking(BraidWord(4, (1, 1)))
+
+
+def _walk_pure_word(rng, n, k):
+    """A random k-letter word times the reverse of its indices, each with a
+    random sign: sigma_i^{+-1} both swap positions i, i+1, so the product is pure."""
+    u = random_word(rng, n, k).letters
+    return BraidWord(n, u + tuple(rng.choice((1, -1)) * abs(x) for x in reversed(u)))
+
+
+def _no_perm(*_):
+    raise AssertionError("words.perm called")
+
+
+class TestPurityFromTheWalk:
+    """comb and linking read purity from their own walk over the word."""
+
+    REFUSALS = ((comb, "combing needs a pure braid"), (linking, "linking numbers need a pure braid"))
+
+    @staticmethod
+    def _non_pure(rng):
+        words = [BraidWord(3, (1,)), BraidWord(4, (2,)), BraidWord(5, (1, 2, -1))]
+        for n in range(2, 10):
+            p = _walk_pure_word(rng, n, 20)
+            # non-pure only through the last letter
+            words.append(BraidWord(n, p.letters + (rng.choice((1, -1)) * rng.randint(1, n - 1),)))
+            words.append(BraidWord(n, p.letters[:-1]))
+        return words
+
+    def test_pure_words_need_no_second_walk(self, monkeypatch):
+        rng = random.Random(3501)
+        words = [_walk_pure_word(rng, n, k) for n in range(2, 10) for k in (0, 1, 7, 30)]
+        want = [(comb(w), linking(w)) for w in words]
+        monkeypatch.setattr(words_module, "perm", _no_perm)
+        monkeypatch.setattr(words_module, "is_pure", _no_perm)
+        assert [(comb(w), linking(w)) for w in words] == want
+
+    def test_non_pure_words_refused(self, monkeypatch):
+        rng = random.Random(3502)
+        words = self._non_pure(rng)
+        monkeypatch.setattr(words_module, "perm", _no_perm)
+        monkeypatch.setattr(words_module, "is_pure", _no_perm)
+        for w in words:
+            for f, message in self.REFUSALS:
+                with pytest.raises(WordError, match=f"^{message}$"):
+                    f(w)
+
+    def test_cli_refuses_with_exit_2(self, capsys):
+        rng = random.Random(3503)
+        for w in self._non_pure(rng):
+            text = " ".join(map(str, w.letters))
+            for command, (_, message) in zip(("comb", "linking"), self.REFUSALS):
+                for extra in ([], ["--json"]):
+                    assert cli.run([command, "-n", str(w.strands), text, *extra]) == 2
+                    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_linking_sums_the_combed_atoms(self):
+        # lk(a(i,j)) is the unit vector at (i,j), and linking is additive
+        rng = random.Random(3504)
+        for n in range(2, 10):
+            for _ in range(12):
+                p = _walk_pure_word(rng, n, rng.randint(0, 40))
+                sums = {}
+                for atom, e in comb(p):
+                    sums[atom.i, atom.j] = sums.get((atom.i, atom.j), 0) + e
+                lk = linking(p)
+                assert all(
+                    lk.lk(i, j) == sums.get((i, j), 0)
+                    for i in range(1, n)
+                    for j in range(i + 1, n + 1)
+                )
 
 
 class TestConjugationRules:
