@@ -18,9 +18,10 @@ Long twists resolve into the thm41 alphabet through
 
 where the four-hole relations behind the last two lines are part of the
 oracle-checked identity suite, and a degenerate twist t(k,k) is the empty
-word, written by the same helper as purebraid.a_to_t.  _tables substitutes
-the last three, as they stand and top-down, through the twist table, whose
-width key reads each shifted t(i,j) by the first.  The paper's thm42 lines are
+word, written by the same helper as purebraid.a_to_t.  _tables stores the
+short twists first, then substitutes the last three lines, as they stand and
+top-down, through the twist table, whose width key reads each shifted t(i,j)
+by the first.  The paper's thm42 lines are
 
     t(1,j)        = d0^{-(n-j)} t(n-j+1,n) d0^{n-j}
     t(n-1,n)^{-1} = d0^{-1} d1
@@ -49,20 +50,20 @@ Each strand count keeps four ImageTables (_tables, at most
 words.STRAND_CACHE_SIZE strand counts) keyed by width: the index shift holds
 for a(i,j) as for t(i,j), so each stores only the images of x(1,l), l = 2..n,
 reduced, with the central units d0^n in a piece's head (t(1,n) = d0^n is the
-piece (n, (), 0)).  The thm41 twist table writes its long twists when it is
-built; its image function answers only the short twists, letters of the
-alphabet.  The others fill on first lookup: a private table rewrites the short
-twists into the thm42 alphabet by the recurrence (both short-twist image
-functions refuse any other atom by one check), the thm41 a-atom table maps
-a(1,l) to the twist table's image of purebraid.a_to_t(n, 1, l), and the thm42
-one to that image rewritten by the short-twist table.  No table looks itself
-up, so none is a reference cycle.  decompose is one pass
-(ImageTable.substitute) of the combed word through its target's a-atom table:
-image^e per syllable a(i,j)^e, d0^e kept, reduced at the seams only.  Each
-a-atom table checks an image against its target's alphabet once, as it stores
-it, and raises AssertionError (kept under python -O) if it strays; every
-output syllable is d0 or comes from an entry, so the output is not scanned
-again.
+piece (n, (), 0)).  The thm41 twist table is written whole when it is built:
+the short twists as themselves, letters of the alphabet, then the long ones;
+its image function only refuses.  The other three fill on first lookup: a
+private table rewrites the short twists into the thm42 alphabet by the
+recurrence, refusing any other atom, and one function, _a_image, fills both
+a-atom tables: the thm41 one maps a(1,l) to the twist table's image of
+purebraid.a_to_t(n, 1, l), and the thm42 one reads that entry and rewrites it
+by the short-twist table.  No table looks itself up, so none is a reference
+cycle.  decompose is one pass (ImageTable.substitute) of the combed word
+through its target's a-atom table: image^e per syllable a(i,j)^e, d0^e kept,
+reduced at the seams only.  _a_image checks every a-atom entry against its
+target's alphabet once, as it is stored, and raises AssertionError (kept under
+python -O) if it strays; every output syllable is d0 or comes from an entry,
+so the output is not scanned again.
 
 decompose refuses a strand count whose long thm41 twists could hold more than
 words.MAX_LETTERS syllables (n > 2112), counted from lengths only before any
@@ -114,12 +115,8 @@ class GensetTarget:
             raise WordError(f"generating-set targets need n >= 3, got {self.strands}")
 
     @property
-    def size(self) -> int:
-        return short_twist_bound(self.strands)
-
-    @property
     def alphabet(self) -> tuple[Atom, ...]:
-        N = self.size
+        N = short_twist_bound(self.strands)
         if self.variant == "thm41":
             return (Atom.d(0),) + tuple(Atom.t(1, j) for j in range(2, N + 1))
         return tuple(Atom.d(k) for k in range(N))
@@ -147,41 +144,29 @@ def _long_twist_syllables(n: int) -> int:
     return N - 1 + (n > N) + 10 * (n - 1 > N) + 25 * m + 9 * m * (m - 1)
 
 
-def _short_twist(variant: str, n: int, atom: Atom) -> int:
-    """j of a short twist t(1,j), 2 <= j <= N; any other atom is foreign to variant's rewriting."""
-    if atom.kind != "t" or atom.i != 1 or not 2 <= atom.j <= short_twist_bound(n):
-        raise WordError(f"foreign atom {atom} in {variant} rewriting")
-    return atom.j
-
-
-def _thm41_image(n: int, atom: Atom) -> GenWord:
-    """A short twist t(1,j), j <= N: a letter of the thm41 alphabet."""
-    _short_twist("thm41", n, atom)
-    return ((atom, 1),)
+def _unstored_twist(atom: Atom) -> GenWord:
+    """The thm41 twist table's image function: the table holds every twist it
+    answers from the time it is built, so any atom it is asked for is foreign."""
+    raise WordError(f"foreign atom {atom} in thm41 rewriting")
 
 
 def _short_thm42_image(n: int, atom: Atom) -> GenWord:
-    """A short twist t(1,j) over the thm42 alphabet, by the recurrence of the module docstring."""
-    j = _short_twist("thm42", n, atom)
-    steps = (((_D0, k - n), (Atom.d(k - 1), -1), (_D0, n - k + 1)) for k in range(2, j + 1))
+    """A short twist t(1,j), 2 <= j <= N, over the thm42 alphabet, by the recurrence
+    of the module docstring; any other atom is foreign to the thm42 rewriting."""
+    if atom.kind != "t" or atom.i != 1 or not 2 <= atom.j <= short_twist_bound(n):
+        raise WordError(f"foreign atom {atom} in thm42 rewriting")
+    steps = (((_D0, k - n), (Atom.d(k - 1), -1), (_D0, n - k + 1)) for k in range(2, atom.j + 1))
     return tuple(chain.from_iterable(steps))
 
 
-def _thm42_image(thm41: ImageTable, short: ImageTable, atom: Atom) -> GenWord:
-    """An atom's thm41 image, rewritten into the thm42 alphabet by the short-twist table."""
-    return short.substitute(thm41.substitute(((atom, 1),)))
+def _a_image(variant: str, n: int, rewrite: Callable[[Atom], GenWord], atom: Atom) -> GenWord:
+    """a(1,j) over the variant's alphabet on n strands: rewrite(atom).
 
-
-def _a_image(n: int, twists: ImageTable, atom: Atom) -> GenWord:
-    """a(1,j) over the thm41 alphabet: the image of its full-twist word a_to_t."""
+    Refuses any other atom, and raises AssertionError (kept under python -O)
+    if the image leaves the alphabet."""
     if atom.kind != "a" or atom.i != 1:
         raise WordError(f"foreign atom {atom} in a-atom rewriting")
-    return twists.substitute(a_to_t(n, 1, atom.j))
-
-
-def _admitted(variant: str, n: int, image: Callable[[Atom], GenWord], atom: Atom) -> GenWord:
-    """image(atom), refused unless it lies in the variant's alphabet on n strands."""
-    word = image(atom)
+    word = rewrite(atom)
     if not GensetTarget(variant, n).admits(word):
         raise AssertionError(f"the {variant} image of {atom} leaves its alphabet")
     return word
@@ -209,12 +194,17 @@ def _tables(n: int) -> dict[str, ImageTable]:
             t(1, n - 1) + t(j + 1, n) + d0(-1) + t(1, j + 1) + d0(1) + t(1, n, -1)
             + t(j + 1, n - 1, -1)
         )
-    twists = ImageTable(partial(_thm41_image, n), n)
-    for j, line in lines.items():  # top-down, so a line reads only stored long twists
+    twists = ImageTable(_unstored_twist, n)
+    twists.update((Atom.t(1, j), _pieces(t(1, j), n)) for j in range(2, N + 1))
+    for j, line in lines.items():  # top-down, so a line reads only stored twists
         twists[Atom.t(1, j)] = _pieces(twists.substitute(line), n)
     short = ImageTable(partial(_short_thm42_image, n), n)
-    thm41 = ImageTable(partial(_admitted, "thm41", n, partial(_a_image, n, twists)), n)
-    thm42 = ImageTable(partial(_admitted, "thm42", n, partial(_thm42_image, thm41, short)), n)
+    thm41 = ImageTable(
+        partial(_a_image, "thm41", n, lambda a: twists.substitute(a_to_t(n, 1, a.j))), n
+    )
+    thm42 = ImageTable(
+        partial(_a_image, "thm42", n, lambda a: short.substitute(thm41.substitute(((a, 1),)))), n
+    )
     return {"thm41": thm41, "thm42": thm42, "twists": twists, "short": short}
 
 

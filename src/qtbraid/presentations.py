@@ -164,11 +164,18 @@ MAX_GENERATORS = 250_000
 class Presentation:
     """The presentation of group on strands strands; build it with presentation().
 
-    Each part is built on its first read and kept.
+    Refuses, with presentation()'s messages, a group outside GROUPS or fewer
+    than 3 strands.  Each part is built on its first read and kept.
     """
 
     group: str
     strands: int
+
+    def __post_init__(self):
+        if self.group not in GROUPS:
+            raise WordError(f"unknown group {self.group!r}; expected one of {GROUPS}")
+        if self.strands < 3:
+            raise WordError(f"presentations need n >= 3, got {self.strands}")
 
     @cached_property
     def generators(self) -> tuple[Atom, ...]:
@@ -348,10 +355,6 @@ def presentation(group: str, n: int) -> Presentation:
     Builds nothing yet: the generators and the relators are each built on their
     first read.
     """
-    if group not in GROUPS:
-        raise WordError(f"unknown group {group!r}; expected one of {GROUPS}")
-    if n < 3:
-        raise WordError(f"presentations need n >= 3, got {n}")
     return Presentation(group, n)
 
 

@@ -388,8 +388,9 @@ class ImageTable(Table):
     without looking the table up, and raises WordError for an atom outside
     the map's domain, so a foreign atom is never stored.  An entry may also
     be stored directly as _pieces(word, n), for a word the atom maps to:
-    genset writes its long twists so, each a line substituted through the
-    entries stored before it.
+    genset writes its whole thm41 twist table so, the short twists as
+    themselves and each long one a line substituted through the entries
+    stored before it.
 
     Words are kept in central form: d0^(n q) times a reduced word with every
     d0 exponent in -h..n-1-h, h = _half(n), its image in Z/n * F(other atoms).

@@ -276,13 +276,17 @@ class TestDecompose:
             assert [key for t in seen for key, u in tables.items() if t is u] == [variant]
 
     def test_alphabet_postcondition_raises(self, monkeypatch):
-        # an image function that strays from its alphabet is refused as its entry is stored
+        # an a-atom image that its target's alphabet does not admit is refused
+        # as its entry is stored, naming the variant; the thm42 entry reads the
+        # thm41 one, which a refusal of thm42 alone leaves admitted
         monkeypatch.setattr(genset, "_tables", lru_cache(maxsize=1)(genset._tables.__wrapped__))
-        monkeypatch.setattr(genset, "_a_image", lambda n, twists, atom: ((Atom.t(1, 4), 1),))
-        monkeypatch.setattr(genset, "_thm42_image", lambda thm41, short, atom: ((Atom.t(1, 2), 1),))
         w = concat(toric(5, 1), BraidWord(5, (2, 2)))  # d0 a(2,3)
         for variant in VARIANTS:
-            with pytest.raises(AssertionError, match="alphabet"):
+            genset._tables.cache_clear()
+            monkeypatch.setattr(
+                GensetTarget, "admits", lambda target, gw, v=variant: target.variant != v
+            )
+            with pytest.raises(AssertionError, match=f"the {variant} image of a1,2 leaves"):
                 decompose(w, GensetTarget(variant, 5))
             assert not genset._tables(5)[variant]
 
@@ -549,8 +553,7 @@ class TestTwistTables:
 
     def test_warmup_fills_nothing(self):
         # the warm-up reads d0 alone: the twist table holds what it wrote as
-        # it was built, its long twists and the short ones their lines read,
-        # and the other tables stay empty
+        # it was built, every twist, and the other tables stay empty
         genset._tables.cache_clear()
         for n in range(5, 14):
             for variant in VARIANTS:
@@ -560,6 +563,23 @@ class TestTwistTables:
             twists = tables["twists"]
             assert all(key.kind == "t" and key.i == 1 for key in twists), n
             assert {Atom.t(1, j) for j in range(short_twist_bound(n) + 1, n + 1)} <= twists.keys()
+
+    def test_written_whole_when_built(self):
+        # the twist table holds t1,2 ... t1,n from the start: decomposing adds
+        # no key to it, and a twist it does not hold is refused, not stored.
+        # thm42 reads the twist table only through thm41 entries, so thm41
+        # decompositions reach every lookup it gets
+        rng = random.Random(36)
+        for n in range(3, 41):
+            genset._tables.cache_clear()
+            twists = genset._tables(n)["twists"]
+            stored = {Atom.t(1, j) for j in range(2, n + 1)}
+            assert twists.keys() == stored, n
+            for _ in range(2):
+                decompose(random_qt_word(rng, n, max_rows=3), GensetTarget("thm41", n))
+            with pytest.raises(WordError, match=f"foreign atom t1,{n + 1} in thm41 rewriting"):
+                twists.substitute(((Atom.t(1, n + 1), 1),))
+            assert twists.keys() == stored, n
 
     def test_freed_by_refcount_alone(self):
         # no table reaches itself, so dropping the cache frees all four

@@ -167,6 +167,17 @@ class TestRelatorEnumeration:
         with pytest.raises(WordError, match="unknown group"):
             presentation("bq", 4)
 
+    @pytest.mark.parametrize("group, n", [("foo", 5), ("qb", 2), ("pb", 0), ("pmod", -1)])
+    def test_direct_construction_refused_as_the_factory_refuses(self, group, n):
+        # Presentation checks its own group and strand count, so one built
+        # directly is refused with presentation()'s message, before any part
+        with pytest.raises(WordError) as factory:
+            presentation(group, n)
+        with pytest.raises(WordError) as direct:
+            Presentation(group, n)
+        want = "unknown group" if group == "foo" else "presentations need n >= 3"
+        assert str(direct.value) == str(factory.value) and want in str(direct.value)
+
     @pytest.mark.parametrize("group", ["pb", "qb", "pmod"])
     def test_zero_rows_are_reduced_and_abelianize_to_zero(self, group):
         # every family, the cyclic qb one included, is joined by plain tuple
